@@ -323,7 +323,7 @@ def _cmd_laws(args) -> int:
         instance_count=args.count,
     )
     if args.suite == "all":
-        reports = lawcheck.run_all(cfg, jobs=args.jobs)
+        reports = lawcheck.run_all(cfg)
     else:
         reports = [lawcheck.run_suite(args.suite, cfg)]
     if args.json:
@@ -395,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_laws.add_argument("--seed", type=int, default=42)
     p_laws.add_argument("--max-points", type=int, default=4)
     p_laws.add_argument("--count", type=int, default=60)
-    p_laws.add_argument("--jobs", type=int, default=1)
     p_laws.add_argument("--json", action="store_true")
     return parser
 

@@ -104,4 +104,5 @@ class NotAFailure(TopmonadsError):
 
 
 class LawViolation(TopmonadsError):
-    """A theorem-backed internal cross-check disagreed (build-stopping bug)."""
+    """A checked invariant failed: an unsound Portmanteau certificate, or a
+    failing verdict without a counterexample."""

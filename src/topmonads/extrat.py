@@ -23,6 +23,8 @@ class ExtRat:
         if _inf:
             self._frac = None
             return
+        if isinstance(value, float):
+            raise TypeError("floats are not allowed; use Fraction or 'p/q' strings")
         frac = Fraction(value)
         if frac < 0:
             raise ValueError(f"negative value {frac} not in [0, oo]")
@@ -125,8 +127,6 @@ def ext(value) -> ExtRat:
         if value.strip() == "inf":
             return INF
         return ExtRat(Fraction(value))
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed; use Fraction or 'p/q' strings")
     return ExtRat(value)
 
 

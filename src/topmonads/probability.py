@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import (
     InfiniteMass,
-    LawViolation,
     NegativeWeight,
     NotNormalized,
     ShapeMismatch,
@@ -37,7 +36,6 @@ from .valuations import (
     LowerSemiFn,
     SimpleSecondOrder,
     Valuation,
-    integrate,
     mult_E,
     product_valuation,
     pushforward,
@@ -109,8 +107,7 @@ def extend_to_measure(nu: Valuation) -> FiniteMeasure:
     """Extend a finite-mass valuation to a measure by Moebius inversion.
 
     w_x = nu(min_nbhd(x)) - sum of w_y over y strictly above x, solved
-    from the maximal points downward; the result is verified to reproduce
-    nu on every open.
+    from the maximal points downward.
     """
     if nu.mass.is_infinite:
         raise InfiniteMass("only finite-mass valuations extend to measures")
@@ -132,31 +129,25 @@ def extend_to_measure(nu: Valuation) -> FiniteMeasure:
                 f"Moebius inversion gives weight {w} at {space.points[x]}"
             )
         weights[x] = w
-    measure = FiniteMeasure(space, tuple(ExtRat(w) for w in weights))
-    for u in space.opens:
-        if measure.measure_of(u) != nu.value(u):
-            raise LawViolation("extension does not reproduce the valuation")
-    return measure
+    return FiniteMeasure(space, tuple(ExtRat(w) for w in weights))
 
 
 def integrate_measure(m: FiniteMeasure, g: LowerSemiFn) -> ExtRat:
-    """Integral against the measure; equals the valuation integral."""
+    """Integral against the measure: the weighted sum of g over the points."""
     if m.space != g.space:
         raise ShapeMismatch("measure and function live on different spaces")
     total = ZERO
     for x in range(m.space.n):
         total = total + m.point_weights[x] * g(x)
-    if total != integrate(m.restriction(), g):
-        raise LawViolation("measure and valuation integrals disagree")
     return total
 
 
 def mult_E_measure(xi: SimpleSecondOrder) -> ProbValuation:
-    """Measure-level multiplication on molecular probability input.
+    """Multiplication of P on molecular input: a convex mixture of
+    probability valuations, computed by the valuation-level multiplication.
 
-    Equals the valuation-level multiplication after inclusion, and the
-    pointwise mixture of extended measures on every Borel set; both routes
-    are computed and compared.
+    Its extension equals the mixture of the extended measures on every
+    Borel set.
     """
     atoms = [(c, ProbValuation(nu)) for c, nu in xi.atoms]
     total = ZERO
@@ -164,35 +155,16 @@ def mult_E_measure(xi: SimpleSecondOrder) -> ProbValuation:
         total = total + c
     if total != ONE:
         raise NotNormalized(f"atom weights sum to {total}, not 1")
-    valuation_route = ProbValuation(mult_E(xi))
-    extended = [(c, extend_to_measure(p.underlying)) for c, p in atoms]
-    mix_space = extended[0][1].space
-    measure_route = extend_to_measure(valuation_route.underlying)
-    if measure_route.space != mix_space:
-        raise LawViolation("mixture and multiplication landed on different spaces")
-    for subset in range(1 << mix_space.n):
-        mixture = ZERO
-        for c, m in extended:
-            mixture = mixture + c * m.measure_of(subset)
-        if mixture != measure_route.measure_of(subset):
-            raise LawViolation(
-                "measure-level mixture disagrees with valuation multiplication"
-            )
-    return valuation_route
+    return ProbValuation(mult_E(xi))
 
 
 def product_measure(
     p: ProbValuation, q: ProbValuation, prod: Product | None = None
 ) -> ProbValuation:
-    """Product of probability valuations; marginals recover the factors."""
+    """Product of probability valuations; its marginals are the factors."""
     if prod is None:
         prod = product(p.space, q.space)
-    result = ProbValuation(product_valuation(p.underlying, q.underlying, prod))
-    if pushforward(prod.proj1, result.underlying) != p.underlying:
-        raise LawViolation("first marginal does not recover the factor")
-    if pushforward(prod.proj2, result.underlying) != q.underlying:
-        raise LawViolation("second marginal does not recover the factor")
-    return result
+    return ProbValuation(product_valuation(p.underlying, q.underlying, prod))
 
 
 def a_topology_membership(p: ProbValuation, u: int, r) -> bool:

@@ -15,10 +15,8 @@ from .errors import LawViolation, NotAnHAlgebra, ShapeMismatch
 from .extrat import ExtRat, ONE, ZERO, ext, sgn
 from .hyperspace import (
     ClosedSet,
-    HitFunctional,
     build_hyperspace,
     check_H_algebra,
-    closed_of_functional,
     hit,
     mult_union,
     product_closed,
@@ -60,51 +58,30 @@ class MorphismVerdict:
 
 
 def support(nu: Valuation) -> ClosedSet:
-    """The complement of the union of all null opens.
-
-    Validated against the defining property (support hits U iff nu(U) > 0)
-    and against the sign-composition route through the duality.
-    """
+    """The complement of the union of all null opens: the closed set that
+    hits exactly the opens of positive mass."""
     null = 0
     for u, v in zip(nu.space.opens, nu.table):
         if not sgn(v):
             null |= u
-    result = ClosedSet(nu.space, nu.space.full & ~null)
-    for u in nu.space.opens:
-        if hit(result, u) != sgn(nu.value(u)):
-            raise LawViolation("support fails its defining property")
-    via_sign = closed_of_functional(
-        HitFunctional(nu.space, tuple(sgn(v) for v in nu.table))
-    )
-    if via_sign != result:
-        raise LawViolation("sign-composition route disagrees with support")
-    return result
+    return ClosedSet(nu.space, nu.space.full & ~null)
 
 
 def support_test_lsc(nu: Valuation, g: LowerSemiFn) -> bool:
     """sgn<nu, g>; equals whether the support hits {g > 0}."""
     if nu.space != g.space:
         raise ShapeMismatch("valuation and function live on different spaces")
-    lhs = sgn(integrate(nu, g))
-    rhs = hit(support(nu), g.upper_level(ZERO))
-    if lhs != rhs:
-        raise LawViolation("integral sign disagrees with support hitting")
-    return lhs
+    return sgn(integrate(nu, g))
 
 
 def support_of_measure(m: FiniteMeasure) -> ClosedSet:
-    """Support of an extended measure, as the intersection of all closed
-    sets of full measure; cross-checked against the valuation support."""
+    """Support of an extended measure: the intersection of all closed sets
+    of full measure.  It equals the support of the measure's restriction."""
     acc = m.space.full
     for c in m.space.closed_sets():
         if m.measure_of(c) == m.total:
             acc &= c
-    result = ClosedSet(m.space, acc)
-    if result != support(m.restriction()):
-        raise LawViolation(
-            "full-measure intersection disagrees with the valuation support"
-        )
-    return result
+    return ClosedSet(m.space, acc)
 
 
 # --- morphism diagrams ------------------------------------------------------
@@ -156,7 +133,7 @@ def check_monad_morphism(space: FiniteSpace, xis) -> MorphismVerdict:
     checks.append(("unit square", unit_ok))
     if not unit_ok:
         witness = (space, "unit")
-    hx = build_hyperspace(space, validate=False)
+    hx = build_hyperspace(space)
     mult_ok = True
     for xi in xis:
         left = support(mult_E(xi))
@@ -183,7 +160,7 @@ def check_supp_monoidal(
     strength_ok = True
     for x in range(prod.left.n):
         lhs = support(strength_V(prod, x, rho))
-        rhs = strength_H(prod, x, support(rho), check=False)
+        rhs = strength_H(prod, x, support(rho))
         if lhs != rhs:
             strength_ok = False
             witness = (prod, x, rho, lhs, rhs)
@@ -214,7 +191,7 @@ def check_supp_monoidal(
 
 def algebra_evaluate(a_space: FiniteSpace, a_map, nu: Valuation) -> int:
     """The induced valuation-algebra map e = a after support."""
-    hx = build_hyperspace(a_space, validate=False)
+    hx = build_hyperspace(a_space)
     return a_map[hx.point_of(support(nu).members)]
 
 

@@ -6,8 +6,12 @@ contains its supremum, so these three conditions already give Scott
 continuity (that implication is a theorem, not a runtime check).  The
 module provides lower integration by layer-cake decomposition, the monad
 structure (Dirac unit, molecular multiplication, Kleisli composition),
-strength, product valuations with a Fubini cross-check, the weak topology
-subbasis with Portmanteau certificates, and order comparisons.
+strength, product valuations and both composites of the Fubini square, the
+weak topology subbasis with Portmanteau certificates, and order
+comparisons.  Each operation computes its result by one route; the second
+routes that confirm them (integral identities, the weight-product and
+iterated-integral forms of the product, the integral order) are laws in
+`lawcheck`.
 """
 
 from __future__ import annotations
@@ -136,14 +140,6 @@ class LowerSemiFn:
             for y in range(self.space.n)
             if self.space.leq(x, y)
         )
-        levels_open = all(
-            self.space.is_open(self.upper_level(v))
-            for v in set(self.values)
-        ) and self.space.is_open(self.upper_level(ZERO))
-        if monotone != levels_open:
-            raise LawViolation(
-                "monotonicity and open-level-set criteria disagree"
-            )
         if not monotone:
             raise NotLowerSemicontinuous(
                 "values are not monotone for specialization"
@@ -237,11 +233,7 @@ def integrate_simple(nu: Valuation, terms: Iterable[tuple[ExtRat, int]]) -> ExtR
 
 
 def pushforward(f: ContinuousMap, nu: Valuation) -> Valuation:
-    """f_* nu, the valuation U -> nu(f^{-1} U).
-
-    The integral identity <f_* nu, 1_U> = <nu, 1_U o f> is re-derived per
-    open as a cross-check of the two integration routes.
-    """
+    """f_* nu, the valuation U -> nu(f^{-1} U)."""
     if nu.space != f.source:
         raise ShapeMismatch("valuation does not live on the map's source")
     table = tuple(nu.value(f.preimage(u)) for u in f.target.opens)
@@ -251,14 +243,7 @@ def pushforward(f: ContinuousMap, nu: Valuation) -> Valuation:
         for x, w in enumerate(nu.weights):
             acc[f(x)] = acc[f(x)] + w
         weights = tuple(acc)
-    result = Valuation(f.target, table, weights)
-    if len(f.target.opens) <= 64:
-        for u in f.target.opens:
-            lhs = integrate(result, indicator(f.target, u))
-            rhs = integrate(nu, compose_lsc(indicator(f.target, u), f))
-            if lhs != rhs:
-                raise LawViolation("pushforward integral identity fails")
-    return result
+    return Valuation(f.target, table, weights)
 
 
 @dataclass(frozen=True)
@@ -414,7 +399,7 @@ def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None
     Every open of the product is a finite union of rectangles; the value
     on such a union is fixed by the n-ary modularity law, i.e. signed
     inclusion-exclusion over nonempty subfamilies.  When both factors carry
-    weights the weight-product route is computed too and must agree.
+    weights, the result carries the weight products as its witness.
     """
     if prod is None:
         prod = product(nu.space, rho.space)
@@ -441,11 +426,6 @@ def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None
             for i in range(prod.left.n)
             for j in range(prod.right.n)
         )
-        oracle = valuation_from_weights(prod.space, weights)
-        if oracle.table != tuple(table):
-            raise LawViolation(
-                "inclusion-exclusion disagrees with the weight-product route"
-            )
     return Valuation(prod.space, tuple(table), weights)
 
 
@@ -456,8 +436,6 @@ def product_valuation_composites(
 
     With rho = sum_y w_y delta_y the first route multiplies out to the
     mixture sum_y w_y * costrength(nu, y); symmetrically for the second.
-    Each mixture is cross-checked against the iterated-integral formula
-    W -> <nu, x -> rho(W_x)> (resp. its mirror).
     """
     if prod is None:
         prod = product(nu.space, rho.space)
@@ -485,25 +463,6 @@ def product_valuation_composites(
         if atoms2
         else zero_valuation(prod.space)
     )
-    for w in prod.space.opens:
-        iter1 = integrate(
-            rho,
-            LowerSemiFn(
-                rho.space,
-                tuple(nu.value(prod.slice_at_right(w, y)) for y in range(rho.space.n)),
-            ),
-        )
-        iter2 = integrate(
-            nu,
-            LowerSemiFn(
-                nu.space,
-                tuple(rho.value(prod.slice_at_left(w, x)) for x in range(nu.space.n)),
-            ),
-        )
-        if iter1 != route1.value(w) or iter2 != route2.value(w):
-            raise LawViolation(
-                "molecular composite disagrees with the iterated integral"
-            )
     return route1, route2
 
 
@@ -611,7 +570,6 @@ def check_certificate(
 @dataclass(frozen=True)
 class OrderReport:
     opens_le: bool
-    integrals_le: bool
     stochastic_le: bool | None
 
 
@@ -640,30 +598,17 @@ def order_checks(
     nu: Valuation,
     rho: Valuation,
     aux_preorder: Iterable[tuple[int, int]] | None = None,
-    max_value: int | None = None,
 ) -> OrderReport:
-    """Compare nu <= rho on opens, on canonical integrals, and (optionally)
-    in the stochastic order of a closed-graph auxiliary preorder.
+    """Compare nu <= rho on opens and (optionally) in the stochastic order of
+    a closed-graph auxiliary preorder.
 
-    The opens order and the integral order coincide; the integral side is
-    checked on all indicators plus the finite family of monotone functions
-    valued in {0, ..., |X|}, which determines the order by linearity.
+    The opens order coincides with the integral order <nu, g> <= <rho, g>
+    over lower semicontinuous g.
     """
     if nu.space != rho.space:
         raise ShapeMismatch("valuations live on different spaces")
     space = nu.space
     opens_le = all(a <= b for a, b in zip(nu.table, rho.table))
-    integrals_le = all(
-        integrate(nu, indicator(space, u)) <= integrate(rho, indicator(space, u))
-        for u in space.opens
-    )
-    if integrals_le and space.n <= 4:
-        integrals_le = all(
-            integrate(nu, g) <= integrate(rho, g)
-            for g in canonical_lsc_family(space, max_value)
-        )
-    if opens_le != integrals_le:
-        raise LawViolation("opens order disagrees with the integral order")
     stochastic = None
     if aux_preorder is not None:
         relation = {(a, b) for a, b in aux_preorder}
@@ -677,4 +622,4 @@ def order_checks(
             if is_upper and not nu.value(u) <= rho.value(u):
                 stochastic = False
                 break
-    return OrderReport(opens_le, integrals_le, stochastic)
+    return OrderReport(opens_le, stochastic)

@@ -22,11 +22,14 @@ from topmonads.lawcheck import (
     _rand_downset,
     all_topologies,
     count_valid_functional_tables,
+    fubini_square,
     generate_space,
     h_associativity,
     h_left_unit,
     h_right_unit,
+    h_specialization_is_inclusion,
     h_strength_mult,
+    mixture_of_measures_agrees,
     rand_closed,
     rand_kernel,
     rand_lsc,
@@ -99,7 +102,9 @@ def test_criterion_02_duality_round_trips():
             closed = space.closed_sets()
             for c in closed:
                 phi = hy.functional_of_closed(hy.ClosedSet(space, c))
-                ok = ok and hy.closed_of_functional(phi).members == c
+                back = hy.closed_of_functional(phi)
+                ok = ok and back.members == c
+                ok = ok and hy.functional_of_closed(back) == phi
             ok = ok and count_valid_functional_tables(space) == len(closed)
         return ok, (
             "closed sets <-> strict join-preserving functionals, round trips"
@@ -112,11 +117,14 @@ def test_criterion_02_duality_round_trips():
 def test_criterion_03_vietoris_cross_check():
     def body():
         spaces = spaces_up_to(4, 200, seed=7)
+        ok = True
         for space in spaces:
-            # validate=True regenerates the lower Vietoris topology from the
-            # Hit subbasis and compares it with the inclusion up-sets
-            hy.build_hyperspace(space, validate=True)
-        return True, (
+            # regenerate the lower Vietoris topology from the Hit subbasis
+            # and compare it with the inclusion up-sets HX is built from
+            hx = hy.build_hyperspace(space)
+            ok = ok and hy._vietoris_topology(hx) == set(hx.space.opens)
+            ok = ok and h_specialization_is_inclusion(hx)
+        return ok, (
             f"lower Vietoris = inclusion up-sets on {len(spaces)} spaces"
             " of at most 4 points"
         )
@@ -252,7 +260,7 @@ def test_criterion_06_strength_and_fubini():
             prod = sp.product(a, b)
             if len(prod.space.opens) > 300:
                 continue
-            hxb = hy.build_hyperspace(b, False)
+            hxb = hy.build_hyperspace(b)
             x = rng.randrange(a.n)
             y = rng.randrange(b.n)
             c = rand_closed(rng, b)
@@ -320,12 +328,10 @@ def test_criterion_06_strength_and_fubini():
             direct = hy.product_closed(prod, ca, c)
             r1, r2 = hy.product_closed_composites(prod, ca, c)
             ok = ok and direct == r1 == r2
-            # commutativity (Fubini) square for valuations; the direct
-            # product checks the weight-product oracle internally
+            # commutativity (Fubini) square for valuations, against the
+            # weight-product and iterated-integral oracles too
             mu = rand_valuation(rng, cfg, a)
-            pv = va.product_valuation(mu, nu, prod)
-            f1, f2 = va.product_valuation_composites(mu, nu, prod)
-            ok = ok and pv.table == f1.table == f2.table
+            ok = ok and fubini_square(prod, mu, nu)
             done += 1
         return ok, (
             "all four strength diagrams for closed sets and for valuations"
@@ -349,7 +355,7 @@ def test_criterion_07_probability():
         while moebius < 500:
             space = t0[moebius % len(t0)]
             nu = rand_valuation(rng, cfg, space)
-            m = pb.extend_to_measure(nu)  # verifies the round trip internally
+            m = pb.extend_to_measure(nu)
             ok = ok and all(m.measure_of(u) == nu.value(u) for u in space.opens)
             ok = ok and all(w.frac >= 0 for w in m.point_weights)
             moebius += 1
@@ -357,7 +363,7 @@ def test_criterion_07_probability():
         while mixtures < 300:
             space = t0[mixtures % len(t0)]
             xi = rand_sso(rng, cfg, space, prob=True)
-            pb.mult_E_measure(xi)  # compares both routes on every subset
+            ok = ok and mixture_of_measures_agrees(xi)
             mixtures += 1
         pairs = 0
         attempts = 0
@@ -370,10 +376,11 @@ def test_criterion_07_probability():
                 continue
             p = rand_prob(rng, cfg, a)
             q = rand_prob(rng, cfg, b)
-            pm = pb.product_measure(p, q, prod)  # marginal round trip inside
+            pm = pb.product_measure(p, q, prod)
             ok = (
                 ok
                 and va.pushforward(prod.proj1, pm.underlying) == p.underlying
+                and va.pushforward(prod.proj2, pm.underlying) == q.underlying
             )
             pairs += 1
         return ok, (
@@ -436,7 +443,9 @@ def test_criterion_08_support_morphism():
             space = nonempty[full % len(nonempty)]
             nu = rand_valuation(rng, cfg, space)
             m = pb.extend_to_measure(nu)
-            ok = ok and m.measure_of(su.support_of_measure(m).members) == m.total
+            supp = su.support_of_measure(m)
+            ok = ok and m.measure_of(supp.members) == m.total
+            ok = ok and supp == su.support(m.restriction())
             full += 1
         return ok, (
             f"support is a monad morphism: unit x{units} (exhaustive),"

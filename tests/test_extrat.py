@@ -23,6 +23,8 @@ def test_rejects_negative_and_floats():
         ext("-1/2")
     with pytest.raises((TypeError, ValueError)):
         ext(0.5)
+    with pytest.raises(TypeError):
+        ExtRat(0.5)
 
 
 def test_total_order():

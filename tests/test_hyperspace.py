@@ -190,3 +190,6 @@ def test_h_algebra_discrete_pair_has_none():
 def test_h_algebra_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         hy.check_H_algebra(sp.sierpinski(), (0,))
+    # an entry that is not a point of the algebra
+    with pytest.raises(ShapeMismatch):
+        hy.check_H_algebra(sp.sierpinski(), (-1, 0, 1))

@@ -9,7 +9,6 @@ from topmonads import spaces as sp
 from topmonads import valuations as va
 from topmonads.errors import (
     InfiniteMass,
-    LawViolation,
     NotNormalized,
 )
 from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
@@ -105,8 +104,16 @@ def test_mult_E_measure_randomized_agreement():
                     )
                 )
             xi = va.SimpleSecondOrder(space, tuple(atoms))
-            result = pb.mult_E_measure(xi)  # raises LawViolation on mismatch
+            result = pb.mult_E_measure(xi)
             assert result.underlying.mass == ONE
+            # the measure route: mix the extended atom measures per subset
+            measure = pb.extend_to_measure(result.underlying)
+            extended = [(c, pb.extend_to_measure(nu)) for c, nu in atoms]
+            for subset in range(1 << space.n):
+                mixture = ZERO
+                for c, m in extended:
+                    mixture = mixture + c * m.measure_of(subset)
+                assert mixture == measure.measure_of(subset)
 
 
 def test_product_measure_marginals():
