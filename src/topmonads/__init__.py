@@ -10,7 +10,6 @@ from .errors import (
     InfiniteMass,
     InfinityIndeterminate,
     LawViolation,
-    NegativeWeight,
     NotAFailure,
     NotAKernel,
     NotAnHAlgebra,
@@ -30,7 +29,7 @@ from .errors import (
     TopmonadsError,
     UnknownSuite,
 )
-from .extrat import INF, ONE, ZERO, ExtRat, ext, sgn, signed_sum
+from .extrat import INF, ONE, ZERO, ExtRat, ext, monus, sgn
 from .spaces import (
     ContinuousMap,
     FiniteSpace,

@@ -122,14 +122,10 @@ def valuation_document(nu: Valuation, name: str | None = None) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "space": space_document(nu.space),
-    }
-    if nu.weights is not None:
-        doc["weights"] = {
+        "weights": {
             nu.space.points[x]: str(nu.weights[x]) for x in range(nu.space.n)
-        }
-    else:
-        doc["table"] = {str(i): str(v) for i, v in enumerate(nu.table)}
-        doc["opens_checksum"] = _opens_checksum(nu.space)
+        },
+    }
     if name is not None:
         doc["name"] = name
     return doc

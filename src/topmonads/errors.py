@@ -71,10 +71,6 @@ class InfinityIndeterminate(TopmonadsError):
     """Signed extended-rational arithmetic hit an indeterminate infinity."""
 
 
-class NegativeWeight(TopmonadsError):
-    """Measure extension produced a negative point weight (anomaly)."""
-
-
 class InfiniteMass(TopmonadsError):
     """Operation requires finite total mass."""
 

@@ -2,7 +2,8 @@
 
 Values are `Fraction`s or the distinguished infinity.  The conventions are
 oo + x = oo, oo * x = oo for x > 0, and oo * 0 = 0 (the one needed for
-positive linear combinations with coefficients in (0, oo]).
+positive linear combinations with coefficients in (0, oo]).  Besides the
+partial subtraction there is the total, truncated one, `monus`.
 """
 
 from __future__ import annotations
@@ -45,20 +46,23 @@ class ExtRat:
         return self._frac
 
     def __add__(self, other):
-        other = ext(other)
-        if self.is_infinite or other.is_infinite:
+        if type(other) is not ExtRat:
+            other = ext(other)
+        a, b = self._frac, other._frac
+        if a is None or b is None:
             return INF
-        return ExtRat(self._frac + other._frac)
+        return _finite(a + b)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = ext(other)
-        if self.is_infinite or other.is_infinite:
-            if self == ZERO or other == ZERO:
-                return ZERO
-            return INF
-        return ExtRat(self._frac * other._frac)
+        if type(other) is not ExtRat:
+            other = ext(other)
+        a, b = self._frac, other._frac
+        if a is None or b is None:
+            # oo * 0 = 0; a None operand never equals 0
+            return ZERO if a == 0 or b == 0 else INF
+        return _finite(a * b)
 
     __rmul__ = __mul__
 
@@ -90,12 +94,20 @@ class ExtRat:
         return self._frac == other._frac
 
     def __lt__(self, other):
-        other = ext(other)
-        if self.is_infinite:
+        if type(other) is not ExtRat:
+            other = ext(other)
+        a, b = self._frac, other._frac
+        if a is None:
             return False
-        if other.is_infinite:
+        return b is None or a < b
+
+    def __le__(self, other):
+        if type(other) is not ExtRat:
+            other = ext(other)
+        a, b = self._frac, other._frac
+        if b is None:
             return True
-        return self._frac < other._frac
+        return a is not None and a <= b
 
     def __hash__(self):
         return hash(self._frac)
@@ -112,6 +124,14 @@ class ExtRat:
         if self._frac.denominator == 1:
             return str(self._frac.numerator)
         return f"{self._frac.numerator}/{self._frac.denominator}"
+
+
+def _finite(frac: Fraction) -> ExtRat:
+    """The ExtRat of a Fraction known to be nonnegative, such as a sum or
+    product of two; it skips the checks and the rebuild of `ExtRat(...)`."""
+    value = object.__new__(ExtRat)
+    value._frac = frac
+    return value
 
 
 INF = ExtRat(_inf=True)
@@ -135,29 +155,11 @@ def sgn(value: ExtRat) -> bool:
     return bool(ext(value))
 
 
-def signed_sum(terms) -> ExtRat:
-    """Sum of (sign, ExtRat) terms in a signed extended-rational scratch domain.
+def monus(a: ExtRat, b: ExtRat) -> ExtRat:
+    """Truncated subtraction a - b: the least c with a <= b + c.
 
-    Raises InfinityIndeterminate if both +oo and -oo terms occur, or if the
-    result would be negative or -oo.
+    It is 0 when a <= b, so oo - oo = 0, and oo - b = oo for finite b.
     """
-    finite = Fraction(0)
-    pos_inf = neg_inf = False
-    for sign, value in terms:
-        value = ext(value)
-        if value.is_infinite:
-            if sign > 0:
-                pos_inf = True
-            else:
-                neg_inf = True
-        else:
-            finite += sign * value.frac
-    if pos_inf and neg_inf:
-        raise InfinityIndeterminate("both +oo and -oo terms in signed sum")
-    if pos_inf:
-        return INF
-    if neg_inf:
-        raise InfinityIndeterminate("signed sum is -oo but must lie in [0, oo]")
-    if finite < 0:
-        raise InfinityIndeterminate(f"signed sum {finite} is negative")
-    return ExtRat(finite)
+    if a <= b:
+        return ZERO
+    return a - b

@@ -24,7 +24,6 @@ from .spaces import (
     ContinuousMap,
     FiniteSpace,
     Product,
-    _min_nbhds,
     bits,
     check_separation,
     product,
@@ -106,7 +105,7 @@ def build_hyperspace(x: FiniteSpace) -> Hyperspace:
     up_masks = inclusion_up_masks(closed)
     family = upsets_of_up_masks(n, up_masks)
     names = tuple(_hyperspace_name(x, c) for c in closed)
-    space = FiniteSpace(names, tuple(family), _min_nbhds(n, family))
+    space = FiniteSpace(names, tuple(family), tuple(up_masks))
     return Hyperspace(x, space, closed)
 
 

@@ -5,8 +5,10 @@ Every suite draws its instances from deterministic streams seeded by a
 GenConfig, so identical configurations replay identical checks.
 
 The library computes each operation by one route.  Second routes, such as
-hit identities, integral forms, and the weight product, live here as
-oracles, each compared in a named law of the suite that owns the operation.
+hit identities, integral forms, the layer-cake integral, the
+inclusion-exclusion product, and the pairwise validity scan of a table,
+live here as oracles, each compared in a named law of the suite that owns
+the operation.
 
 The mutation harness re-runs selected suites with one semantic bug patched in
 (see MUTATIONS) and asserts that at least one suite notices; the ten
@@ -18,10 +20,11 @@ mutations are:
   4. sgn-not-strict              sign test returns true on zero
   5. integrate-strict-levels     layer-cake uses strict level sets
   6. mult-E-ignores-weights      second-order multiplication drops weights
-  7. inclusion-exclusion-all-plus  product valuation ignores signs
+  7. inclusion-exclusion-all-plus  weights read off a table add, not subtract
   8. support-null-union          support returns the null set, not its complement
   9. closure-up-set              closure computes the up-set
- 10. moebius-no-inversion        measure extension skips the inversion step
+ 10. moebius-no-inversion        measure extension weighs a point by its
+                                 neighborhood's mass
 """
 
 from __future__ import annotations
@@ -39,9 +42,13 @@ from . import spaces as sp
 from . import support as su
 from . import valuations as va
 from .errors import (
+    InfinityIndeterminate,
     NotAFailure,
     NotATopology,
     NotLowerSemicontinuous,
+    NotModular,
+    NotMonotone,
+    NotStrict,
     UnknownSuite,
 )
 from .extrat import ExtRat, INF, ONE, ZERO, ext, sgn
@@ -53,7 +60,7 @@ class GenConfig:
     max_points: int = 4
     instance_count: int = 60
     weight_denominator_bound: int = 16
-    allow_infinity: bool = False
+    allow_infinity: bool = True
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ def _random_space(rng: random.Random, max_points: int) -> sp.FiniteSpace:
         sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)
     ]
     family = sp.upsets_of_up_masks(n, up_masks)
-    return sp.FiniteSpace(names, tuple(family), sp._min_nbhds(n, family))
+    return sp.FiniteSpace(names, tuple(family), tuple(up_masks))
 
 
 def generate_space(cfg: GenConfig):
@@ -598,42 +605,149 @@ def pushforward_integral_identity(f: sp.ContinuousMap, nu: va.Valuation) -> bool
     )
 
 
+def signed_sum(terms) -> ExtRat:
+    """Sum of (sign, ExtRat) terms in a signed extended-rational scratch domain.
+
+    Raises InfinityIndeterminate if both +oo and -oo terms occur, or if the
+    result would be negative or -oo.
+    """
+    finite = Fraction(0)
+    pos_inf = neg_inf = False
+    for sign, value in terms:
+        value = ext(value)
+        if value.is_infinite:
+            if sign > 0:
+                pos_inf = True
+            else:
+                neg_inf = True
+        else:
+            finite += sign * value.frac
+    if pos_inf and neg_inf:
+        raise InfinityIndeterminate("both +oo and -oo terms in signed sum")
+    if pos_inf:
+        return INF
+    if neg_inf:
+        raise InfinityIndeterminate("signed sum is -oo but must lie in [0, oo]")
+    if finite < 0:
+        raise InfinityIndeterminate(f"signed sum {finite} is negative")
+    return ExtRat(finite)
+
+
+def layer_cake_integral(nu: va.Valuation, g: va.LowerSemiFn) -> ExtRat:
+    """<nu, g> from the table of nu, by layer-cake over g's values.
+
+    Sorting the distinct finite values 0 = v0 < v1 < ..., the integral is
+    sum_i (v_i - v_{i-1}) * nu({g >= v_i}) + oo * nu({g = oo}); each weak
+    level {g >= v_i} equals the open strict level {g > v_{i-1}}.
+    """
+    finite_values = sorted({v.frac for v in g.values if v.is_finite})
+    total = ZERO
+    prev = Fraction(0)
+    for v in finite_values:
+        if v == 0:
+            continue
+        total = total + ExtRat(v - prev) * nu.value(g.weak_level(ExtRat(v)))
+        prev = v
+    return total + INF * nu.value(g.weak_level(INF))
+
+
+def inclusion_exclusion_product(
+    prod: sp.Product, nu: va.Valuation, rho: va.Valuation
+) -> tuple[ExtRat, ...]:
+    """The table of the product valuation from the factors' tables alone.
+
+    Every open of the product is the union of the minimal-neighborhood
+    rectangles of its points; its value is fixed by the n-ary modularity
+    law, i.e. signed inclusion-exclusion over nonempty subfamilies of the
+    rectangles, each valued nu(U) * rho(V).  A rectangle of value oo makes
+    the union oo; otherwise every term is finite.
+    """
+    table = []
+    for w in prod.space.opens:
+        rects = sorted(
+            {
+                (prod.left.min_nbhd[i], prod.right.min_nbhd[j])
+                for i, j in map(prod.split, sp.bits(w))
+            }
+        )
+        if any((nu.value(u) * rho.value(v)).is_infinite for u, v in rects):
+            table.append(INF)
+            continue
+        terms = []
+        for subset in range(1, 1 << len(rects)):
+            cap_u, cap_v = prod.left.full, prod.right.full
+            for i in sp.bits(subset):
+                cap_u &= rects[i][0]
+                cap_v &= rects[i][1]
+            sign = 1 if sp.popcount(subset) % 2 else -1
+            terms.append((sign, nu.value(cap_u) * rho.value(cap_v)))
+        table.append(signed_sum(terms))
+    return tuple(table)
+
+
 def iterated_integrals(prod: sp.Product, nu, rho, f) -> tuple[ExtRat, ExtRat]:
     """<nu, x -> <rho, f(x, -)>> and <rho, y -> <nu, f(-, y)>> for a
-    function f on the points of the product."""
+    function f on the points of the product, each by layer-cake."""
     left, right = prod.left, prod.right
 
     def lsc(space, values):
         return va.LowerSemiFn(space, tuple(values))
 
     inner_x = (
-        va.integrate(rho, lsc(right, (f(prod.pair(x, y)) for y in range(right.n))))
+        layer_cake_integral(
+            rho, lsc(right, (f(prod.pair(x, y)) for y in range(right.n)))
+        )
         for x in range(left.n)
     )
     inner_y = (
-        va.integrate(nu, lsc(left, (f(prod.pair(x, y)) for x in range(left.n))))
+        layer_cake_integral(
+            nu, lsc(left, (f(prod.pair(x, y)) for x in range(left.n)))
+        )
         for y in range(right.n)
     )
-    return va.integrate(nu, lsc(left, inner_x)), va.integrate(rho, lsc(right, inner_y))
+    return (
+        layer_cake_integral(nu, lsc(left, inner_x)),
+        layer_cake_integral(rho, lsc(right, inner_y)),
+    )
 
 
 def fubini_square(prod: sp.Product, nu: va.Valuation, rho: va.Valuation) -> bool:
-    """The product valuation equals both molecular composites, the
-    valuation of the weight products w_x * w_y, and on every open W both
-    iterated integrals of the indicator of W."""
-    table = va.product_valuation(nu, rho, prod).table
+    """The product valuation equals both molecular composites and the
+    inclusion-exclusion table, and on every open W both iterated integrals
+    of the indicator of W."""
+    pv = va.product_valuation(nu, rho, prod)
     route1, route2 = va.product_valuation_composites(nu, rho, prod)
-    by_weights = va.valuation_from_weights(
-        prod.space, tuple(wx * wy for wx in nu.weights for wy in rho.weights)
-    )
     return (
-        table == route1.table == route2.table == by_weights.table
+        pv == route1 == route2
+        and pv.table == inclusion_exclusion_product(prod, nu, rho)
         and all(
             iterated_integrals(prod, nu, rho, va.indicator(prod.space, w))
             == (value, value)
-            for w, value in zip(prod.space.opens, table)
+            for w, value in zip(prod.space.opens, pv.table)
         )
     )
+
+
+def table_is_valuation(space: sp.FiniteSpace, table) -> bool:
+    """The pairwise scan: strict, monotone on every inclusion of opens, and
+    modular on every pair of opens."""
+    value = dict(zip(space.opens, table))
+    return value[0] == ZERO and all(
+        (u & ~v or value[u] <= value[v])
+        and value[u | v] + value[u & v] == value[u] + value[v]
+        for u in space.opens
+        for v in space.opens
+    )
+
+
+def validation_agrees_with_scan(space: sp.FiniteSpace, table) -> bool:
+    """validate_valuation accepts exactly the tables the pairwise scan
+    accepts, and returns the valuation with that table."""
+    try:
+        nu = va.validate_valuation(space, table)
+    except (NotStrict, NotMonotone, NotModular):
+        return not table_is_valuation(space, table)
+    return table_is_valuation(space, table) and nu.table == tuple(table)
 
 
 def integral_order_le(nu: va.Valuation, rho: va.Valuation) -> bool:
@@ -1078,6 +1192,10 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
             "multiplication pairing identity",
         )
         run.check(
+            lambda v=nu, f=g: va.integrate(v, f) == layer_cake_integral(v, f),
+            "weighted sum equals layer cake",
+        )
+        run.check(
             lambda s=space, f=g: lsc_criteria_agree(s, f.values)
             and lsc_criteria_agree(s, f.values[::-1]),
             "lower semicontinuity: monotone iff the level sets are open",
@@ -1324,6 +1442,19 @@ def _suite_v_duality(cfg: GenConfig, run: _Run):
             == len(cl),
             "brute-force surjectivity over all boolean tables",
         )
+        nu = rand_valuation(rng, cfg, space)
+        perturbed = list(nu.table)
+        i = rng.randrange(len(perturbed))
+        perturbed[i] = ZERO if perturbed[i].is_infinite else perturbed[i] + ONE
+        run.check(
+            lambda s=space, v=nu, t=tuple(perturbed): va.validate_valuation(
+                s, v.table
+            )
+            == v
+            and validation_agrees_with_scan(s, v.table)
+            and validation_agrees_with_scan(s, t),
+            "validate_valuation round-trips a table and agrees with the scan",
+        )
         # subspace inclusions: the pushforward embeds valuations
         if space.n:
             mask = rng.randrange(1, space.full + 1)
@@ -1495,18 +1626,16 @@ def _suite_p_product(cfg: GenConfig, run: _Run):
         prod = sp.product(a, b)
         p = rand_prob(rng, cfg, a)
         q = rand_prob(rng, cfg, b)
+        pq = pb.product_measure(p, q, prod).underlying
         run.check(
-            lambda pp=p, qq=q, pr=prod: (
-                lambda pm: va.pushforward(pr.proj1, pm) == pp.underlying
-                and va.pushforward(pr.proj2, pm) == qq.underlying
-            )(pb.product_measure(pp, qq, pr).underlying),
+            lambda pp=p, qq=q, pr=prod, m=pq: va.pushforward(pr.proj1, m)
+            == pp.underlying
+            and va.pushforward(pr.proj2, m) == qq.underlying,
             "marginals of the product measure are the factors",
         )
         if sp.check_separation(a).is_T0 and sp.check_separation(b).is_T0:
             run.check(
-                lambda pp=p, qq=q, pr=prod: pb.extend_to_measure(
-                    pb.product_measure(pp, qq, pr).underlying
-                ).point_weights
+                lambda pp=p, qq=q, m=pq: pb.extend_to_measure(m).point_weights
                 == tuple(
                     wx * wy
                     for wx in pb.extend_to_measure(pp.underlying).point_weights
@@ -1823,20 +1952,15 @@ def _mutant_integrate(nu, g):
 
 
 def _mutant_mult_E(xi):
-    table = []
-    for i in range(len(xi.space.opens)):
-        acc = ZERO
-        for _, nu in xi.atoms:
-            acc = acc + nu.table[i]
-        table.append(acc)
-    return va.Valuation(xi.space, tuple(table))
+    weights = [ZERO] * xi.space.n
+    for _, nu in xi.atoms:
+        for x, w in enumerate(nu.weights):
+            weights[x] = weights[x] + w
+    return va.Valuation(xi.space, tuple(weights))
 
 
-_orig_signed_sum = va.signed_sum
-
-
-def _mutant_signed_sum(terms):
-    return _orig_signed_sum((1, v) for _, v in terms)
+def _mutant_monus(a, b):
+    return a + b
 
 
 def _mutant_support(nu):
@@ -1879,7 +2003,7 @@ MUTATIONS = {
     "sgn-not-strict": (su, "sgn", _mutant_sgn),
     "integrate-strict-levels": (va, "integrate", _mutant_integrate),
     "mult-E-ignores-weights": (va, "mult_E", _mutant_mult_E),
-    "inclusion-exclusion-all-plus": (va, "signed_sum", _mutant_signed_sum),
+    "inclusion-exclusion-all-plus": (va, "monus", _mutant_monus),
     "support-null-union": (su, "support", _mutant_support),
     "closure-up-set": (sp.FiniteSpace, "closure", _mutant_closure),
     "moebius-no-inversion": (pb, "extend_to_measure", _mutant_extend),
@@ -1892,7 +2016,7 @@ DETECTING_SUITES = {
     "sgn-not-strict": ("supp-unit",),
     "integrate-strict-levels": ("v-monad",),
     "mult-E-ignores-weights": ("v-monad",),
-    "inclusion-exclusion-all-plus": ("v-fubini",),
+    "inclusion-exclusion-all-plus": ("v-duality",),
     "support-null-union": ("supp-unit",),
     "closure-up-set": ("supp-unit", "h-monad"),
     "moebius-no-inversion": ("p-extension",),

@@ -2,22 +2,19 @@
 
 On a finite T0 space the point closures separate points, so the Borel
 sigma-algebra is the full power set and a measure is just a table of
-nonnegative point weights.  Extension from a finite-mass valuation is
-Moebius inversion over the specialization poset; a negative weight would
-falsify the extension theorem for finite sober spaces and is reported as
-a build-stopping anomaly instead of being clamped.  Non-T0 spaces route
-through the Kolmogorov quotient (valuations cannot see more), and the
-result carries the quotient map as an explicit marker.
+nonnegative point weights.  A valuation is stored as its point weights
+(see `valuations`), so on a T0 space a finite-mass valuation extends to
+the measure with those same weights; they are nonnegative by construction.
+Non-T0 spaces route through the Kolmogorov quotient (valuations cannot see
+more), and the result carries the quotient map as an explicit marker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InfiniteMass,
-    NegativeWeight,
     NotNormalized,
     ShapeMismatch,
 )
@@ -27,9 +24,7 @@ from .spaces import (
     FiniteSpace,
     Product,
     bits,
-    check_separation,
     kolmogorov_quotient,
-    popcount,
     product,
 )
 from .valuations import (
@@ -46,17 +41,15 @@ from .valuations import (
 
 @dataclass(frozen=True)
 class ProbValuation:
-    """A valuation of total mass one (all values finite, in [0, 1])."""
+    """A valuation of total mass one: its weights are finite and sum to 1,
+    so every open has a value in [0, 1]."""
 
     underlying: Valuation
 
     def __post_init__(self):
-        nu = self.underlying
-        if nu.mass != ONE:
-            raise NotNormalized(f"total mass is {nu.mass}, not 1")
-        for v in nu.table:
-            if v.is_infinite or v > ONE:
-                raise NotNormalized(f"open has mass {v} outside [0, 1]")
+        mass = self.underlying.mass
+        if mass != ONE:
+            raise NotNormalized(f"total mass is {mass}, not 1")
 
     @property
     def space(self) -> FiniteSpace:
@@ -104,32 +97,16 @@ class FiniteMeasure:
 
 
 def extend_to_measure(nu: Valuation) -> FiniteMeasure:
-    """Extend a finite-mass valuation to a measure by Moebius inversion.
-
-    w_x = nu(min_nbhd(x)) - sum of w_y over y strictly above x, solved
-    from the maximal points downward.
-    """
+    """Extend a finite-mass valuation to a measure: on a T0 space the
+    measure of a point is its weight."""
     if nu.mass.is_infinite:
         raise InfiniteMass("only finite-mass valuations extend to measures")
     space = nu.space
-    if not check_separation(space).is_T0:
+    if any(c != 1 << x for x, c in enumerate(space.classes)):  # not T0
         quotient, qmap = kolmogorov_quotient(space)
-        pushed = pushforward(qmap, nu)
-        inner = extend_to_measure(pushed)
+        inner = extend_to_measure(pushforward(qmap, nu))
         return FiniteMeasure(quotient, inner.point_weights, qmap)
-    weights: list[Fraction | None] = [None] * space.n
-    for x in sorted(range(space.n), key=lambda x: popcount(space.min_nbhd[x])):
-        up = space.min_nbhd[x]
-        w = nu.value(up).frac
-        for y in bits(up):
-            if y != x:
-                w -= weights[y]
-        if w < 0:
-            raise NegativeWeight(
-                f"Moebius inversion gives weight {w} at {space.points[x]}"
-            )
-        weights[x] = w
-    return FiniteMeasure(space, tuple(ExtRat(w) for w in weights))
+    return FiniteMeasure(space, nu.weights)
 
 
 def integrate_measure(m: FiniteMeasure, g: LowerSemiFn) -> ExtRat:

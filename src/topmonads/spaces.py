@@ -10,6 +10,7 @@ toolbox below exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,48 +36,21 @@ def bits(mask: int):
 
 
 def upsets_of_up_masks(n: int, up_masks: Sequence[int]) -> list[int]:
-    """All up-sets of the preorder with up(i) = up_masks[i], as bit-masks.
+    """All up-sets of the preorder with up(i) = up_masks[i], as sorted bit-masks.
 
-    Walks the lattice of up-sets instead of filtering the power set, so the
-    cost is proportional to the number of up-sets.
+    Adds one specialization class at a time, classes with fewer points
+    above them first, so the classes above the one being added are already
+    decided; the cost is at most the number of classes times the number of
+    up-sets.
     """
-    # Equivalent points share their up-mask; work on equivalence classes.
-    class_of_mask: dict[int, int] = {}
-    class_masks: list[int] = []
-    class_ups: list[int] = []
+    classes: dict[int, int] = {}  # up-mask -> the points sharing it
     for i in range(n):
-        key = up_masks[i]
-        if key not in class_of_mask:
-            class_of_mask[key] = len(class_masks)
-            class_masks.append(0)
-            class_ups.append(key)
-        class_masks[class_of_mask[key]] |= 1 << i
-
-    k = len(class_masks)
-    # strictly-above classes of class c, as a bit-mask over class ids
-    above = [0] * k
-    for c in range(k):
-        for d in range(k):
-            if d != c and class_ups[d] & ~class_ups[c] == 0:
-                # up(d) subseteq up(c) means c <= d
-                above[c] |= 1 << d
-
-    results: list[int] = []
-    seen = {0}
-    queue = [0]
-    while queue:
-        cur = queue.pop()
-        point_mask = 0
-        for c in bits(cur):
-            point_mask |= class_masks[c]
-        results.append(point_mask)
-        for c in range(k):
-            if not cur >> c & 1 and above[c] & ~cur == 0:
-                nxt = cur | 1 << c
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return sorted(results)
+        classes[up_masks[i]] = classes.get(up_masks[i], 0) | 1 << i
+    sets = [0]
+    for up, members in sorted(classes.items(), key=lambda item: popcount(item[0])):
+        above = up & ~members
+        sets += [s | members for s in sets if above & ~s == 0]
+    return sorted(sets)
 
 
 @dataclass(frozen=True)
@@ -135,6 +109,15 @@ class FiniteSpace:
             for y in range(self.n)
             if self.leq(x, y)
         }
+
+    @cached_property
+    def classes(self) -> tuple[int, ...]:
+        """Per point x, the mask of its specialization class [x]: the points
+        with the same smallest open neighborhood as x."""
+        by_nbhd: dict[int, int] = {}
+        for x, up in enumerate(self.min_nbhd):
+            by_nbhd[up] = by_nbhd.get(up, 0) | 1 << x
+        return tuple(by_nbhd[up] for up in self.min_nbhd)
 
     def up_mask(self, x: int) -> int:
         """Points above x; equals the smallest open neighborhood of x."""
@@ -227,8 +210,9 @@ def from_preorder(
     up_masks = [0] * n
     for a, b in rel:
         up_masks[a] |= 1 << b
+    # in a preorder, up(x) is the smallest up-set containing x
     family = upsets_of_up_masks(n, up_masks)
-    return FiniteSpace(points, tuple(family), _min_nbhds(n, family))
+    return FiniteSpace(points, tuple(family), tuple(up_masks))
 
 
 # --- continuous maps ----------------------------------------------------
@@ -332,7 +316,7 @@ def product(a: FiniteSpace, b: FiniteSpace) -> Product:
                 for m in bits(b.min_nbhd[j]):
                     up_masks[p] |= 1 << (k * b.n + m)
     family = upsets_of_up_masks(n, up_masks)
-    space = FiniteSpace(names, tuple(family), _min_nbhds(n, family))
+    space = FiniteSpace(names, tuple(family), tuple(up_masks))
     proj1 = ContinuousMap(space, a, tuple(i for i in range(a.n) for _ in range(b.n)))
     proj2 = ContinuousMap(space, b, tuple(j for _ in range(a.n) for j in range(b.n)))
     return Product(space, a, b, proj1, proj2)

@@ -1,8 +1,8 @@
 """The support map from valuations to closed sets, and its morphism laws.
 
 The support of a valuation is the unique closed set hitting exactly the
-opens of strictly positive mass: the complement of the union of the null
-opens.  This module verifies, on concrete instances, that taking supports
+opens of strictly positive mass: the closure of its points of positive
+weight.  This module verifies, on concrete instances, that taking supports
 commutes with units, multiplications, pushforwards, strengths, and
 products, and transfers hyperspace algebras to valuation algebras.
 """
@@ -58,13 +58,10 @@ class MorphismVerdict:
 
 
 def support(nu: Valuation) -> ClosedSet:
-    """The complement of the union of all null opens: the closed set that
+    """The closure of the points of positive weight: the closed set that
     hits exactly the opens of positive mass."""
-    null = 0
-    for u, v in zip(nu.space.opens, nu.table):
-        if not sgn(v):
-            null |= u
-    return ClosedSet(nu.space, nu.space.full & ~null)
+    positive = sum(1 << x for x, w in enumerate(nu.weights) if sgn(w))
+    return ClosedSet(nu.space, nu.space.closure(positive))
 
 
 def support_test_lsc(nu: Valuation, g: LowerSemiFn) -> bool:

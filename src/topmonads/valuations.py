@@ -1,23 +1,29 @@
-"""Continuous valuations with exact extended-rational values.
+"""Continuous valuations with exact extended-rational values, stored as
+point weights.
 
 A valuation assigns a value in [0, oo] to every open set, strictly,
 monotonely, and modularly; on a finite open lattice every directed family
 contains its supremum, so these three conditions already give Scott
-continuity (that implication is a theorem, not a runtime check).  The
-module provides lower integration by layer-cake decomposition, the monad
-structure (Dirac unit, molecular multiplication, Kleisli composition),
-strength, product valuations and both composites of the Fubini square, the
-weak topology subbasis with Portmanteau certificates, and order
-comparisons.  Each operation computes its result by one route; the second
-routes that confirm them (integral identities, the weight-product and
-iterated-integral forms of the product, the integral order) are laws in
+continuity (that implication is a theorem, not a runtime check).  On a
+finite space every such valuation is simple, a finite sum of weighted
+Diracs (Jones 1990; Heckmann 1996), so a `Valuation` stores only its point
+weights, and every operation computes on them: integration is a weighted
+sum, and the monad structure (Dirac unit, molecular multiplication, Kleisli
+composition), strength, pushforward and the product are index sums and
+products.  The table of values on the opens is derived from the weights on
+demand; `validate_valuation` reads weights off a table.
+The module also provides both composites of the Fubini square, the weak
+topology subbasis with Portmanteau certificates, and order comparisons.
+The table routes that confirm these (the layer-cake integral, the
+inclusion-exclusion product, the pairwise validity scan) are laws in
 `lawcheck`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,90 +38,134 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from .extrat import ExtRat, INF, ONE, ZERO, ext, sgn, signed_sum
+from .extrat import ExtRat, INF, ONE, ZERO, ext, monus, sgn
 from .spaces import ContinuousMap, FiniteSpace, Product, bits, product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Valuation:
-    """A strict, monotone, modular function on the open lattice.
+    """The valuation U -> sum of the point weights over U.
 
-    `weights` is an optional witness that the valuation is a weighted sum
-    of Diracs; operations that can exploit it do, but the table is always
-    the source of truth.
+    Each specialization class keeps its total weight on its least point.
+    Two valuations are equal when they agree on every open, which is when
+    their weights agree after `_canonical` fills in the weights an oo hides.
     """
 
     space: FiniteSpace
-    table: tuple[ExtRat, ...]  # aligned with space.opens
-    weights: tuple[ExtRat, ...] | None = field(default=None, compare=False)
+    weights: tuple[ExtRat, ...]
 
     def __post_init__(self):
-        if len(self.table) != len(self.space.opens):
-            raise ShapeMismatch("table size differs from number of opens")
-        if self.table[0] != ZERO:
-            raise NotStrict(f"value on the empty set is {self.table[0]}")
+        weights = [ext(w) for w in self.weights]
+        if len(weights) != self.space.n:
+            raise ShapeMismatch("one weight per point required")
+        for x, c in enumerate(self.space.classes):
+            least = (c & -c).bit_length() - 1
+            if least != x:
+                weights[least] = weights[least] + weights[x]
+                weights[x] = ZERO
+        object.__setattr__(self, "weights", tuple(weights))
+
+    @cached_property
+    def _canonical(self) -> tuple[ExtRat, ...]:
+        """The weights, with oo on each point that has an oo-weight point
+        strictly above it: every open containing such a point has value oo
+        whatever the point's own weight, and otherwise a weight is fixed by
+        the values on the opens."""
+        infinite = sum(1 << x for x, w in enumerate(self.weights) if w.is_infinite)
+        if not infinite:
+            return self.weights
+        space = self.space
+        return tuple(
+            INF if c & -c == 1 << x and up & ~c & infinite else w
+            for x, (w, up, c) in enumerate(
+                zip(self.weights, space.min_nbhd, space.classes)
+            )
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Valuation):
+            return NotImplemented
+        return self.space == other.space and self._canonical == other._canonical
+
+    def __hash__(self):
+        return hash((self.space, self._canonical))
+
+    @cached_property
+    def table(self) -> tuple[ExtRat, ...]:
+        """The values on `space.opens`, in order."""
+        positive = [(1 << x, w) for x, w in enumerate(self.weights) if w]
+        return tuple(
+            sum((w for bit, w in positive if u & bit), ZERO)
+            for u in self.space.opens
+        )
+
+    @cached_property
+    def _values(self) -> dict[int, ExtRat]:
+        return dict(zip(self.space.opens, self.table))
 
     def value(self, u: int) -> ExtRat:
         self.space.require_open(u)
-        return self.table[self._open_index()[u]]
+        return self._values[u]
 
-    def _open_index(self) -> dict:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = {u: i for i, u in enumerate(self.space.opens)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
-
-    @property
+    @cached_property
     def mass(self) -> ExtRat:
-        return self.table[-1] if self.space.n else ZERO
+        return sum(self.weights, ZERO)
 
     def is_zero(self) -> bool:
-        return all(v == ZERO for v in self.table)
+        return not any(self.weights)
 
 
 def valuation_from_weights(space: FiniteSpace, weights) -> Valuation:
-    """The valuation U -> sum of weights over the points of U."""
+    """The valuation U -> sum of weights over the points of U; `weights` is
+    a sequence per point or a dict from point names."""
     if isinstance(weights, dict):
         weights = tuple(weights.get(p, ZERO) for p in space.points)
-    weights = tuple(ext(w) for w in weights)
-    if len(weights) != space.n:
-        raise ShapeMismatch("one weight per point required")
-    table = []
-    for u in space.opens:
-        acc = ZERO
-        for x in bits(u):
-            acc = acc + weights[x]
-        table.append(acc)
-    return Valuation(space, tuple(table), weights)
+    return Valuation(space, tuple(weights))
 
 
 def validate_valuation(space: FiniteSpace, table) -> Valuation:
-    """Check strictness, monotonicity, and modularity, with witnesses."""
+    """The valuation with the given values on `space.opens`, after checking
+    strictness, monotonicity, and modularity, with witnesses.
+
+    The weights are read off the table: w_x = nu(up x) - nu(up x minus [x]),
+    truncated, so oo - oo = 0, on the least point x of each class.  By
+    modularity they reproduce every valid table, so only a table they fail
+    to reproduce is scanned pairwise for a NotMonotone or NotModular witness.
+    """
     if isinstance(table, dict):
         table = tuple(table[u] for u in space.opens)
     table = tuple(ext(v) for v in table)
-    nu = Valuation(space, table)  # raises NotStrict
+    if len(table) != len(space.opens):
+        raise ShapeMismatch("table size differs from number of opens")
+    if table[0] != ZERO:
+        raise NotStrict(f"value on the empty set is {table[0]}")
+    value = dict(zip(space.opens, table))
+    weights = [ZERO] * space.n
+    for x, c in enumerate(space.classes):
+        if c & -c == 1 << x:
+            up = space.min_nbhd[x]
+            weights[x] = monus(value[up], value[up & ~c])
+    nu = Valuation(space, tuple(weights))
+    if nu.table == table:
+        return nu
     for u in space.opens:
         for v in space.opens:
-            if u & ~v == 0 and nu.value(u) > nu.value(v):
+            if u & ~v == 0 and value[u] > value[v]:
                 raise NotMonotone((space.mask_names(u), space.mask_names(v)))
     for u in space.opens:
         for v in space.opens:
-            if nu.value(u | v) + nu.value(u & v) != nu.value(u) + nu.value(v):
+            if value[u | v] + value[u & v] != value[u] + value[v]:
                 raise NotModular((space.mask_names(u), space.mask_names(v)))
-    return nu
+    raise LawViolation("the weights read off a valid table do not reproduce it")
 
 
 def zero_valuation(space: FiniteSpace) -> Valuation:
-    return valuation_from_weights(space, (ZERO,) * space.n)
+    return Valuation(space, (ZERO,) * space.n)
 
 
 def unit_delta(space: FiniteSpace, x: int) -> Valuation:
     """The Dirac valuation: mass 1 on every open containing x."""
-    return valuation_from_weights(
-        space, tuple(ONE if y == x else ZERO for y in range(space.n))
-    )
+    return Valuation(space, tuple(ONE if y == x else ZERO for y in range(space.n)))
 
 
 # --- lower semicontinuous functions ---------------------------------------
@@ -201,24 +251,10 @@ def canonical_lsc_family(space: FiniteSpace, max_value: int | None = None):
 
 
 def integrate(nu: Valuation, g: LowerSemiFn) -> ExtRat:
-    """The pairing <nu, g> via layer-cake over g's finitely many values.
-
-    Sorting the distinct finite values 0 = v0 < v1 < ..., the integral is
-    sum_i (v_i - v_{i-1}) * nu({g >= v_i}) + oo * nu({g = oo}); each weak
-    level {g >= v_i} equals the open strict level {g > v_{i-1}}.
-    """
+    """The pairing <nu, g> = sum of w_x * g(x), with oo * 0 = 0."""
     if nu.space != g.space:
         raise ShapeMismatch("valuation and function live on different spaces")
-    finite_values = sorted({v.frac for v in g.values if v.is_finite})
-    total = ZERO
-    prev = Fraction(0)
-    for v in finite_values:
-        if v == 0:
-            continue
-        total = total + ExtRat(v - prev) * nu.value(g.weak_level(ExtRat(v)))
-        prev = v
-    total = total + INF * nu.value(g.weak_level(INF))
-    return total
+    return sum((w * v for w, v in zip(nu.weights, g.values) if w), ZERO)
 
 
 def integrate_simple(nu: Valuation, terms: Iterable[tuple[ExtRat, int]]) -> ExtRat:
@@ -233,17 +269,14 @@ def integrate_simple(nu: Valuation, terms: Iterable[tuple[ExtRat, int]]) -> ExtR
 
 
 def pushforward(f: ContinuousMap, nu: Valuation) -> Valuation:
-    """f_* nu, the valuation U -> nu(f^{-1} U)."""
+    """f_* nu, the valuation U -> nu(f^{-1} U): each weight moves to f(x)."""
     if nu.space != f.source:
         raise ShapeMismatch("valuation does not live on the map's source")
-    table = tuple(nu.value(f.preimage(u)) for u in f.target.opens)
-    weights = None
-    if nu.weights is not None:
-        acc = [ZERO] * f.target.n
-        for x, w in enumerate(nu.weights):
-            acc[f(x)] = acc[f(x)] + w
-        weights = tuple(acc)
-    return Valuation(f.target, table, weights)
+    weights = [ZERO] * f.target.n
+    for x, w in enumerate(nu.weights):
+        if w:
+            weights[f.assignment[x]] = weights[f.assignment[x]] + w
+    return Valuation(f.target, tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -269,19 +302,12 @@ class SimpleSecondOrder:
 
 def mult_E(xi: SimpleSecondOrder) -> Valuation:
     """The multiplication of V on molecular input: sum of c_j * nu_j."""
-    table = []
-    for i, u in enumerate(xi.space.opens):
-        acc = ZERO
-        for c, nu in xi.atoms:
-            acc = acc + c * nu.table[i]
-        table.append(acc)
-    weights = None
-    if all(nu.weights is not None for _, nu in xi.atoms):
-        weights = tuple(
-            sum((c * nu.weights[x] for c, nu in xi.atoms), ZERO)
-            for x in range(xi.space.n)
-        )
-    return Valuation(xi.space, tuple(table), weights)
+    weights = [ZERO] * xi.space.n
+    for c, nu in xi.atoms:
+        for x, w in enumerate(nu.weights):
+            if w:
+                weights[x] = weights[x] + c * w
+    return Valuation(xi.space, tuple(weights))
 
 
 def pairing_with_evaluation(xi: SimpleSecondOrder, g: LowerSemiFn) -> ExtRat:
@@ -332,19 +358,17 @@ def kernel_from_map(f: ContinuousMap) -> Kernel:
 
 
 def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
-    """(k .! h)(x)(U) = <h(x), y -> k(y)(U)>, avoiding second-order values."""
+    """(k .! h)(x) = sum over y of h(x)_y * k(y), avoiding second-order values."""
     if h.target != k.source:
         raise ShapeMismatch("kernels are not composable")
     table = []
-    for x in range(h.source.n):
-        vals = tuple(
-            integrate(
-                h.table[x],
-                LowerSemiFn(k.source, tuple(k.table[y].value(u) for y in range(k.source.n))),
-            )
-            for u in k.target.opens
-        )
-        table.append(Valuation(k.target, vals))
+    for hx in h.table:
+        weights = [ZERO] * k.target.n
+        for y, w in enumerate(hx.weights):
+            if w:
+                for z, v in enumerate(k.table[y].weights):
+                    weights[z] = weights[z] + w * v
+        table.append(Valuation(k.target, tuple(weights)))
     return Kernel(h.source, k.target, tuple(table))
 
 
@@ -355,78 +379,31 @@ def strength_V(prod: Product, x: int, nu: Valuation) -> Valuation:
     """s(x, nu): the pushforward of nu along y -> (x, y); W -> nu(W_x)."""
     if nu.space != prod.right:
         raise ShapeMismatch("valuation must live on the right factor")
-    table = tuple(
-        nu.value(prod.slice_at_left(w, x)) for w in prod.space.opens
+    return Valuation(
+        prod.space,
+        tuple(w if i == x else ZERO for i in range(prod.left.n) for w in nu.weights),
     )
-    weights = None
-    if nu.weights is not None:
-        weights = tuple(
-            nu.weights[j] if i == x else ZERO
-            for i in range(prod.left.n)
-            for j in range(prod.right.n)
-        )
-    return Valuation(prod.space, table, weights)
 
 
 def costrength_V(prod: Product, nu: Valuation, y: int) -> Valuation:
     if nu.space != prod.left:
         raise ShapeMismatch("valuation must live on the left factor")
-    table = tuple(
-        nu.value(prod.slice_at_right(w, y)) for w in prod.space.opens
+    return Valuation(
+        prod.space,
+        tuple(w if j == y else ZERO for w in nu.weights for j in range(prod.right.n)),
     )
-    weights = None
-    if nu.weights is not None:
-        weights = tuple(
-            nu.weights[i] if j == y else ZERO
-            for i in range(prod.left.n)
-            for j in range(prod.right.n)
-        )
-    return Valuation(prod.space, table, weights)
-
-
-def _rectangle_cover(prod: Product, w: int) -> list[tuple[int, int]]:
-    """Minimal-neighborhood rectangles covering the open w."""
-    rects = set()
-    for p in bits(w):
-        i, j = prod.split(p)
-        rects.add((prod.left.min_nbhd[i], prod.right.min_nbhd[j]))
-    return sorted(rects)
 
 
 def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None) -> Valuation:
-    """The product valuation, determined by (U x V) -> nu(U) * rho(V).
-
-    Every open of the product is a finite union of rectangles; the value
-    on such a union is fixed by the n-ary modularity law, i.e. signed
-    inclusion-exclusion over nonempty subfamilies.  When both factors carry
-    weights, the result carries the weight products as its witness.
-    """
+    """The product valuation, determined by (U x V) -> nu(U) * rho(V): the
+    weight of the pair (x, y) is w_x * w_y."""
     if prod is None:
         prod = product(nu.space, rho.space)
     if nu.space != prod.left or rho.space != prod.right:
         raise ShapeMismatch("valuations do not match the product factors")
-    table = []
-    for w in prod.space.opens:
-        rects = _rectangle_cover(prod, w)
-        m = len(rects)
-        terms = []
-        for subset in range(1, 1 << m):
-            cap_u = nu.space.full
-            cap_v = rho.space.full
-            for i in bits(subset):
-                cap_u &= rects[i][0]
-                cap_v &= rects[i][1]
-            sign = 1 if bin(subset).count("1") % 2 else -1
-            terms.append((sign, nu.value(cap_u) * rho.value(cap_v)))
-        table.append(signed_sum(terms))
-    weights = None
-    if nu.weights is not None and rho.weights is not None:
-        weights = tuple(
-            nu.weights[i] * rho.weights[j]
-            for i in range(prod.left.n)
-            for j in range(prod.right.n)
-        )
-    return Valuation(prod.space, tuple(table), weights)
+    return Valuation(
+        prod.space, tuple(a * b for a in nu.weights for b in rho.weights)
+    )
 
 
 def product_valuation_composites(
@@ -439,10 +416,6 @@ def product_valuation_composites(
     """
     if prod is None:
         prod = product(nu.space, rho.space)
-    if nu.weights is None or rho.weights is None:
-        raise PreconditionFailed(
-            "molecular composites need weight witnesses on both factors"
-        )
     atoms1 = tuple(
         (rho.weights[y], costrength_V(prod, nu, y))
         for y in range(rho.space.n)

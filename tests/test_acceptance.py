@@ -344,7 +344,7 @@ def test_criterion_06_strength_and_fubini():
 def test_criterion_07_probability():
     def body():
         rng = random.Random(7)
-        cfg = GenConfig(seed=7, max_points=3)
+        cfg = GenConfig(seed=7, max_points=3, allow_infinity=False)
         t0 = [
             s
             for s in spaces_up_to(3, 80, seed=7)
@@ -395,7 +395,7 @@ def test_criterion_07_probability():
 def test_criterion_08_support_morphism():
     def body():
         rng = random.Random(8)
-        cfg = GenConfig(seed=8, max_points=3)
+        cfg = GenConfig(seed=8, max_points=3, allow_infinity=False)
         spaces = spaces_up_to(3, 60, seed=8)
         nonempty = [s for s in spaces if s.n >= 1]
         ok = True

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from topmonads import INF, ONE, ZERO, ExtRat, ext, sgn, signed_sum
+from topmonads import INF, ONE, ZERO, ExtRat, ext, monus, sgn
+from topmonads.lawcheck import signed_sum
 from topmonads.errors import InfinityIndeterminate
 
 
@@ -51,6 +52,23 @@ def test_multiplication_with_infinity_times_zero():
     assert INF * INF == INF
 
 
+def test_fast_path_with_infinity_and_zero():
+    half = ext("1/2")
+    assert type(half + half) is ExtRat and (half + half).frac == 1
+    assert hash(half + half) == hash(ONE)
+    assert ZERO + ZERO == ZERO and ZERO * half == ZERO
+    assert INF + ZERO is INF and ZERO + INF is INF
+    assert INF * ZERO == ZERO and ZERO * INF == ZERO
+    assert INF * half is INF and half * INF is INF
+    assert ZERO < half < INF and not INF < INF and not half < ZERO
+    # mixed operands still pass the public checks
+    assert half + 1 == ext("3/2") and 1 + half == ext("3/2") and 2 * half == ONE
+    with pytest.raises(TypeError):
+        half + 0.5
+    with pytest.raises(ValueError):
+        half * -1
+
+
 def test_partial_subtraction():
     assert ONE - ext("1/3") == ext("2/3")
     assert INF - ONE == INF
@@ -58,6 +76,14 @@ def test_partial_subtraction():
         ext("1/3") - ONE
     with pytest.raises(InfinityIndeterminate):
         INF - INF
+
+
+def test_monus():
+    assert monus(ONE, ext("1/3")) == ext("2/3")
+    assert monus(ext("1/3"), ONE) == ZERO
+    assert monus(INF, ONE) == INF
+    assert monus(INF, INF) == ZERO
+    assert monus(ONE, INF) == ZERO
 
 
 def test_division():

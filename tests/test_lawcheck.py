@@ -79,6 +79,13 @@ def test_all_suites_pass_at_small_config():
         assert report.instances > 0
 
 
+def test_all_suites_pass_with_infinite_weights():
+    cfg = lc.GenConfig(seed=42, max_points=3, allow_infinity=True)
+    for name in sorted(lc.SUITES):
+        report = lc.run_suite(name, cfg)
+        assert report.ok, (name, report.failures[:2])
+
+
 def test_raising_law_does_not_abort_the_suite():
     cfg = lc.GenConfig()
     pristine = lc.run_suite("supp-unit", cfg)
@@ -181,7 +188,7 @@ def test_rand_valuation_has_weights_and_bounded_denominators():
     import random
 
     rng = random.Random(3)
-    cfg = lc.GenConfig(seed=3, weight_denominator_bound=8)
+    cfg = lc.GenConfig(seed=3, weight_denominator_bound=8, allow_infinity=False)
     w = sp.w_lattice()
     for _ in range(50):
         nu = lc.rand_valuation(rng, cfg, w)

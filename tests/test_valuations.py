@@ -19,6 +19,7 @@ from topmonads.errors import (
 from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
 from topmonads.lawcheck import (
     GenConfig,
+    all_topologies,
     integral_order_le,
     rand_lsc,
     rand_valuation,
@@ -98,7 +99,9 @@ def test_lsc_validation():
 
 def test_integration_against_brute_force_oracle():
     rng = random.Random(7)
-    cfg = GenConfig(seed=7, max_points=4, weight_denominator_bound=16)
+    cfg = GenConfig(
+        seed=7, max_points=4, weight_denominator_bound=16, allow_infinity=False
+    )
     spaces = [sp.sierpinski(), sp.w_lattice(), sp.chain(4), sp.discrete(3)]
     checked = 0
     for _ in range(30):
@@ -202,13 +205,50 @@ def test_product_valuation_cross_example():
     assert pv.value(prod.rectangle(one, one)) == ext("1/3")
 
 
-def test_product_composites_require_weights():
+def test_sierpinski_product_with_an_infinite_weight():
     s = sp.sierpinski()
-    prod = sp.product(s, s)
-    nu = va.Valuation(s, (ZERO, ext("1/2"), ONE))
-    rho = va.valuation_from_weights(s, (ext("1/3"), ext("2/3")))
-    with pytest.raises(PreconditionFailed):
-        va.product_valuation_composites(nu, rho, prod)
+    nu = va.valuation_from_weights(s, (INF, ONE))
+    rho = va.valuation_from_weights(s, (ONE, ONE))
+    pv = va.product_valuation(nu, rho)
+    assert pv.weights == (INF, INF, ONE, ONE)
+    assert pv == va.valuation_from_weights(pv.space, (INF, INF, ONE, ONE))
+
+
+def test_equality_means_equality_on_opens():
+    # the weight of 0 is invisible under the oo weight of 1 above it
+    s = sp.sierpinski()
+    hidden = va.valuation_from_weights(s, (ONE, INF))
+    assert hidden == va.valuation_from_weights(s, (ZERO, INF))
+    assert hash(hidden) == hash(va.valuation_from_weights(s, (INF, INF)))
+    assert hidden != va.valuation_from_weights(s, (ZERO, ONE))
+    # a specialization class keeps its total on its least point
+    i2 = sp.indiscrete(2)
+    assert va.valuation_from_weights(i2, (ext("1/3"), ext("1/2"))).weights == (
+        ext("5/6"),
+        ZERO,
+    )
+
+
+def test_validate_round_trips_every_three_point_valuation():
+    grid = (ZERO, ext("1/2"), ONE, INF)
+    for space in all_topologies(3):
+        for weights in itertools.product(grid, repeat=space.n):
+            nu = va.valuation_from_weights(space, weights)
+            assert va.validate_valuation(space, nu.table) == nu
+
+
+def test_perturbed_table_raises_a_witness():
+    w = sp.w_lattice()
+    nu = va.valuation_from_weights(w, (ONE, ext("1/2"), ext("1/3"), ONE))
+    for i in range(1, len(w.opens)):
+        table = list(nu.table)
+        table[i] = table[i] + ONE
+        if i == len(w.opens) - 1:
+            # raising the whole space alone adds weight to the bottom point
+            assert va.validate_valuation(w, table).mass == nu.mass + ONE
+            continue
+        with pytest.raises((NotModular, NotMonotone)):
+            va.validate_valuation(w, table)
 
 
 def test_theta_and_portmanteau():
