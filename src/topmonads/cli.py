@@ -10,10 +10,14 @@ embed a checksum of that list to prevent index drift.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+
+try:  # CPython's own SHA-256: hashlib loads OpenSSL, about 3 MB per process
+    from _sha256 import sha256
+except ImportError:  # other interpreters, and CPython 3.12+ (_sha2)
+    from hashlib import sha256
 
 from . import lawcheck, probability, spaces, support, valuations
 from .errors import (
@@ -51,18 +55,26 @@ class MalformedDocument(Exception):
     pass
 
 
+def _open_names(space: spaces.FiniteSpace) -> list[list[str]]:
+    return [sorted(space.mask_names(u)) for u in space.opens]
+
+
+def _checksum(open_names: list[list[str]]) -> str:
+    blob = json.dumps(open_names, sort_keys=True).encode()
+    return sha256(blob).hexdigest()[:12]
+
+
 def _opens_checksum(space: spaces.FiniteSpace) -> str:
-    canon = [sorted(space.mask_names(u)) for u in space.opens]
-    blob = json.dumps(canon, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return _checksum(_open_names(space))
 
 
 def space_document(space: spaces.FiniteSpace, name: str | None = None) -> dict:
+    opens = _open_names(space)
     doc = {
         "schema": SCHEMA_VERSION,
         "points": list(space.points),
-        "opens": [sorted(space.mask_names(u)) for u in space.opens],
-        "opens_checksum": _opens_checksum(space),
+        "opens": opens,
+        "opens_checksum": _checksum(opens),
     }
     if name is not None:
         doc["name"] = name

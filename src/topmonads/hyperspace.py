@@ -12,6 +12,7 @@ orders on bit-masks, so HHX and HHHX never materialize a power set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -78,12 +79,13 @@ class Hyperspace:
     space: FiniteSpace
     members: tuple[int, ...]  # closed-set mask of the base per HX point
 
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        """The HX point of each closed-set mask."""
+        return {m: i for i, m in enumerate(self.members)}
+
     def point_of(self, mask: int) -> int:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = {m: i for i, m in enumerate(self.members)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached[mask]
+        return self._index[mask]
 
     def closed_of(self, idx: int) -> ClosedSet:
         return ClosedSet(self.base, self.members[idx])
@@ -101,11 +103,9 @@ def _hyperspace_name(base: FiniteSpace, mask: int) -> str:
 def build_hyperspace(x: FiniteSpace) -> Hyperspace:
     """Construct HX as the up-set topology of inclusion on closed sets."""
     closed = tuple(sorted(x.closed_sets()))
-    n = len(closed)
     up_masks = inclusion_up_masks(closed)
-    family = upsets_of_up_masks(n, up_masks)
     names = tuple(_hyperspace_name(x, c) for c in closed)
-    space = FiniteSpace(names, tuple(family), tuple(up_masks))
+    space = FiniteSpace(names, tuple(up_masks))
     return Hyperspace(x, space, closed)
 
 

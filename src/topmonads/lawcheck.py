@@ -6,9 +6,11 @@ GenConfig, so identical configurations replay identical checks.
 
 The library computes each operation by one route.  Second routes, such as
 hit identities, integral forms, the layer-cake integral, the
-inclusion-exclusion product, and the pairwise validity scan of a table,
-live here as oracles, each compared in a named law of the suite that owns
-the operation.
+inclusion-exclusion product, the pairwise validity scan of a table, the
+rectangle-generated product topology, the pairwise closure scan of an open
+family, the sobriety scan, continuity by preimages and equivalence by
+preimage lattices, live here as oracles, each compared in a named law of
+the suite that owns the operation.
 
 The mutation harness re-runs selected suites with one semantic bug patched in
 (see MUTATIONS) and asserts that at least one suite notices; the ten
@@ -29,12 +31,12 @@ mutations are:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from unittest import mock
 
 from . import hyperspace as hy
 from . import probability as pb
@@ -120,8 +122,7 @@ def _random_space(rng: random.Random, max_points: int) -> sp.FiniteSpace:
     up_masks = [
         sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)
     ]
-    family = sp.upsets_of_up_masks(n, up_masks)
-    return sp.FiniteSpace(names, tuple(family), tuple(up_masks))
+    return sp.FiniteSpace(names, tuple(up_masks))
 
 
 def generate_space(cfg: GenConfig):
@@ -536,6 +537,122 @@ def way_below_by_covers(space: sp.FiniteSpace, v: int, u: int) -> bool:
     return True
 
 
+def rectangle_topology(prod: sp.Product) -> set[int]:
+    """Topology generated from rectangles U x V, by closing under union.
+
+    Rectangles are intersection-closed, so finite unions of rectangles are
+    already the generated topology.
+    """
+    base = {
+        prod.rectangle(u, v) for u in prod.left.opens for v in prod.right.opens
+    }
+    family = set(base)
+    frontier = set(base)
+    while frontier:
+        new = set()
+        for w in frontier:
+            for r in base:
+                cand = w | r
+                if cand not in family:
+                    new.add(cand)
+        family |= new
+        frontier = new
+    return family
+
+
+def family_is_topology(n: int, family) -> bool:
+    """The axioms read literally: the family lies in the n points, holds
+    the empty and the full set, and is closed under pairwise union and
+    intersection."""
+    fam = set(family)
+    full = (1 << n) - 1
+    return (
+        {0, full} <= fam
+        and all(u & ~full == 0 for u in fam)
+        and all(u | v in fam and u & v in fam for u in fam for v in fam)
+    )
+
+
+def upsets_by_filter(space: sp.FiniteSpace) -> list[int]:
+    """The up-sets of the specialization, by testing every subset."""
+    return [
+        m
+        for m in range(space.full + 1)
+        if all(
+            m >> y & 1
+            for x in sp.bits(m)
+            for y in range(space.n)
+            if space.leq(x, y)
+        )
+    ]
+
+
+def _is_irreducible(c: int, closed: list[int]) -> bool:
+    """c is nonempty and not the union of two closed proper subsets."""
+    if c == 0:
+        return False
+    for a in closed:
+        if a & ~c:
+            continue
+        for b in closed:
+            if b & ~c:
+                continue
+            if a | b == c and a != c and b != c:
+                return False
+    return True
+
+
+def irreducibles_are_point_closures(space: sp.FiniteSpace) -> bool:
+    """Sobriety scanned literally over the closed sets."""
+    closed = space.closed_sets()
+    point_closures = {space.closure(1 << x) for x in range(space.n)}
+    return all(
+        c in point_closures for c in closed if _is_irreducible(c, closed)
+    )
+
+
+def continuity_by_preimages(source, target, assignment) -> bool:
+    """Every preimage of a target open is a source open."""
+    opens = set(source.opens)
+    return all(
+        sum(1 << x for x in range(source.n) if u >> assignment[x] & 1) in opens
+        for u in target.opens
+    )
+
+
+def continuity_is_monotonicity(source, target) -> bool:
+    """ContinuousMap accepts an assignment exactly when every preimage of a
+    target open is open, over all assignments."""
+    for assignment in itertools.product(range(target.n), repeat=source.n):
+        try:
+            sp.ContinuousMap(source, target, assignment)
+            accepted = True
+        except NotATopology:
+            accepted = False
+        if accepted != continuity_by_preimages(source, target, assignment):
+            return False
+    return True
+
+
+def equivalence_by_preimage_lattices(f: sp.ContinuousMap) -> bool:
+    """Taking preimages is a bijection of the open lattices, and every
+    target point is equivalent to some f(x)."""
+    target = f.target
+    preimages = {f.preimage(u) for u in target.opens}
+    return len(preimages) == len(target.opens) == len(f.source.opens) and all(
+        any(target.classes[y] >> fx & 1 for fx in f.assignment)
+        for y in range(target.n)
+    )
+
+
+def equivalence_criteria_agree(*maps: sp.ContinuousMap) -> bool:
+    """is_equivalence and the preimage-lattice criterion agree on each map."""
+    return all(
+        sp.is_equivalence(f)[0] == equivalence_by_preimage_lattices(f)
+        for f in maps
+    )
+
+
 def equivalence_with_witness(f: sp.ContinuousMap) -> bool:
     """f is an equivalence whose quasi-inverse g has g o f and f o g
     isomorphic to the identities as 2-cells."""
@@ -796,11 +913,21 @@ def _suite_topology_core(cfg: GenConfig, run: _Run):
             "open-family round trip",
         )
         run.check(
-            lambda s=space: sp.upsets_of_up_masks(
-                s.n, sp.from_opens(s.points, s.opens).min_nbhd
-            )
+            lambda s=space: list(s.opens) == upsets_by_filter(s),
+            "the opens are the up-sets of specialization, filtered from all subsets",
+        )
+        run.check(
+            lambda s=space: family_is_topology(s.n, s.opens),
+            "the opens are closed under union and intersection",
+        )
+        run.check(
+            lambda s=space: [m for m in range(s.full + 1) if s.is_open(m)]
             == list(s.opens),
-            "Alexandrov identity: the opens are the up-sets of specialization",
+            "is_open holds exactly on the opens",
+        )
+        run.check(
+            lambda s=space: irreducibles_are_point_closures(s),
+            "every irreducible closed set is a point closure",
         )
         run.check(
             lambda s=space: sp.from_preorder(
@@ -840,9 +967,13 @@ def _suite_topology_core(cfg: GenConfig, run: _Run):
     for a, b in _space_pairs(cfg, max_points=3, max_opens=256):
         run.check(
             lambda x=a, y=b: (
-                lambda prod: set(prod.space.opens) == sp.rectangle_topology(prod)
+                lambda prod: set(prod.space.opens) == rectangle_topology(prod)
             )(sp.product(x, y)),
             "product topology equals the rectangle-generated topology",
+        )
+        run.check(
+            lambda x=a, y=b: continuity_is_monotonicity(x, y),
+            "continuity is monotonicity",
         )
 
 
@@ -1815,6 +1946,11 @@ def _suite_appendixA_2cells(cfg: GenConfig, run: _Run):
             == all(ff.preimage(u) & ~gg.preimage(u) == 0 for u in ff.target.opens),
             "2-cell criteria agree",
         )
+        run.check(
+            lambda ff=f, gg=g: equivalence_criteria_agree(ff, gg),
+            "is_equivalence agrees with bijective preimage lattices plus"
+            " essential surjectivity",
+        )
         le = sp.le_2cell(f, g)
         if le and a.n:
             c = rand_closed(rng, a)
@@ -1842,6 +1978,13 @@ def _suite_appendixA_2cells(cfg: GenConfig, run: _Run):
         run.check(
             lambda s=space: equivalence_with_witness(sp.kolmogorov_quotient(s)[1]),
             "the Kolmogorov quotient map is an equivalence",
+        )
+        run.check(
+            lambda s=space: equivalence_criteria_agree(
+                sp.identity_map(s), sp.kolmogorov_quotient(s)[1]
+            ),
+            "is_equivalence agrees with bijective preimage lattices plus"
+            " essential surjectivity",
         )
 
 
@@ -2023,6 +2166,17 @@ DETECTING_SUITES = {
 }
 
 
+@contextlib.contextmanager
+def _patched(holder, attr: str, value):
+    """Set holder.attr to value, restoring the original on exit."""
+    original = getattr(holder, attr)
+    setattr(holder, attr, value)
+    try:
+        yield
+    finally:
+        setattr(holder, attr, original)
+
+
 def run_with_mutation(name: str, cfg: GenConfig, suites=None) -> list[SuiteReport]:
     """Re-run the detecting suites with one semantic bug patched in."""
     if name not in MUTATIONS:
@@ -2030,7 +2184,7 @@ def run_with_mutation(name: str, cfg: GenConfig, suites=None) -> list[SuiteRepor
     holder, attr, mutant = MUTATIONS[name]
     if suites is None:
         suites = DETECTING_SUITES[name]
-    with mock.patch.object(holder, attr, mutant):
+    with _patched(holder, attr, mutant):
         return [run_suite(suite, cfg) for suite in suites]
 
 

@@ -1,15 +1,16 @@
-"""Finite topological spaces as bit-set open families / finite preorders.
+"""Finite topological spaces as finite preorders.
 
-A finite space is stored as an ordered tuple of point names plus the family
-of open sets, each a bit-mask over point indices.  Finite topologies are
-exactly the Alexandrov topologies: opens coincide with the up-sets of the
-specialization preorder, which is what makes the whole order-theoretic
-toolbox below exact.
+A finite space is stored as an ordered tuple of point names plus, per point,
+its smallest open neighbourhood as a bit-mask over point indices: the
+up-set of the point in the specialization preorder.  Finite topologies are
+exactly the Alexandrov topologies, so the opens are the up-sets of that
+preorder; they are derived from it on demand, which is what makes the whole
+order-theoretic toolbox below exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -35,13 +36,17 @@ def bits(mask: int):
         i += 1
 
 
-def upsets_of_up_masks(n: int, up_masks: Sequence[int]) -> list[int]:
+def upsets_of_up_masks(
+    n: int, up_masks: Sequence[int], limit: int | None = None
+) -> list[int]:
     """All up-sets of the preorder with up(i) = up_masks[i], as sorted bit-masks.
 
     Adds one specialization class at a time, classes with fewer points
     above them first, so the classes above the one being added are already
     decided; the cost is at most the number of classes times the number of
-    up-sets.
+    up-sets.  The points added so far always form an up-set, so every set
+    found on the way is an up-set; with a limit, the search stops as soon as
+    it has found more than limit of them and returns those, unsorted.
     """
     classes: dict[int, int] = {}  # up-mask -> the points sharing it
     for i in range(n):
@@ -50,16 +55,19 @@ def upsets_of_up_masks(n: int, up_masks: Sequence[int]) -> list[int]:
     for up, members in sorted(classes.items(), key=lambda item: popcount(item[0])):
         above = up & ~members
         sets += [s | members for s in sets if above & ~s == 0]
+        if limit is not None and len(sets) > limit:
+            return sets
     return sorted(sets)
 
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A finite topological space; immutable after validated construction."""
+    """A finite topological space, stored as its specialization preorder:
+    min_nbhd[x] is the smallest open neighbourhood of x, the points above x.
+    Immutable after validated construction."""
 
     points: tuple[str, ...]
-    opens: tuple[int, ...]
-    min_nbhd: tuple[int, ...] = field(compare=False)
+    min_nbhd: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -69,23 +77,31 @@ class FiniteSpace:
     def full(self) -> int:
         return (1 << len(self.points)) - 1
 
+    @cached_property
+    def opens(self) -> tuple[int, ...]:
+        """The open sets, sorted: the up-sets of the specialization preorder."""
+        return tuple(upsets_of_up_masks(self.n, self.min_nbhd))
+
     def index(self, point: str) -> int:
         return self.points.index(point)
 
     def is_open(self, mask: int) -> bool:
-        return mask in self._open_set()
+        """Is mask an up-set of the specialization preorder?"""
+        if mask >> len(self.points):  # negative, or bits outside the points
+            return False
+        x, rest = 0, mask
+        while rest:
+            if rest & 1 and self.min_nbhd[x] & ~mask:
+                return False
+            rest >>= 1
+            x += 1
+        return True
 
     def require_open(self, mask: int) -> None:
         if not self.is_open(mask):
+            if mask >> len(self.points):
+                raise NotOpen(f"mask {mask:b} has bits outside the point set")
             raise NotOpen(f"{self.mask_names(mask)} is not open")
-
-    def _open_set(self) -> frozenset:
-        # cached via object dict workaround (frozen dataclass)
-        cached = getattr(self, "_opens_cache", None)
-        if cached is None:
-            cached = frozenset(self.opens)
-            object.__setattr__(self, "_opens_cache", cached)
-        return cached
 
     def mask_of(self, names: Iterable[str]) -> int:
         mask = 0
@@ -138,10 +154,10 @@ class FiniteSpace:
         return sorted(self.full & ~u for u in self.opens)
 
     def is_closed(self, mask: int) -> bool:
-        return self.is_open(self.full & ~mask)
+        return self.is_open(self.full ^ mask)
 
 
-def _min_nbhds(n: int, opens: Sequence[int]) -> tuple[int, ...]:
+def _min_nbhds(n: int, opens: Iterable[int]) -> tuple[int, ...]:
     full = (1 << n) - 1
     result = []
     for x in range(n):
@@ -154,32 +170,34 @@ def _min_nbhds(n: int, opens: Sequence[int]) -> tuple[int, ...]:
 
 
 def from_opens(points: Sequence[str], opens: Iterable[int]) -> FiniteSpace:
-    """Build a space from an explicit open family, validating the axioms."""
+    """Build a space from an explicit open family, validating the axioms.
+
+    The preorder is read off the family: the smallest neighbourhood of x is
+    the intersection of the members containing x.  Every member contains
+    the smallest neighbourhoods of its points, so the family lies inside the
+    up-sets of that preorder, and it is a topology exactly when it is all
+    of them; an up-set missing from the family is the witness.
+    """
     points = tuple(points)
     if len(set(points)) != len(points):
         raise NotATopology("duplicate point names")
     n = len(points)
     full = (1 << n) - 1
-    family = sorted(set(opens))
-    for u in family:
+    family = set(opens)
+    for u in sorted(family):
         if u & ~full:
             raise NotATopology(f"open {u:b} has bits outside the point set")
-    fam = set(family)
-    if 0 not in fam:
-        raise NotATopology("empty set missing from opens")
-    if full not in fam:
-        raise NotATopology("full point set missing from opens")
-    for u in family:
-        for v in family:
-            if u | v not in fam:
-                raise NotATopology(
-                    f"not union-closed: {sorted(bits(u))} | {sorted(bits(v))}"
-                )
-            if u & v not in fam:
-                raise NotATopology(
-                    f"not intersection-closed: {sorted(bits(u))} & {sorted(bits(v))}"
-                )
-    return FiniteSpace(points, tuple(family), _min_nbhds(n, family))
+    space = FiniteSpace(points, _min_nbhds(n, family))
+    # more up-sets than members already proves one missing
+    upsets = upsets_of_up_masks(n, space.min_nbhd, limit=len(family))
+    missing = [u for u in upsets if u not in family]
+    if missing:
+        names = ",".join(space.mask_names(min(missing)))
+        raise NotATopology(
+            f"not a topology: {{{names}}} is a union of intersections of"
+            " members but not a member"
+        )
+    return space
 
 
 def from_preorder(
@@ -211,8 +229,7 @@ def from_preorder(
     for a, b in rel:
         up_masks[a] |= 1 << b
     # in a preorder, up(x) is the smallest up-set containing x
-    family = upsets_of_up_masks(n, up_masks)
-    return FiniteSpace(points, tuple(family), tuple(up_masks))
+    return FiniteSpace(points, tuple(up_masks))
 
 
 # --- continuous maps ----------------------------------------------------
@@ -230,11 +247,15 @@ class ContinuousMap:
         for y in self.assignment:
             if y not in range(self.target.n):
                 raise ShapeMismatch(f"assignment entry {y!r} is not a target point")
-        for u in self.target.opens:
-            if self.preimage(u) not in self.source._open_set():
+        # continuity between Alexandrov spaces is monotonicity
+        for x, fx in enumerate(self.assignment):
+            outside = self.image(self.source.min_nbhd[x]) & ~self.target.min_nbhd[fx]
+            if outside:
+                y = next(bits(outside))
                 raise NotATopology(
-                    f"not continuous: preimage of {self.target.mask_names(u)}"
-                    " is not open"
+                    f"not continuous: {self.source.points[x]} lies below a point"
+                    f" mapped to {self.target.points[y]}, which is not above"
+                    f" {self.target.points[fx]}"
                 )
 
     def __call__(self, x: int) -> int:
@@ -315,34 +336,10 @@ def product(a: FiniteSpace, b: FiniteSpace) -> Product:
             for k in bits(a.min_nbhd[i]):
                 for m in bits(b.min_nbhd[j]):
                     up_masks[p] |= 1 << (k * b.n + m)
-    family = upsets_of_up_masks(n, up_masks)
-    space = FiniteSpace(names, tuple(family), tuple(up_masks))
+    space = FiniteSpace(names, tuple(up_masks))
     proj1 = ContinuousMap(space, a, tuple(i for i in range(a.n) for _ in range(b.n)))
     proj2 = ContinuousMap(space, b, tuple(j for _ in range(a.n) for j in range(b.n)))
     return Product(space, a, b, proj1, proj2)
-
-
-def rectangle_topology(prod: Product) -> set[int]:
-    """Topology generated from rectangles U x V, by closing under union.
-
-    Rectangles are intersection-closed, so finite unions of rectangles are
-    already the generated topology.  Used to cross-check `product`.
-    """
-    base = {
-        prod.rectangle(u, v) for u in prod.left.opens for v in prod.right.opens
-    }
-    family = set(base)
-    frontier = set(base)
-    while frontier:
-        new = set()
-        for w in frontier:
-            for r in base:
-                cand = w | r
-                if cand not in family:
-                    new.add(cand)
-        family |= new
-        frontier = new
-    return family
 
 
 # --- separation, quotient, 2-cells, equivalence -------------------------
@@ -355,38 +352,20 @@ class SeparationReport:
     is_sober: bool
 
 
-def _is_irreducible(space: FiniteSpace, c: int, closed: list[int]) -> bool:
-    if c == 0:
-        return False
-    for a in closed:
-        if a & ~c:
-            continue
-        for b in closed:
-            if b & ~c:
-                continue
-            if a | b == c and a != c and b != c:
-                return False
-    return True
-
-
 def check_separation(space: FiniteSpace) -> SeparationReport:
-    t0 = all(
-        not (space.leq(x, y) and space.leq(y, x))
-        for x in range(space.n)
-        for y in range(space.n)
-        if x != y
+    """T0: distinct points have distinct smallest neighbourhoods.  T1: each
+    smallest neighbourhood is the point alone.
+
+    Sober here means every irreducible closed set is the closure of a point.
+    Every finite space is sober: a nonempty closed C is the union of the
+    closures of its points, so an irreducible C is one of them.  That the
+    generic point is unique is T0, reported separately.
+    """
+    return SeparationReport(
+        is_T0=len(set(space.min_nbhd)) == space.n,
+        is_T1=all(up == 1 << x for x, up in enumerate(space.min_nbhd)),
+        is_sober=True,
     )
-    t1 = all(
-        not space.leq(x, y) for x in range(space.n) for y in range(space.n) if x != y
-    )
-    closed = space.closed_sets()
-    point_closures = {space.closure(1 << x) for x in range(space.n)}
-    sober = all(
-        c in point_closures
-        for c in closed
-        if _is_irreducible(space, c, closed)
-    )
-    return SeparationReport(t0, t1, sober)
 
 
 def kolmogorov_quotient(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]:
@@ -425,29 +404,30 @@ def le_2cell(f: ContinuousMap, g: ContinuousMap) -> bool:
 
 
 def is_equivalence(f: ContinuousMap) -> tuple[bool, ContinuousMap | None]:
-    """2-categorical equivalence test with an explicit quasi-inverse witness."""
-    preimages = [f.preimage(u) for u in f.target.opens]
-    lattice_bijective = (
-        len(set(preimages)) == len(f.target.opens)
-        and len(f.target.opens) == len(f.source.opens)
-    )
-    if not lattice_bijective:
+    """2-categorical equivalence test with an explicit quasi-inverse witness.
+
+    f is an equivalence exactly when it preserves and reflects the
+    specialization preorder and every target point is equivalent to some
+    f(x).
+    """
+    src, tgt = f.source, f.target
+    if not all(
+        src.leq(x, y) == tgt.leq(f.assignment[x], f.assignment[y])
+        for x in range(src.n)
+        for y in range(src.n)
+    ):
         return False, None
-    image_points = set(f.assignment)
-    for y in range(f.target.n):
-        if not any(
-            f.target.leq(y, fy) and f.target.leq(fy, y) for fy in image_points
-        ):
-            return False, None
     # quasi-inverse: pick any x with f(x) ~ y
     back = []
-    for y in range(f.target.n):
-        for x in range(f.source.n):
+    for y in range(tgt.n):
+        for x in range(src.n):
             fy = f.assignment[x]
-            if f.target.leq(y, fy) and f.target.leq(fy, y):
+            if tgt.leq(y, fy) and tgt.leq(fy, y):
                 back.append(x)
                 break
-    return True, ContinuousMap(f.target, f.source, tuple(back))
+        else:
+            return False, None
+    return True, ContinuousMap(tgt, src, tuple(back))
 
 
 def way_below(space: FiniteSpace, v: int, u: int) -> bool:
@@ -462,14 +442,17 @@ def way_below(space: FiniteSpace, v: int, u: int) -> bool:
 
 
 def subspace(space: FiniteSpace, mask: int) -> tuple[FiniteSpace, ContinuousMap]:
-    """Induced subspace on the points of mask, with its inclusion map."""
+    """Induced subspace on the points of mask, with its inclusion map: the
+    preorder restricted to those points."""
+    if mask >> space.n:
+        raise ShapeMismatch("mask has bits outside the point set")
     kept = list(bits(mask))
     names = tuple(space.points[x] for x in kept)
-    pos = {x: i for i, x in enumerate(kept)}
-    family = set()
-    for u in space.opens:
-        family.add(sum(1 << pos[x] for x in kept if u >> x & 1))
-    sub = from_opens(names, family)
+    min_nbhd = tuple(
+        sum(1 << i for i, y in enumerate(kept) if space.min_nbhd[x] >> y & 1)
+        for x in kept
+    )
+    sub = FiniteSpace(names, min_nbhd)
     incl = ContinuousMap(sub, space, tuple(kept))
     return sub, incl
 

@@ -1,5 +1,7 @@
 """Hyperspace of closed sets: lower Vietoris topology, duality, monad ops."""
 
+import time
+
 import pytest
 
 from topmonads import hyperspace as hy
@@ -38,6 +40,21 @@ def test_discrete_pair_hyperspace_is_the_boolean_square():
     assert hx.space.leq(empty, a) and hx.space.leq(empty, b)
     assert hx.space.leq(a, full) and hx.space.leq(b, full)
     assert not hx.space.leq(a, b)
+
+
+def test_discrete_six_hyperspace_without_its_opens():
+    # HX has 7,828,354 opens here; building it must not enumerate them
+    start = time.monotonic()
+    hx = hy.build_hyperspace(sp.discrete(6))
+    elapsed = time.monotonic() - start
+    assert len(hx.members) == 64
+    m = hx.members
+    assert all(
+        hx.space.leq(i, j) == (m[i] & ~m[j] == 0)
+        for i in range(64)
+        for j in range(64)
+    )
+    assert elapsed < 1.0
 
 
 def test_closed_set_rejects_non_closed():

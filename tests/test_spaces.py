@@ -3,9 +3,11 @@
 import pytest
 
 from topmonads import spaces as sp
+from topmonads.lawcheck import rectangle_topology
 from topmonads.errors import (
     NotAPreorder,
     NotATopology,
+    NotOpen,
     ShapeMismatch,
 )
 
@@ -18,6 +20,12 @@ def test_sierpinski_structure():
     assert not s.leq(s.index("1"), s.index("0"))
     assert s.closure(1 << s.index("1")) == 3
     assert s.closed_sets() == [0, 1, 3]
+    assert [m for m in range(4) if s.is_open(m)] == [0, 2, 3]
+    # a mask reaching past the points is not open
+    assert not s.is_open(1 << s.n)
+    with pytest.raises(NotOpen):
+        s.require_open(1 << s.n)
+    assert not s.is_closed(s.full | 1 << s.n)
 
 
 def test_from_opens_rejects_bad_families():
@@ -27,6 +35,16 @@ def test_from_opens_rejects_bad_families():
         sp.from_opens(("a", "b"), [3])  # empty set missing
     with pytest.raises(NotATopology):
         sp.from_opens(("a", "b", "c"), [0, 1, 2, 7])  # not union-closed
+    # 40 singletons generate 2**40 opens; the witness is found without them
+    names = tuple(f"p{i}" for i in range(40))
+    with pytest.raises(NotATopology):
+        sp.from_opens(names, [0, (1 << 40) - 1] + [1 << i for i in range(40)])
+
+
+def test_from_opens_round_trips_a_large_family():
+    p = sp.product(sp.discrete(3), sp.discrete(3)).space
+    assert len(p.opens) == 512
+    assert sp.from_opens(p.points, p.opens) == p
 
 
 def test_from_preorder_requires_reflexivity_and_transitivity():
@@ -53,6 +71,12 @@ def test_continuous_map_validation():
     # 0 -> 1, 1 -> 0 reverses the order, hence discontinuous into Sierpinski
     with pytest.raises(NotATopology):
         sp.ContinuousMap(s, s, (s.index("1"), s.index("0")))
+    # on the diamond, sending x to the open point and the top t to the
+    # closed point breaks x <= t
+    w = sp.w_lattice()
+    sp.ContinuousMap(w, s, (0, 0, 0, 1))
+    with pytest.raises(NotATopology):
+        sp.ContinuousMap(w, s, (0, 1, 0, 0))
     # an entry that is not a target point is a shape error, not a
     # continuity failure
     for bad in ((0, 99), (-1, 0)):
@@ -72,7 +96,7 @@ def test_product_is_componentwise_order():
     s = sp.sierpinski()
     prod = sp.product(s, s)
     assert prod.space.n == 4
-    assert set(prod.space.opens) == sp.rectangle_topology(prod)
+    assert set(prod.space.opens) == rectangle_topology(prod)
     p = prod.pair(0, 1)
     assert prod.split(p) == (0, 1)
     assert prod.space.leq(prod.pair(0, 0), prod.pair(1, 1))
@@ -128,6 +152,8 @@ def test_subspace():
     mask = w.mask_of(["0", "x", "t"])
     sub, incl = sp.subspace(w, mask)
     assert sub.n == 3
+    with pytest.raises(ShapeMismatch):
+        sp.subspace(w, 1 << w.n)
     assert incl.target is w
     # the inclusion preimage of an open is the trace on the subspace
     for u in w.opens:
@@ -146,7 +172,7 @@ def test_w_lattice_is_a_diamond():
 
 def test_alexandrov_identity_enforced():
     # union-closed but not intersection-closed: {a,b} & {b,c} = {b} missing
-    with pytest.raises(NotATopology):
+    with pytest.raises(NotATopology, match=r"\{b\}"):
         sp.from_opens(("a", "b", "c"), [0, 3, 6, 7])
 
 
