@@ -6,7 +6,9 @@ GenConfig, so identical configurations replay identical checks.
 
 The library computes each operation by one route.  Second routes, such as
 hit identities, integral forms, the layer-cake integral, the
-inclusion-exclusion product, the pairwise validity scan of a table, the
+inclusion-exclusion product, both composites of the commutativity squares
+of H and V built from strength and multiplication, the pairwise validity
+scan of a table, the scan for the least closed set of full measure, the
 rectangle-generated product topology, the pairwise closure scan of an open
 family, the sobriety scan, continuity by preimages and equivalence by
 preimage lattices, live here as oracles, each compared in a named law of
@@ -489,6 +491,25 @@ def h_strength_mult(prod: sp.Product, x: int, hx_right, fam_mask: int) -> bool:
     return left == right
 
 
+def _associator():
+    """For X, Y, Z = Sierpinski, chain(2), one point: the products X x Y,
+    Y x Z, (X x Y) x Z and X x (Y x Z), and the associator between the last
+    two."""
+    X, Y, Z = sp.sierpinski(), sp.chain(2), sp.one_point()
+    pxy = sp.product(X, Y)
+    pyz = sp.product(Y, Z)
+    pxy_z = sp.product(pxy.space, Z)
+    px_yz = sp.product(X, pyz.space)
+    assignment = tuple(
+        px_yz.pair(x, pyz.pair(y, z))
+        for x in range(X.n)
+        for y in range(Y.n)
+        for z in range(Z.n)
+    )
+    assoc = sp.ContinuousMap(pxy_z.space, px_yz.space, assignment)
+    return pxy, pyz, pxy_z, px_yz, assoc
+
+
 def _swap_map(prod_ab: sp.Product, prod_ba: sp.Product) -> sp.ContinuousMap:
     assignment = tuple(
         prod_ab.pair(i, j)
@@ -698,6 +719,26 @@ def h_rectangle_hits(prod: sp.Product, e: hy.ClosedSet, c, d) -> bool:
     )
 
 
+def h_product_composites(
+    prod: sp.Product, c: hy.ClosedSet, d: hy.ClosedSet
+) -> tuple[hy.ClosedSet, hy.ClosedSet]:
+    """Both diagonal composites of the commutativity square of H, from the
+    strengths and the multiplication (the closure of a union): the union of
+    the costrengths t(C, y) over y in D, and of the strengths s(x, D) over
+    x in C."""
+
+    def mult(closed_sets) -> hy.ClosedSet:
+        union = 0
+        for e in closed_sets:
+            union |= e.members
+        return hy.ClosedSet(prod.space, prod.space.closure(union))
+
+    return (
+        mult(hy.costrength_H(prod, c, y) for y in sp.bits(d.members)),
+        mult(hy.strength_H(prod, x, d) for x in sp.bits(c.members)),
+    )
+
+
 def lsc_criteria_agree(space: sp.FiniteSpace, values) -> bool:
     """LowerSemiFn accepts exactly the tables whose strict upper level sets
     are all open."""
@@ -828,12 +869,30 @@ def iterated_integrals(prod: sp.Product, nu, rho, f) -> tuple[ExtRat, ExtRat]:
     )
 
 
+def v_product_composites(
+    prod: sp.Product, nu: va.Valuation, rho: va.Valuation
+) -> tuple[va.Valuation, va.Valuation]:
+    """Both diagonal composites of the Fubini square, from the strengths and
+    the multiplication: with rho = sum_y w_y delta_y the first multiplies
+    out to the mixture sum_y w_y t(nu, y), and symmetrically the second to
+    sum_x w_x s(x, rho)."""
+
+    def mult(weights, strength) -> va.Valuation:
+        atoms = tuple((w, strength(z)) for z, w in enumerate(weights) if sgn(w))
+        return va.mult_E(va.SimpleSecondOrder(prod.space, atoms))
+
+    return (
+        mult(rho.weights, lambda y: va.costrength_V(prod, nu, y)),
+        mult(nu.weights, lambda x: va.strength_V(prod, x, rho)),
+    )
+
+
 def fubini_square(prod: sp.Product, nu: va.Valuation, rho: va.Valuation) -> bool:
     """The product valuation equals both molecular composites and the
     inclusion-exclusion table, and on every open W both iterated integrals
     of the indicator of W."""
     pv = va.product_valuation(nu, rho, prod)
-    route1, route2 = va.product_valuation_composites(nu, rho, prod)
+    route1, route2 = v_product_composites(prod, nu, rho)
     return (
         pv == route1 == route2
         and pv.table == inclusion_exclusion_product(prod, nu, rho)
@@ -874,6 +933,15 @@ def integral_order_le(nu: va.Valuation, rho: va.Valuation) -> bool:
         va.integrate(nu, g) <= va.integrate(rho, g)
         for g in va.canonical_lsc_family(nu.space, 2)
     )
+
+
+def least_closed_of_full_measure(m: pb.FiniteMeasure) -> int:
+    """The intersection of all closed sets of full measure, scanned."""
+    acc = m.space.full
+    for c in m.space.closed_sets():
+        if m.measure_of(c) == m.total:
+            acc &= c
+    return acc
 
 
 def mixture_of_measures_agrees(xi: va.SimpleSecondOrder) -> bool:
@@ -1134,7 +1202,7 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
                 lambda direct, routes: direct == routes[0] == routes[1]
             )(
                 hy.product_closed(p, cc, dd),
-                hy.product_closed_composites(p, cc, dd),
+                h_product_composites(p, cc, dd),
             ),
             "commutativity square for closed products",
         )
@@ -1158,22 +1226,11 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
         )
     # associator diagram on a small fixed triple
     if cfg.max_points >= 2:
-        X, Y, Z = sp.sierpinski(), sp.chain(2) if cfg.max_points >= 2 else one, one
-        pyz = sp.product(Y, Z)
-        px_yz = sp.product(X, pyz.space)
-        pxy = sp.product(X, Y)
-        pxy_z = sp.product(pxy.space, Z)
-        assignment = tuple(
-            px_yz.pair(x, pyz.pair(y, z))
-            for x in range(X.n)
-            for y in range(Y.n)
-            for z in range(Z.n)
-        )
-        assoc = sp.ContinuousMap(pxy_z.space, px_yz.space, assignment)
+        pxy, pyz, pxy_z, px_yz, assoc = _associator()
         for _ in range(4):
-            c = rand_closed(rng, Z)
-            x = rng.randrange(X.n)
-            y = rng.randrange(Y.n)
+            c = rand_closed(rng, pyz.right)
+            x = rng.randrange(pxy.left.n)
+            y = rng.randrange(pxy.right.n)
             run.check(
                 lambda cc=c, px=x, py=y: hy.push_closed(
                     assoc, hy.strength_H(pxy_z, pxy.pair(px, py), cc)
@@ -1467,24 +1524,13 @@ def _suite_v_strength(cfg: GenConfig, run: _Run):
                     == (v.value(vv) if uu >> px & 1 else ZERO),
                     "rectangle evaluation of the strength",
                 )
-    # associator diagram on a fixed small triple
-    X, Y, Z = sp.sierpinski(), sp.chain(2), sp.one_point()
+    # associator diagram on a small fixed triple
     if cfg.max_points >= 2:
-        pyz = sp.product(Y, Z)
-        px_yz = sp.product(X, pyz.space)
-        pxy = sp.product(X, Y)
-        pxy_z = sp.product(pxy.space, Z)
-        assignment = tuple(
-            px_yz.pair(x, pyz.pair(y, z))
-            for x in range(X.n)
-            for y in range(Y.n)
-            for z in range(Z.n)
-        )
-        assoc = sp.ContinuousMap(pxy_z.space, px_yz.space, assignment)
+        pxy, pyz, pxy_z, px_yz, assoc = _associator()
         for _ in range(4):
-            nu = rand_valuation(rng, cfg, Z)
-            x = rng.randrange(X.n)
-            y = rng.randrange(Y.n)
+            nu = rand_valuation(rng, cfg, pyz.right)
+            x = rng.randrange(pxy.left.n)
+            y = rng.randrange(pxy.right.n)
             run.check(
                 lambda v=nu, px=x, py=y: va.pushforward(
                     assoc, va.strength_V(pxy_z, pxy.pair(px, py), v)
@@ -1889,7 +1935,9 @@ def _suite_supp_monoidal(cfg: GenConfig, run: _Run):
             )
             run.check(
                 lambda mm=m: su.support_of_measure(mm)
-                == su.support(mm.restriction()),
+                == su.support(mm.restriction())
+                and su.support_of_measure(mm).members
+                == least_closed_of_full_measure(mm),
                 "the measure's support is the support of its restriction",
             )
     for a, b in _space_pairs(cfg, max_points=3, max_opens=300):

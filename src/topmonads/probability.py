@@ -82,10 +82,7 @@ class FiniteMeasure:
         """Measure of an arbitrary subset (every subset is Borel here)."""
         if subset & ~self.space.full:
             raise ShapeMismatch("subset has bits outside the point set")
-        acc = ZERO
-        for x in bits(subset):
-            acc = acc + self.point_weights[x]
-        return acc
+        return sum((self.point_weights[x] for x in bits(subset)), ZERO)
 
     @property
     def total(self) -> ExtRat:
@@ -113,10 +110,7 @@ def integrate_measure(m: FiniteMeasure, g: LowerSemiFn) -> ExtRat:
     """Integral against the measure: the weighted sum of g over the points."""
     if m.space != g.space:
         raise ShapeMismatch("measure and function live on different spaces")
-    total = ZERO
-    for x in range(m.space.n):
-        total = total + m.point_weights[x] * g(x)
-    return total
+    return sum((w * v for w, v in zip(m.point_weights, g.values)), ZERO)
 
 
 def mult_E_measure(xi: SimpleSecondOrder) -> ProbValuation:
@@ -126,10 +120,9 @@ def mult_E_measure(xi: SimpleSecondOrder) -> ProbValuation:
     Its extension equals the mixture of the extended measures on every
     Borel set.
     """
-    atoms = [(c, ProbValuation(nu)) for c, nu in xi.atoms]
-    total = ZERO
-    for c, _ in atoms:
-        total = total + c
+    for _, nu in xi.atoms:
+        ProbValuation(nu)  # raises unless the atom is normalized
+    total = sum((c for c, _ in xi.atoms), ZERO)
     if total != ONE:
         raise NotNormalized(f"atom weights sum to {total}, not 1")
     return ProbValuation(mult_E(xi))

@@ -139,9 +139,6 @@ class FiniteSpace:
         """Points above x; equals the smallest open neighborhood of x."""
         return self.min_nbhd[x]
 
-    def down_mask(self, x: int) -> int:
-        return self.closure(1 << x)
-
     def closure(self, subset: int) -> int:
         """Smallest closed superset: the specialization down-set of subset."""
         if subset & ~self.full:
@@ -261,9 +258,6 @@ class ContinuousMap:
     def __call__(self, x: int) -> int:
         return self.assignment[x]
 
-    def apply_name(self, name: str) -> str:
-        return self.target.points[self.assignment[self.source.index(name)]]
-
     def preimage(self, mask: int) -> int:
         return sum(
             1 << x for x in range(self.source.n) if mask >> self.assignment[x] & 1
@@ -317,12 +311,19 @@ class Product:
                 mask |= 1 << self.pair(i, j)
         return mask
 
-    def slice_at_left(self, w: int, i: int) -> int:
-        """W_x: the open slice {y : (x, y) in W} of the right factor."""
-        return sum(1 << j for j in range(self.right.n) if w >> self.pair(i, j) & 1)
+    def at_left(self, x: int) -> ContinuousMap:
+        """The section y -> (x, y) = x * |Y| + y of the right factor."""
+        if x not in range(self.left.n):
+            raise ShapeMismatch(f"{x!r} is not a point of the left factor")
+        m = self.right.n
+        return ContinuousMap(self.right, self.space, tuple(range(x * m, x * m + m)))
 
-    def slice_at_right(self, w: int, j: int) -> int:
-        return sum(1 << i for i in range(self.left.n) if w >> self.pair(i, j) & 1)
+    def at_right(self, y: int) -> ContinuousMap:
+        """The section x -> (x, y) = x * |Y| + y of the left factor."""
+        if y not in range(self.right.n):
+            raise ShapeMismatch(f"{y!r} is not a point of the right factor")
+        m = self.right.n
+        return ContinuousMap(self.left, self.space, tuple(range(y, self.space.n, m)))
 
 
 def product(a: FiniteSpace, b: FiniteSpace) -> Product:
@@ -369,29 +370,18 @@ def check_separation(space: FiniteSpace) -> SeparationReport:
 
 
 def kolmogorov_quotient(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]:
-    """Identify specialization-equivalent points; result is T0."""
-    class_of: list[int] = []
-    reps: list[int] = []
-    key_to_class: dict[int, int] = {}
-    for x in range(space.n):
-        key = space.min_nbhd[x]
-        if key not in key_to_class:
-            key_to_class[key] = len(reps)
-            reps.append(x)
-        class_of.append(key_to_class[key])
-    names = []
-    for c, rep in enumerate(reps):
-        members = [space.points[x] for x in range(space.n) if class_of[x] == c]
-        names.append("|".join(members))
+    """Identify specialization-equivalent points; result is T0.  The
+    classes keep the order of their least points."""
+    classes = list(dict.fromkeys(space.classes))
+    class_of = tuple(classes.index(c) for c in space.classes)
+    names = ["|".join(space.mask_names(c)) for c in classes]
     rel = {
         (names[class_of[x]], names[class_of[y]])
         for x in range(space.n)
-        for y in range(space.n)
-        if space.leq(x, y)
+        for y in bits(space.min_nbhd[x])
     }
     quotient = from_preorder(names, rel)
-    qmap = ContinuousMap(space, quotient, tuple(class_of))
-    return quotient, qmap
+    return quotient, ContinuousMap(space, quotient, class_of)
 
 
 def le_2cell(f: ContinuousMap, g: ContinuousMap) -> bool:
@@ -417,17 +407,14 @@ def is_equivalence(f: ContinuousMap) -> tuple[bool, ContinuousMap | None]:
         for y in range(src.n)
     ):
         return False, None
-    # quasi-inverse: pick any x with f(x) ~ y
-    back = []
-    for y in range(tgt.n):
-        for x in range(src.n):
-            fy = f.assignment[x]
-            if tgt.leq(y, fy) and tgt.leq(fy, y):
-                back.append(x)
-                break
-        else:
-            return False, None
-    return True, ContinuousMap(tgt, src, tuple(back))
+    # quasi-inverse: send y to the first x with f(x) ~ y
+    found = [
+        [x for x, fx in enumerate(f.assignment) if tgt.classes[y] >> fx & 1]
+        for y in range(tgt.n)
+    ]
+    if not all(found):
+        return False, None
+    return True, ContinuousMap(tgt, src, tuple(xs[0] for xs in found))
 
 
 def way_below(space: FiniteSpace, v: int, u: int) -> bool:

@@ -1,10 +1,12 @@
 """The support map from valuations to closed sets, and its morphism laws.
 
-The support of a valuation is the unique closed set hitting exactly the
-opens of strictly positive mass: the closure of its points of positive
-weight.  This module verifies, on concrete instances, that taking supports
-commutes with units, multiplications, pushforwards, strengths, and
-products, and transfers hyperspace algebras to valuation algebras.
+The support of a valuation or a measure is the closure of its points of
+positive weight; for a valuation, the closed set hitting exactly the opens
+of positive mass.  The sign route through the duality and the scan for the
+least closed set of full measure are oracles in `lawcheck`.  This module
+verifies that taking supports commutes with units, multiplications,
+pushforwards, strengths, and products, and transfers hyperspace algebras
+to valuation algebras.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .hyperspace import (
     unit_sigma,
 )
 from .probability import FiniteMeasure
-from .spaces import ContinuousMap, FiniteSpace, Product, bits
+from .spaces import ContinuousMap, FiniteSpace, Product
 from .valuations import (
     LowerSemiFn,
     SimpleSecondOrder,
@@ -72,13 +74,10 @@ def support_test_lsc(nu: Valuation, g: LowerSemiFn) -> bool:
 
 
 def support_of_measure(m: FiniteMeasure) -> ClosedSet:
-    """Support of an extended measure: the intersection of all closed sets
-    of full measure.  It equals the support of the measure's restriction."""
-    acc = m.space.full
-    for c in m.space.closed_sets():
-        if m.measure_of(c) == m.total:
-            acc &= c
-    return ClosedSet(m.space, acc)
+    """The least closed set of full measure: the closure of the points of
+    positive weight.  It equals the support of the measure's restriction."""
+    positive = sum(1 << x for x, w in enumerate(m.point_weights) if sgn(w))
+    return ClosedSet(m.space, m.space.closure(positive))
 
 
 # --- morphism diagrams ------------------------------------------------------
@@ -135,9 +134,8 @@ def check_monad_morphism(space: FiniteSpace, xis) -> MorphismVerdict:
     for xi in xis:
         left = support(mult_E(xi))
         atom_supports = 0
-        for c, nu in xi.atoms:
-            if sgn(c):
-                atom_supports |= 1 << hx.point_of(support(nu).members)
+        for _, nu in xi.atoms:  # atom weights are positive
+            atom_supports |= 1 << hx.point_of(support(nu).members)
         family = hx.space.closure(atom_supports)
         right = mult_union(hx, ClosedSet(hx.space, family))
         if left != right:

@@ -8,14 +8,15 @@ continuity (that implication is a theorem, not a runtime check).  On a
 finite space every such valuation is simple, a finite sum of weighted
 Diracs (Jones 1990; Heckmann 1996), so a `Valuation` stores only its point
 weights, and every operation computes on them: integration is a weighted
-sum, and the monad structure (Dirac unit, molecular multiplication, Kleisli
-composition), strength, pushforward and the product are index sums and
-products.  The table of values on the opens is derived from the weights on
-demand; `validate_valuation` reads weights off a table.
-The module also provides both composites of the Fubini square, the weak
-topology subbasis with Portmanteau certificates, and order comparisons.
-The table routes that confirm these (the layer-cake integral, the
-inclusion-exclusion product, the pairwise validity scan) are laws in
+sum, the monad structure (Dirac unit, molecular multiplication, Kleisli
+composition), pushforward and the product are index sums and products, and
+the strength is the pushforward along a section y -> (x, y) of the product.
+The value of an open is the sum of the weights in it; the table of values
+on all opens is derived on demand, and `validate_valuation` reads weights
+off a table.  The module also provides the weak topology subbasis with
+Portmanteau certificates and order comparisons.  The routes that confirm
+these (the layer-cake integral, the inclusion-exclusion product, both
+composites of the Fubini square, the pairwise validity scan) are laws in
 `lawcheck`.
 """
 
@@ -39,7 +40,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .extrat import ExtRat, INF, ONE, ZERO, ext, monus, sgn
-from .spaces import ContinuousMap, FiniteSpace, Product, bits, product
+from .spaces import ContinuousMap, FiniteSpace, Product, bits, from_preorder, product
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +100,11 @@ class Valuation:
             for u in self.space.opens
         )
 
-    @cached_property
-    def _values(self) -> dict[int, ExtRat]:
-        return dict(zip(self.space.opens, self.table))
-
     def value(self, u: int) -> ExtRat:
+        """nu(U), the sum of the weights over U: an open holds whole
+        specialization classes, so it holds each class's weight whole."""
         self.space.require_open(u)
-        return self._values[u]
+        return sum((self.weights[x] for x in bits(u)), ZERO)
 
     @cached_property
     def mass(self) -> ExtRat:
@@ -165,6 +164,8 @@ def zero_valuation(space: FiniteSpace) -> Valuation:
 
 def unit_delta(space: FiniteSpace, x: int) -> Valuation:
     """The Dirac valuation: mass 1 on every open containing x."""
+    if x not in range(space.n):
+        raise ShapeMismatch(f"{x!r} is not a point of the space")
     return Valuation(space, tuple(ONE if y == x else ZERO for y in range(space.n)))
 
 
@@ -255,14 +256,6 @@ def integrate(nu: Valuation, g: LowerSemiFn) -> ExtRat:
     if nu.space != g.space:
         raise ShapeMismatch("valuation and function live on different spaces")
     return sum((w * v for w, v in zip(nu.weights, g.values) if w), ZERO)
-
-
-def integrate_simple(nu: Valuation, terms: Iterable[tuple[ExtRat, int]]) -> ExtRat:
-    """Pairing with a simple function given as (coefficient, open) terms."""
-    total = ZERO
-    for c, u in terms:
-        total = total + ext(c) * nu.value(u)
-    return total
 
 
 # --- functor and monad ------------------------------------------------------
@@ -379,19 +372,14 @@ def strength_V(prod: Product, x: int, nu: Valuation) -> Valuation:
     """s(x, nu): the pushforward of nu along y -> (x, y); W -> nu(W_x)."""
     if nu.space != prod.right:
         raise ShapeMismatch("valuation must live on the right factor")
-    return Valuation(
-        prod.space,
-        tuple(w if i == x else ZERO for i in range(prod.left.n) for w in nu.weights),
-    )
+    return pushforward(prod.at_left(x), nu)
 
 
 def costrength_V(prod: Product, nu: Valuation, y: int) -> Valuation:
+    """t(nu, y): the pushforward of nu along x -> (x, y)."""
     if nu.space != prod.left:
         raise ShapeMismatch("valuation must live on the left factor")
-    return Valuation(
-        prod.space,
-        tuple(w if j == y else ZERO for w in nu.weights for j in range(prod.right.n)),
-    )
+    return pushforward(prod.at_right(y), nu)
 
 
 def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None) -> Valuation:
@@ -404,39 +392,6 @@ def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None
     return Valuation(
         prod.space, tuple(a * b for a in nu.weights for b in rho.weights)
     )
-
-
-def product_valuation_composites(
-    nu: Valuation, rho: Valuation, prod: Product | None = None
-) -> tuple[Valuation, Valuation]:
-    """Both diagonal composites of the Fubini square, computed molecularly.
-
-    With rho = sum_y w_y delta_y the first route multiplies out to the
-    mixture sum_y w_y * costrength(nu, y); symmetrically for the second.
-    """
-    if prod is None:
-        prod = product(nu.space, rho.space)
-    atoms1 = tuple(
-        (rho.weights[y], costrength_V(prod, nu, y))
-        for y in range(rho.space.n)
-        if sgn(rho.weights[y])
-    )
-    route1 = (
-        mult_E(SimpleSecondOrder(prod.space, atoms1))
-        if atoms1
-        else zero_valuation(prod.space)
-    )
-    atoms2 = tuple(
-        (nu.weights[x], strength_V(prod, x, rho))
-        for x in range(nu.space.n)
-        if sgn(nu.weights[x])
-    )
-    route2 = (
-        mult_E(SimpleSecondOrder(prod.space, atoms2))
-        if atoms2
-        else zero_valuation(prod.space)
-    )
-    return route1, route2
 
 
 # --- the weak topology and Portmanteau certificates -------------------------
@@ -546,16 +501,14 @@ class OrderReport:
     stochastic_le: bool | None
 
 
-def _validate_closed_preorder(space: FiniteSpace, relation: set[tuple[int, int]]):
-    for x in range(space.n):
-        if (x, x) not in relation:
-            raise NotAPreorder("not reflexive", (space.points[x],) * 2)
+def _closed_preorder(space: FiniteSpace, relation: set[tuple[int, int]]) -> FiniteSpace:
+    """The auxiliary preorder as a space on the same points, after checking
+    that it is a preorder (with a witness) whose graph is closed."""
     for a, b in relation:
-        for c, d in relation:
-            if b == c and (a, d) not in relation:
-                raise NotAPreorder(
-                    "not transitive", (space.points[a], space.points[d])
-                )
+        if a not in range(space.n) or b not in range(space.n):
+            raise NotAPreorder("pair mentions a point outside the space", (a, b))
+    names = space.points
+    aux = from_preorder(names, [(names[a], names[b]) for a, b in relation])
     prod = product(space, space)
     graph = 0
     for a, b in relation:
@@ -564,7 +517,7 @@ def _validate_closed_preorder(space: FiniteSpace, relation: set[tuple[int, int]]
         raise OrderNotClosed(
             "preorder graph is not closed in the product topology"
         )
-    return prod
+    return aux
 
 
 def order_checks(
@@ -573,7 +526,7 @@ def order_checks(
     aux_preorder: Iterable[tuple[int, int]] | None = None,
 ) -> OrderReport:
     """Compare nu <= rho on opens and (optionally) in the stochastic order of
-    a closed-graph auxiliary preorder.
+    a closed-graph auxiliary preorder: on every open up-set of it.
 
     The opens order coincides with the integral order <nu, g> <= <rho, g>
     over lower semicontinuous g.
@@ -584,15 +537,8 @@ def order_checks(
     opens_le = all(a <= b for a, b in zip(nu.table, rho.table))
     stochastic = None
     if aux_preorder is not None:
-        relation = {(a, b) for a, b in aux_preorder}
-        _validate_closed_preorder(space, relation)
-        up_masks = [0] * space.n
-        for a, b in relation:
-            up_masks[a] |= 1 << b
-        stochastic = True
-        for u in space.opens:
-            is_upper = all(up_masks[x] & ~u == 0 for x in bits(u))
-            if is_upper and not nu.value(u) <= rho.value(u):
-                stochastic = False
-                break
+        aux = _closed_preorder(space, {(a, b) for a, b in aux_preorder})
+        stochastic = all(
+            nu.value(u) <= rho.value(u) for u in space.opens if aux.is_open(u)
+        )
     return OrderReport(opens_le, stochastic)

@@ -25,6 +25,7 @@ from topmonads.lawcheck import (
     fubini_square,
     generate_space,
     h_associativity,
+    h_product_composites,
     h_left_unit,
     h_right_unit,
     h_specialization_is_inclusion,
@@ -326,7 +327,7 @@ def test_criterion_06_strength_and_fubini():
             # commutativity square for closed sets
             ca = rand_closed(rng, a)
             direct = hy.product_closed(prod, ca, c)
-            r1, r2 = hy.product_closed_composites(prod, ca, c)
+            r1, r2 = h_product_composites(prod, ca, c)
             ok = ok and direct == r1 == r2
             # commutativity (Fubini) square for valuations, against the
             # weight-product and iterated-integral oracles too
@@ -446,6 +447,7 @@ def test_criterion_08_support_morphism():
             supp = su.support_of_measure(m)
             ok = ok and m.measure_of(supp.members) == m.total
             ok = ok and supp == su.support(m.restriction())
+            ok = ok and supp.members == lc.least_closed_of_full_measure(m)
             full += 1
         return ok, (
             f"support is a monad morphism: unit x{units} (exhaustive),"

@@ -15,6 +15,7 @@ from topmonads.lawcheck import (
     count_valid_functional_tables,
     h_associativity,
     h_left_unit,
+    h_product_composites,
     h_right_unit,
 )
 
@@ -72,6 +73,9 @@ def test_hit_and_sigma():
     u = s.mask_of(["1"])
     assert hy.hit(sigma1, u)
     assert not hy.hit(sigma0, u)
+    for x in (-1, 2):
+        with pytest.raises(ShapeMismatch):
+            hy.unit_sigma(s, x)
 
 
 def test_sigma_preimage_of_hit_is_the_open():
@@ -172,6 +176,11 @@ def test_strength_and_costrength():
     assert got.members == want
     co = hy.costrength_H(sp.product(d, s), hy.ClosedSet(d, 1), s.index("0"))
     assert co.members == 1 << sp.product(d, s).pair(0, s.index("0"))
+    # a point outside the factor is a shape error, not a silent result
+    with pytest.raises(ShapeMismatch):
+        hy.strength_H(prod, 2, c)
+    with pytest.raises(ShapeMismatch):
+        hy.costrength_H(sp.product(d, s), hy.ClosedSet(d, 1), -1)
 
 
 def test_product_closed_and_marginals():
@@ -180,7 +189,7 @@ def test_product_closed_and_marginals():
     c = hy.ClosedSet(s, 1)
     d = hy.ClosedSet(s, 3)
     pc = hy.product_closed(prod, c, d)
-    route1, route2 = hy.product_closed_composites(prod, c, d)
+    route1, route2 = h_product_composites(prod, c, d)
     assert pc == route1 == route2
     assert hy.marginals(prod, pc) == (c, d)
 

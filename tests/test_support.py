@@ -54,6 +54,31 @@ def test_support_of_measure_full_measure():
             assert m.measure_of(supp.members & ~(1 << x)) < m.total
 
 
+def test_product_of_discrete_fours_without_its_opens():
+    d4 = sp.discrete(4)
+    prod = sp.product(d4, d4)
+    space = prod.space  # 16 points, 65,536 opens
+    nu = va.valuation_from_weights(d4, (ONE, ext("1/2"), ZERO, INF))
+    rho = va.unit_delta(d4, 2)
+    assert va.unit_delta(space, 0).value(1) == ONE
+    pv = va.product_valuation(nu, rho, prod)
+    assert pv.value(prod.rectangle(0b0011, d4.full)) == ext("3/2")
+    assert su.support(pv).members == prod.rectangle(0b1011, 0b0100)
+    c = hy.ClosedSet(d4, 0b0011)
+    assert hy.strength_H(prod, 1, c).members == prod.rectangle(0b0010, 0b0011)
+    assert hy.costrength_H(prod, c, 3).members == prod.rectangle(0b0011, 0b1000)
+    assert va.strength_V(prod, 1, rho) == va.unit_delta(space, prod.pair(1, 2))
+    assert va.costrength_V(prod, nu, 3) == va.valuation_from_weights(
+        space, tuple(w if y == 3 else ZERO for w in nu.weights for y in range(4))
+    )
+    assert va.pushforward(prod.proj1, pv) == nu
+    assert va.pushforward(prod.proj2, pv) == va.valuation_from_weights(
+        d4, (ZERO, ZERO, INF, ZERO)
+    )
+    assert "opens" not in space.__dict__
+    assert "opens" not in d4.__dict__
+
+
 def test_monad_morphism_squares():
     rng = random.Random(17)
     cfg = GenConfig(seed=17)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -10,11 +11,13 @@ from topmonads import valuations as va
 from topmonads.errors import (
     LawViolation,
     NotAKernel,
+    NotAPreorder,
     NotModular,
     NotMonotone,
     NotStrict,
     OrderNotClosed,
     PreconditionFailed,
+    ShapeMismatch,
 )
 from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
 from topmonads.lawcheck import (
@@ -145,6 +148,8 @@ def test_unit_and_mult():
         )
     )
     assert mixed == nu
+    with pytest.raises(ShapeMismatch):
+        va.unit_delta(sp.discrete(2), 5)
 
 
 def test_sso_rejects_zero_weights():
@@ -190,6 +195,11 @@ def test_strength_rectangles():
         for v in d.opens:
             want = nu.value(v) if u >> s.index("1") & 1 else ZERO
             assert st.value(prod.rectangle(u, v)) == want
+    # a point outside the factor is a shape error, not the zero valuation
+    with pytest.raises(ShapeMismatch):
+        va.strength_V(prod, 5, nu)
+    with pytest.raises(ShapeMismatch):
+        va.costrength_V(sp.product(d, s), nu, 7)
 
 
 def test_product_valuation_cross_example():
@@ -300,6 +310,13 @@ def test_stochastic_order_needs_closed_graph():
     # on Sierpinski the identity graph is not closed in the product
     with pytest.raises(OrderNotClosed):
         va.order_checks(nu, nu, aux_preorder=[(0, 0), (1, 1)])
+    # a pair outside the points is not a preorder on them, and is named
+    nu = va.unit_delta(d, 0)
+    for pair in ((0, 5), (-1, -1)):
+        with pytest.raises(NotAPreorder, match=re.escape(str(pair))):
+            va.order_checks(nu, nu, aux_preorder=[(0, 0), (1, 1), pair])
+    with pytest.raises(NotAPreorder, match="not reflexive"):
+        va.order_checks(nu, nu, aux_preorder=[(0, 0)])
 
 
 def test_canonical_lsc_family_is_monotone_and_complete():
