@@ -1,68 +1,105 @@
 """Exact arithmetic in the extended nonnegative rationals [0, oo].
 
-Values are `Fraction`s or the distinguished infinity.  The conventions are
-oo + x = oo, oo * x = oo for x > 0, and oo * 0 = 0 (the one needed for
-positive linear combinations with coefficients in (0, oo]).  Besides the
-partial subtraction there is the total, truncated one, `monus`.
+A finite value is stored as a coprime pair of plain ints, a numerator and a
+positive denominator, and the distinguished infinity as the numerator None.
+Sums, products and comparisons compute on the pair with `math.gcd`, the
+way `fractions.Fraction` does, and skip the gcd when both denominators are
+1; `frac` gives the equal `Fraction`, and `hash` is that Fraction's hash.
+The conventions are oo + x = oo, oo * x = oo for x > 0, and oo * 0 = 0 (the
+one needed for positive linear combinations with coefficients in (0, oo]).
+Besides the partial subtraction there is the total, truncated one, `monus`.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from functools import total_ordering
+from math import gcd
 
 from .errors import InfinityIndeterminate
 
 
-@total_ordering
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
 class ExtRat:
     """A nonnegative rational or infinity. Immutable and hashable."""
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, value=0, _inf=False):
         if _inf:
-            self._frac = None
+            self._num, self._den = None, 1
             return
-        if isinstance(value, float):
+        if type(value) is int:
+            num, den = value, 1
+        elif type(value) is Fraction:
+            num, den = value.numerator, value.denominator
+        elif isinstance(value, float):
             raise TypeError("floats are not allowed; use Fraction or 'p/q' strings")
-        frac = Fraction(value)
-        if frac < 0:
-            raise ValueError(f"negative value {frac} not in [0, oo]")
-        self._frac = frac
+        else:
+            frac = Fraction(value)
+            num, den = frac.numerator, frac.denominator
+        if num < 0:
+            raise ValueError(f"negative value {Fraction(num, den)} not in [0, oo]")
+        self._num, self._den = num, den
 
     @property
     def is_infinite(self) -> bool:
-        return self._frac is None
+        return self._num is None
 
     @property
     def is_finite(self) -> bool:
-        return self._frac is not None
+        return self._num is not None
 
     @property
     def frac(self) -> Fraction:
-        if self._frac is None:
+        if self._num is None:
             raise InfinityIndeterminate("infinite value has no finite part")
-        return self._frac
+        return Fraction(self._num, self._den)
 
     def __add__(self, other):
         if type(other) is not ExtRat:
             other = ext(other)
-        a, b = self._frac, other._frac
-        if a is None or b is None:
+        a, c = self._num, other._num
+        if a is None or c is None:
             return INF
-        return _finite(a + b)
+        b, d = self._den, other._den
+        if b == 1 and d == 1:
+            return _finite(a + c, 1)
+        # as Fraction adds: only the gcd of the denominators can cancel
+        g = gcd(b, d)
+        if g == 1:
+            return _finite(a * d + b * c, b * d)
+        s = b // g
+        t = a * (d // g) + c * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _finite(t, s * d)
+        return _finite(t // g2, s * (d // g2))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if type(other) is not ExtRat:
             other = ext(other)
-        a, b = self._frac, other._frac
-        if a is None or b is None:
+        a, c = self._num, other._num
+        if a is None or c is None:
             # oo * 0 = 0; a None operand never equals 0
-            return ZERO if a == 0 or b == 0 else INF
-        return _finite(a * b)
+            return ZERO if a == 0 or c == 0 else INF
+        b, d = self._den, other._den
+        if b == 1 and d == 1:
+            return _finite(a * c, 1)
+        g1 = gcd(a, d)
+        if g1 > 1:
+            a //= g1
+            d //= g1
+        g2 = gcd(c, b)
+        if g2 > 1:
+            c //= g2
+            b //= g2
+        return _finite(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -73,9 +110,11 @@ class ExtRat:
             raise InfinityIndeterminate("cannot subtract infinity")
         if self.is_infinite:
             return INF
-        if self._frac < other._frac:
+        if self < other:
             raise ValueError(f"{self} - {other} would be negative")
-        return ExtRat(self._frac - other._frac)
+        return _reduced(
+            self._num * other._den - other._num * self._den, self._den * other._den
+        )
 
     def __truediv__(self, other):
         other = ext(other)
@@ -83,55 +122,86 @@ class ExtRat:
             raise ZeroDivisionError("division by zero or infinity")
         if self.is_infinite:
             return INF
-        return ExtRat(self._frac / other._frac)
+        return _reduced(self._num * other._den, self._den * other._num)
 
     def __eq__(self, other):
-        if not isinstance(other, ExtRat):
+        if type(other) is not ExtRat:
             try:
                 other = ext(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self._frac == other._frac
+        # both pairs are in lowest terms, and oo is (None, 1)
+        return self._num == other._num and self._den == other._den
 
     def __lt__(self, other):
         if type(other) is not ExtRat:
             other = ext(other)
-        a, b = self._frac, other._frac
+        a, c = self._num, other._num
         if a is None:
             return False
-        return b is None or a < b
+        if c is None:
+            return True
+        return a * other._den < c * self._den
 
     def __le__(self, other):
         if type(other) is not ExtRat:
             other = ext(other)
-        a, b = self._frac, other._frac
-        if b is None:
+        a, c = self._num, other._num
+        if c is None:
             return True
-        return a is not None and a <= b
+        if a is None:
+            return False
+        return a * other._den <= c * self._den
+
+    def __gt__(self, other):
+        if type(other) is not ExtRat:
+            other = ext(other)
+        return other < self
+
+    def __ge__(self, other):
+        if type(other) is not ExtRat:
+            other = ext(other)
+        return other <= self
 
     def __hash__(self):
-        return hash(self._frac)
+        # the hash of the equal Fraction, by the rule for numeric hashes
+        if self._num is None:
+            return hash(None)
+        if self._den == 1:
+            return hash(self._num)
+        try:
+            inverse = pow(self._den, -1, _HASH_MODULUS)
+        except ValueError:  # the denominator is a multiple of the modulus
+            return _HASH_INF
+        return hash(self._num * inverse)
 
     def __bool__(self):
-        return self.is_infinite or self._frac != 0
+        return self._num != 0
 
     def __repr__(self):
         return f"ExtRat({str(self)!r})"
 
     def __str__(self):
-        if self.is_infinite:
+        if self._num is None:
             return "inf"
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        if self._den == 1:
+            return str(self._num)
+        return f"{self._num}/{self._den}"
 
 
-def _finite(frac: Fraction) -> ExtRat:
-    """The ExtRat of a Fraction known to be nonnegative, such as a sum or
-    product of two; it skips the checks and the rebuild of `ExtRat(...)`."""
+def _finite(num: int, den: int) -> ExtRat:
+    """The ExtRat num/den of a coprime pair with num >= 0 and den > 0, such
+    as a sum or product of two; it skips the checks of `ExtRat(...)`."""
     value = object.__new__(ExtRat)
-    value._frac = frac
+    value._num = num
+    value._den = den
     return value
+
+
+def _reduced(num: int, den: int) -> ExtRat:
+    """The ExtRat num/den of any pair with num >= 0 and den > 0."""
+    g = gcd(num, den)
+    return _finite(num // g, den // g)
 
 
 INF = ExtRat(_inf=True)

@@ -93,6 +93,8 @@ class Hyperspace:
         return self._index[mask]
 
     def closed_of(self, idx: int) -> ClosedSet:
+        if idx not in range(len(self.members)):
+            raise ShapeMismatch(f"{idx!r} is not a point of the hyperspace")
         return ClosedSet(self.base, self.members[idx])
 
     def hit_mask(self, u: int) -> int:
@@ -222,6 +224,8 @@ def mult_union(hx: Hyperspace, family) -> ClosedSet:
         mask = family.members
     else:
         mask = int(family)
+        if mask & ~hx.space.full:  # negative, or bits outside HX's points
+            raise ShapeMismatch(f"family {mask} is not a set of hyperspace points")
         for i in bits(mask):
             for j, m in enumerate(hx.members):
                 if m & ~hx.members[i] == 0 and not mask >> j & 1:

@@ -764,31 +764,29 @@ def pushforward_integral_identity(f: sp.ContinuousMap, nu: va.Valuation) -> bool
 
 
 def signed_sum(terms) -> ExtRat:
-    """Sum of (sign, ExtRat) terms in a signed extended-rational scratch domain.
+    """Sum of (sign, ExtRat) terms: the terms of each sign are summed in
+    [0, oo], and the negative sum is then subtracted from the positive one.
 
     Raises InfinityIndeterminate if both +oo and -oo terms occur, or if the
     result would be negative or -oo.
     """
-    finite = Fraction(0)
-    pos_inf = neg_inf = False
+    positive = negative = ZERO
     for sign, value in terms:
-        value = ext(value)
-        if value.is_infinite:
-            if sign > 0:
-                pos_inf = True
-            else:
-                neg_inf = True
+        if sign > 0:
+            positive = positive + value
         else:
-            finite += sign * value.frac
-    if pos_inf and neg_inf:
+            negative = negative + value
+    if positive.is_infinite and negative.is_infinite:
         raise InfinityIndeterminate("both +oo and -oo terms in signed sum")
-    if pos_inf:
+    if positive.is_infinite:
         return INF
-    if neg_inf:
+    if negative.is_infinite:
         raise InfinityIndeterminate("signed sum is -oo but must lie in [0, oo]")
-    if finite < 0:
-        raise InfinityIndeterminate(f"signed sum {finite} is negative")
-    return ExtRat(finite)
+    if positive < negative:
+        raise InfinityIndeterminate(
+            f"signed sum {positive.frac - negative.frac} is negative"
+        )
+    return positive - negative
 
 
 def layer_cake_integral(nu: va.Valuation, g: va.LowerSemiFn) -> ExtRat:
@@ -798,13 +796,13 @@ def layer_cake_integral(nu: va.Valuation, g: va.LowerSemiFn) -> ExtRat:
     sum_i (v_i - v_{i-1}) * nu({g >= v_i}) + oo * nu({g = oo}); each weak
     level {g >= v_i} equals the open strict level {g > v_{i-1}}.
     """
-    finite_values = sorted({v.frac for v in g.values if v.is_finite})
+    finite_values = sorted({v for v in g.values if v.is_finite})
     total = ZERO
-    prev = Fraction(0)
+    prev = ZERO
     for v in finite_values:
-        if v == 0:
+        if not v:
             continue
-        total = total + ExtRat(v - prev) * nu.value(g.weak_level(ExtRat(v)))
+        total = total + (v - prev) * nu.value(g.weak_level(v))
         prev = v
     return total + INF * nu.value(g.weak_level(INF))
 

@@ -69,11 +69,11 @@ class FiniteSpace:
     points: tuple[str, ...]
     min_nbhd: tuple[int, ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def full(self) -> int:
         return (1 << len(self.points)) - 1
 
@@ -139,13 +139,28 @@ class FiniteSpace:
         """Points above x; equals the smallest open neighborhood of x."""
         return self.min_nbhd[x]
 
+    @cached_property
+    def _point_closures(self) -> tuple[int, ...]:
+        """Per point y, the mask of cl{y}: the points x with y in min_nbhd[x]."""
+        closures = [0] * len(self.points)
+        for x, up in enumerate(self.min_nbhd):
+            for y in bits(up):
+                closures[y] |= 1 << x
+        return tuple(closures)
+
     def closure(self, subset: int) -> int:
-        """Smallest closed superset: the specialization down-set of subset."""
+        """Smallest closed superset: the specialization down-set of subset,
+        the union of the closures of its points."""
         if subset & ~self.full:
             raise ShapeMismatch("subset has bits outside the point set")
-        return sum(
-            1 << x for x in range(self.n) if self.min_nbhd[x] & subset
-        )
+        closures = self._point_closures
+        acc, y = 0, 0
+        while subset:
+            if subset & 1:
+                acc |= closures[y]
+            subset >>= 1
+            y += 1
+        return acc
 
     def closed_sets(self) -> list[int]:
         return sorted(self.full & ~u for u in self.opens)
@@ -298,6 +313,10 @@ class Product:
     proj2: ContinuousMap
 
     def pair(self, i: int, j: int) -> int:
+        if i not in range(self.left.n):
+            raise ShapeMismatch(f"{i!r} is not a point of the left factor")
+        if j not in range(self.right.n):
+            raise ShapeMismatch(f"{j!r} is not a point of the right factor")
         return i * self.right.n + j
 
     def split(self, p: int) -> tuple[int, int]:

@@ -118,6 +118,9 @@ def valuation_from_weights(space: FiniteSpace, weights) -> Valuation:
     """The valuation U -> sum of weights over the points of U; `weights` is
     a sequence per point or a dict from point names."""
     if isinstance(weights, dict):
+        unknown = [name for name in weights if name not in space.points]
+        if unknown:
+            raise ShapeMismatch(f"{unknown[0]!r} is not a point of the space")
         weights = tuple(weights.get(p, ZERO) for p in space.points)
     return Valuation(space, tuple(weights))
 
@@ -197,6 +200,8 @@ class LowerSemiFn:
             )
 
     def __call__(self, x: int) -> ExtRat:
+        if x not in range(self.space.n):
+            raise ShapeMismatch(f"{x!r} is not a point of the space")
         return self.values[x]
 
     def upper_level(self, r: ExtRat) -> int:

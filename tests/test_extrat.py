@@ -1,5 +1,7 @@
 """Extended nonnegative rationals: ordering, arithmetic, and parsing."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,3 +112,72 @@ def test_signed_sum():
 def test_hash_consistency():
     assert hash(ext("1/2")) == hash(ext("2/4"))
     assert len({ZERO, ext("0"), ONE, ext("1")}) == 2
+
+
+def _model_operand(rng):
+    """A Fraction, or None for oo: 0, 1, oo, small integers, and ratios with
+    numerator and denominator up to 10**12."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(1)
+    if kind == 2:
+        return None
+    if kind == 3:
+        return Fraction(rng.randint(0, 50))
+    if kind == 4:
+        return Fraction(rng.randint(0, 20), rng.randint(1, 20))
+    return Fraction(rng.randint(0, 10**12), rng.randint(1, 10**12))
+
+
+def _of(model):
+    return INF if model is None else ExtRat(model)
+
+
+def test_arithmetic_agrees_with_fraction():
+    """Every operation on the integer pairs matches plain Fraction
+    arithmetic, with oo above every rational, oo + x = oo and oo * 0 = 0."""
+    rng = random.Random(6)
+    for _ in range(3000):
+        p, q = _model_operand(rng), _model_operand(rng)
+        a, b = _of(p), _of(q)
+        total = None if p is None or q is None else p + q
+        if p is None or q is None:
+            product = Fraction(0) if p == 0 or q == 0 else None
+        else:
+            product = p * q
+        below = p is not None and (q is None or p < q)
+        at_most = q is None or (p is not None and p <= q)
+        assert a + b == _of(total) and b + a == _of(total)
+        assert a * b == _of(product) and b * a == _of(product)
+        assert (a < b) is below
+        assert (a <= b) is at_most
+        assert (a > b) is (b < a) and (a >= b) is (b <= a)
+        assert (a == b) is (p == q)
+        assert monus(a, b) == (
+            ZERO if at_most else INF if p is None else ExtRat(p - q)
+        )
+        for model, value in ((p, a), (total, a + b), (product, a * b)):
+            if model is None:
+                assert value.is_infinite and str(value) == "inf"
+                continue
+            assert value.frac == model and type(value.frac) is Fraction
+            assert str(value) == str(model)
+            assert hash(value) == hash(model)
+            assert bool(value) is bool(model)
+
+
+def test_results_are_in_lowest_terms():
+    third, sixth = ext("1/3"), ext("1/6")
+    assert str(third + sixth) == "1/2" and third + sixth == ext("1/2")
+    assert str(ext("2/3") * ext("3/4")) == "1/2"
+    assert str(ext("5/6") - ext("1/3")) == "1/2"
+    assert str(ext("3/4") / ext("3/2")) == "1/2"
+    assert str(ext("1/2") + ext("1/2")) == "1"
+    assert str(ZERO * ext("7/9")) == "0" and ZERO * ext("7/9") == ZERO
+    big = ExtRat(Fraction(10**12 - 1, 10**12))
+    assert hash(big + big) == hash(Fraction(10**12 - 1, 10**12) * 2)
+    # a denominator divisible by the hash modulus still hashes like Fraction
+    modulus = sys.hash_info.modulus
+    assert hash(ExtRat(Fraction(1, modulus))) == hash(Fraction(1, modulus))

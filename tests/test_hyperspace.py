@@ -138,6 +138,14 @@ def test_mult_union():
     assert hy.mult_union(hx, hy.ClosedSet(hx.space, fam)).members == 1
     with pytest.raises(NotClosedFamily):
         hy.mult_union(hx, 1 << hx.point_of(3))  # not down-closed
+    # an int family with bits outside HX's three points
+    for family in (8, -1, 1 << len(hx.members)):
+        with pytest.raises(ShapeMismatch):
+            hy.mult_union(hx, family)
+    assert hx.closed_of(2).members == hx.members[2]
+    for idx in (-1, 3):
+        with pytest.raises(ShapeMismatch):
+            hx.closed_of(idx)
 
 
 def test_unit_laws_exhaustive_small():

@@ -3,7 +3,7 @@
 import pytest
 
 from topmonads import spaces as sp
-from topmonads.lawcheck import rectangle_topology
+from topmonads.lawcheck import all_topologies, rectangle_topology
 from topmonads.errors import (
     NotAPreorder,
     NotATopology,
@@ -92,6 +92,21 @@ def test_compose_and_identity():
         sp.compose(f, sp.identity_map(sp.discrete(2)))
 
 
+def test_closure_is_the_down_set_scan_on_every_small_topology():
+    checked = 0
+    for n in range(5):
+        for space in all_topologies(n):
+            for m in range(1 << n):
+                scan = sum(1 << x for x in range(n) if space.min_nbhd[x] & m)
+                assert space.closure(m) == scan
+                checked += 1
+    assert checked == 1 + 2 + 4 * 4 + 29 * 8 + 355 * 16
+    with pytest.raises(ShapeMismatch):
+        sp.sierpinski().closure(4)
+    with pytest.raises(ShapeMismatch):
+        sp.sierpinski().closure(-1)
+
+
 def test_product_is_componentwise_order():
     s = sp.sierpinski()
     prod = sp.product(s, s)
@@ -108,6 +123,9 @@ def test_product_is_componentwise_order():
         prod.at_left(2)
     with pytest.raises(ShapeMismatch):
         prod.at_right(-1)
+    for i, j in ((0, 2), (0, -1), (2, 0), (-1, 0)):
+        with pytest.raises(ShapeMismatch):
+            prod.pair(i, j)
 
 
 def test_separation_flags():

@@ -81,6 +81,9 @@ def test_weights_define_a_valuation():
     assert nu.value(s.mask_of(["1"])) == ext("1/2")
     assert nu.mass == ONE
     va.validate_valuation(s, nu.table)
+    assert va.valuation_from_weights(s, {"1": ONE}).value(s.mask_of(["1"])) == ONE
+    with pytest.raises(ShapeMismatch, match="zz"):
+        va.valuation_from_weights(s, {"zz": ONE})
 
 
 def test_sierpinski_running_example_integral():
@@ -98,6 +101,10 @@ def test_lsc_validation():
     g = va.LowerSemiFn(s, (ZERO, ONE))
     assert g.upper_level(ZERO) == s.mask_of(["1"])
     assert g.weak_level(ONE) == s.mask_of(["1"])
+    assert g(1) == ONE
+    for x in (-1, 2):
+        with pytest.raises(ShapeMismatch):
+            g(x)
 
 
 def test_integration_against_brute_force_oracle():
