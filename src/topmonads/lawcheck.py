@@ -453,16 +453,26 @@ def h_right_unit(hx: hy.Hyperspace, i: int) -> bool:
     return hy.mult_union(hx, hy.ClosedSet(hx.space, family)).members == hx.members[i]
 
 
-def h_associativity(hx: hy.Hyperspace, hhx: list[int], xi_mask: int) -> bool:
-    """Compare U after U_{HX} with U after H(U) on a down-set of down-sets."""
+def h_associativity(
+    hx: hy.Hyperspace, hhx: list[int], xi_mask: int, inner: dict | None = None
+) -> bool:
+    """Compare U after U_{HX} with U after H(U) on a down-set of down-sets.
+
+    inner maps j to the point of HX that U(hhx[j]) is; it is filled as the
+    members are reached, so a caller checking many xi on one space can
+    pass one dict and multiply each member once."""
+    if inner is None:
+        inner = {}
     union_members = 0
     for j in sp.bits(xi_mask):
         union_members |= hhx[j]
     left = hy.mult_union(hx, hy.ClosedSet(hx.space, union_members))
     image = 0
     for j in sp.bits(xi_mask):
-        inner = hy.mult_union(hx, hy.ClosedSet(hx.space, hhx[j]))
-        image |= 1 << hx.point_of(inner.members)
+        if j not in inner:
+            members = hy.mult_union(hx, hy.ClosedSet(hx.space, hhx[j])).members
+            inner[j] = hx.point_of(members)
+        image |= 1 << inner[j]
     right = hy.mult_union(hx, hy.ClosedSet(hx.space, hx.space.closure(image)))
     return left == right
 
@@ -818,6 +828,8 @@ def inclusion_exclusion_product(
     rectangles, each valued nu(U) * rho(V).  A rectangle of value oo makes
     the union oo; otherwise every term is finite.
     """
+    nu_of = dict(zip(prod.left.opens, nu.table))
+    rho_of = dict(zip(prod.right.opens, rho.table))
     table = []
     for w in prod.space.opens:
         rects = sorted(
@@ -826,7 +838,7 @@ def inclusion_exclusion_product(
                 for i, j in map(prod.split, sp.bits(w))
             }
         )
-        if any((nu.value(u) * rho.value(v)).is_infinite for u, v in rects):
+        if any((nu_of[u] * rho_of[v]).is_infinite for u, v in rects):
             table.append(INF)
             continue
         terms = []
@@ -836,7 +848,7 @@ def inclusion_exclusion_product(
                 cap_u &= rects[i][0]
                 cap_v &= rects[i][1]
             sign = 1 if sp.popcount(subset) % 2 else -1
-            terms.append((sign, nu.value(cap_u) * rho.value(cap_v)))
+            terms.append((sign, nu_of[cap_u] * rho_of[cap_v]))
         table.append(signed_sum(terms))
     return tuple(table)
 
@@ -867,6 +879,38 @@ def iterated_integrals(prod: sp.Product, nu, rho, f) -> tuple[ExtRat, ExtRat]:
     )
 
 
+def open_iterated_integrals(prod: sp.Product, nu, rho):
+    """iterated_integrals of the indicator of each open W of the product, in
+    the order of prod.space.opens, one pair at a time.
+
+    At x the inner integrand is the indicator of the section
+    W_x = {y : (x, y) in W}, an open of the right factor, and at y that of
+    W^y = {x : (x, y) in W}, an open of the left one; each distinct
+    section's inner layer-cake integral is computed once per call."""
+    left, right = prod.left, prod.right
+    row = right.full
+    inner: dict[tuple[str, int], ExtRat] = {}
+
+    def section_integral(side, valuation, space, mask):
+        key = (side, mask)
+        if key not in inner:
+            inner[key] = layer_cake_integral(valuation, va.indicator(space, mask))
+        return inner[key]
+
+    for w in prod.space.opens:
+        rows = [w >> x * right.n & row for x in range(left.n)]
+        columns = [
+            sum((r >> y & 1) << x for x, r in enumerate(rows))
+            for y in range(right.n)
+        ]
+        inner_x = [section_integral("right", rho, right, r) for r in rows]
+        inner_y = [section_integral("left", nu, left, c) for c in columns]
+        yield (
+            layer_cake_integral(nu, va.LowerSemiFn(left, tuple(inner_x))),
+            layer_cake_integral(rho, va.LowerSemiFn(right, tuple(inner_y))),
+        )
+
+
 def v_product_composites(
     prod: sp.Product, nu: va.Valuation, rho: va.Valuation
 ) -> tuple[va.Valuation, va.Valuation]:
@@ -895,9 +939,8 @@ def fubini_square(prod: sp.Product, nu: va.Valuation, rho: va.Valuation) -> bool
         pv == route1 == route2
         and pv.table == inclusion_exclusion_product(prod, nu, rho)
         and all(
-            iterated_integrals(prod, nu, rho, va.indicator(prod.space, w))
-            == (value, value)
-            for w, value in zip(prod.space.opens, pv.table)
+            pair == (value, value)
+            for pair, value in zip(open_iterated_integrals(prod, nu, rho), pv.table)
         )
     )
 
@@ -1086,9 +1129,10 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
             xi_masks = hy.inclusion_downsets(hhx)
         else:
             xi_masks = [_rand_downset(rng, hhx) for _ in range(cfg.instance_count)]
+        inner: dict[int, int] = {}
         for xi in xi_masks:
             run.check(
-                lambda h=hx, d=hhx, m=xi: h_associativity(h, d, m),
+                lambda h=hx, d=hhx, m=xi, c=inner: h_associativity(h, d, m, c),
                 "associativity law",
             )
     # canned naturality witness: collapse a discrete pair onto the open point

@@ -10,7 +10,7 @@ order-theoretic toolbox below exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -28,12 +28,10 @@ def popcount(mask: int) -> int:
 
 def bits(mask: int):
     """Indices of set bits, ascending."""
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def upsets_of_up_masks(
@@ -68,14 +66,13 @@ class FiniteSpace:
 
     points: tuple[str, ...]
     min_nbhd: tuple[int, ...]
+    # read in nearly every loop, so plain attributes set once
+    n: int = field(init=False, repr=False, compare=False)
+    full: int = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def n(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def full(self) -> int:
-        return (1 << len(self.points)) - 1
+    def __post_init__(self):
+        object.__setattr__(self, "n", len(self.points))
+        object.__setattr__(self, "full", (1 << len(self.points)) - 1)
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
@@ -89,12 +86,12 @@ class FiniteSpace:
         """Is mask an up-set of the specialization preorder?"""
         if mask >> len(self.points):  # negative, or bits outside the points
             return False
-        x, rest = 0, mask
+        rest = mask
         while rest:
-            if rest & 1 and self.min_nbhd[x] & ~mask:
+            low = rest & -rest
+            if self.min_nbhd[low.bit_length() - 1] & ~mask:
                 return False
-            rest >>= 1
-            x += 1
+            rest ^= low
         return True
 
     def require_open(self, mask: int) -> None:
@@ -225,21 +222,22 @@ def from_preorder(
     idx = {p: i for i, p in enumerate(points)}
     if len(idx) != n:
         raise NotAPreorder("duplicate point names", None)
-    rel = set()
+    up_masks = [0] * n
     for a, b in relation:
         if a not in idx or b not in idx:
             raise NotAPreorder("pair mentions unknown point", (a, b))
-        rel.add((idx[a], idx[b]))
+        up_masks[idx[a]] |= 1 << idx[b]
     for i in range(n):
-        if (i, i) not in rel:
+        if not up_masks[i] >> i & 1:
             raise NotAPreorder("not reflexive", (points[i], points[i]))
-    for a, b in rel:
-        for c, d in rel:
-            if b == c and (a, d) not in rel:
+    # transitive: whatever lies above a point above a lies above a; the
+    # witness is the least a, then the least missing point
+    for a, up in enumerate(up_masks):
+        for b in bits(up):
+            missing = up_masks[b] & ~up
+            if missing:
+                d = (missing & -missing).bit_length() - 1
                 raise NotAPreorder("not transitive", (points[a], points[d]))
-    up_masks = [0] * n
-    for a, b in rel:
-        up_masks[a] |= 1 << b
     # in a preorder, up(x) is the smallest up-set containing x
     return FiniteSpace(points, tuple(up_masks))
 

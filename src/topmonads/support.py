@@ -228,9 +228,11 @@ def induced_V_algebra(
     if not verdict.is_algebra:
         raise NotAnHAlgebra("the given table is not a hyperspace algebra")
     n = a_space.n
+    hx = build_hyperspace(a_space)
 
     def e(nu: Valuation) -> int:
-        return algebra_evaluate(a_space, a_map, nu)
+        """algebra_evaluate on the HX built once above."""
+        return a_map[hx.point_of(support(nu).members)]
 
     unit_ok = all(e(unit_delta(a_space, x)) == x for x in range(n))
     mult_ok = True

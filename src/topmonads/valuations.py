@@ -188,16 +188,13 @@ class LowerSemiFn:
         )
         if len(self.values) != self.space.n:
             raise ShapeMismatch("one value per point required")
-        monotone = all(
-            self.values[x] <= self.values[y]
-            for x in range(self.space.n)
-            for y in range(self.space.n)
-            if self.space.leq(x, y)
-        )
-        if not monotone:
-            raise NotLowerSemicontinuous(
-                "values are not monotone for specialization"
-            )
+        values = self.values
+        for x, up in enumerate(self.space.min_nbhd):
+            for y in bits(up):
+                if not values[x] <= values[y]:
+                    raise NotLowerSemicontinuous(
+                        "values are not monotone for specialization"
+                    )
 
     def __call__(self, x: int) -> ExtRat:
         if x not in range(self.space.n):

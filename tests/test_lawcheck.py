@@ -1,15 +1,17 @@
 """Generators, suites, shrinking, and the mutation harness."""
 
 import itertools
+import random
 
 import pytest
 
+from topmonads import hyperspace as hy
 from topmonads import lawcheck as lc
 from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
 from topmonads.errors import NotAFailure, UnknownSuite
-from topmonads.extrat import ONE, ZERO, ext
+from topmonads.extrat import INF, ONE, ZERO, ext
 
 
 def signature(space):
@@ -206,3 +208,63 @@ def test_rand_kernel_is_continuous_by_construction():
     cfg = lc.GenConfig(seed=31)
     k = lc.rand_kernel(rng, cfg, sp.sierpinski(), sp.w_lattice())
     assert k.source.n == 2 and k.target.n == 4
+
+
+# --- memoised oracles against their direct routes -------------------------------
+
+
+def test_open_iterated_integrals_are_the_direct_ones():
+    # every product of a topology on at most 2 points with one on at most 3,
+    # both ways round, with weights that include oo
+    rng = random.Random(17)
+    weights = (ZERO, ext("1/2"), ONE, ext(3), INF)
+    small = [t for n in range(3) for t in lc.all_topologies(n)]
+    larger = [t for n in range(4) for t in lc.all_topologies(n)]
+    with_inf = 0
+    for a, b in [*itertools.product(small, larger), *itertools.product(larger, small)]:
+        prod = sp.product(a, b)
+        nu = va.valuation_from_weights(a, [rng.choice(weights) for _ in range(a.n)])
+        rho = va.valuation_from_weights(b, [rng.choice(weights) for _ in range(b.n)])
+        with_inf += INF in nu.weights + rho.weights
+        direct = [
+            lc.iterated_integrals(prod, nu, rho, va.indicator(prod.space, w))
+            for w in prod.space.opens
+        ]
+        assert list(lc.open_iterated_integrals(prod, nu, rho)) == direct
+    assert with_inf > 100
+
+
+def _outcome(law):
+    try:
+        return law()
+    except Exception as exc:  # a raising law fails its check; compare the type
+        return type(exc)
+
+
+def _associativity_verdicts(shared: bool) -> list:
+    rng = random.Random(23)
+    verdicts = []
+    for space in (t for n in range(4) for t in lc.all_topologies(n)):
+        hx = hy.build_hyperspace(space)
+        hhx = hy.inclusion_downsets(hx.members)
+        if len(hhx) <= 8:
+            xi_masks = hy.inclusion_downsets(hhx)
+        else:
+            xi_masks = [lc._rand_downset(rng, hhx) for _ in range(20)]
+        inner: dict = {}
+        for xi in xi_masks:
+            memo = inner if shared else {}
+            verdicts.append(_outcome(lambda: lc.h_associativity(hx, hhx, xi, memo)))
+    return verdicts
+
+
+def test_associativity_with_one_memo_per_space_gives_the_fresh_verdicts(monkeypatch):
+    verdicts = _associativity_verdicts(shared=True)
+    assert verdicts == _associativity_verdicts(shared=False)
+    assert all(v is True for v in verdicts)
+    # the mutated multiplication, which the memo still calls, fails some
+    _, attr, mutant = lc.MUTATIONS["mult-union-intersection"]
+    monkeypatch.setattr(hy, attr, mutant)
+    verdicts = _associativity_verdicts(shared=True)
+    assert verdicts == _associativity_verdicts(shared=False)
+    assert any(v is not True for v in verdicts)

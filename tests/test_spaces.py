@@ -57,6 +57,59 @@ def test_from_preorder_requires_reflexivity_and_transitivity():
         )
 
 
+def test_from_preorder_names_the_least_transitivity_witness():
+    # a < b and b < c, b < d are given, a < c and a < d are missing; the
+    # witness is the least point with a gap, then the least missing point
+    names = ("a", "b", "c", "d")
+    rel = [(p, p) for p in names] + [("a", "b"), ("b", "c"), ("b", "d"), ("c", "d")]
+    for order in (rel, rel[::-1], sorted(rel, key=lambda pair: pair[::-1])):
+        with pytest.raises(NotAPreorder) as info:
+            sp.from_preorder(names, order)
+        assert (info.value.reason, info.value.witness) == ("not transitive", ("a", "c"))
+
+
+def test_from_preorder_agrees_with_the_pairwise_scan():
+    # every relation on at most 3 points: accepted exactly when reflexive
+    # and closed under composition of pairs
+    for n in range(4):
+        names = tuple("abc"[:n])
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        for selector in range(1 << len(pairs)):
+            rel = {pairs[k] for k in sp.bits(selector)}
+            valid = all((i, i) in rel for i in range(n)) and all(
+                (a, d) in rel for a, b in rel for c, d in rel if b == c
+            )
+            named = [(names[a], names[b]) for a, b in rel]
+            if valid:
+                space = sp.from_preorder(names, named)
+                order = {(a, b) for a in range(n) for b in range(n) if space.leq(a, b)}
+                assert order == rel
+            else:
+                with pytest.raises(NotAPreorder):
+                    sp.from_preorder(names, named)
+
+
+def test_chain_of_64_points():
+    c = sp.chain(64)
+    assert c.n == 64 and c.full == (1 << 64) - 1
+    assert c.min_nbhd == tuple(c.full & ~((1 << i) - 1) for i in range(64))
+    assert len(c.opens) == 65
+    assert c.closure(1 << 63) == c.full
+
+
+def test_mask_kernels_agree_with_bit_scans():
+    for mask in [*range(1 << 10), (1 << 64) - 1, 1 << 100 | 5]:
+        scan = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert list(sp.bits(mask)) == scan
+    for n in range(4):
+        for space in all_topologies(n):
+            for mask in range(1 << n + 1):
+                upset = mask <= space.full and all(
+                    space.min_nbhd[x] & ~mask == 0 for x in range(n) if mask >> x & 1
+                )
+                assert space.is_open(mask) == upset
+
+
 def test_preorder_round_trip():
     for space in (sp.sierpinski(), sp.discrete(3), sp.chain(4), sp.w_lattice()):
         rebuilt = sp.from_preorder(space.points, space.specialization())

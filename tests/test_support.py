@@ -11,7 +11,13 @@ from topmonads import support as su
 from topmonads import valuations as va
 from topmonads.errors import NotAnHAlgebra
 from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
-from topmonads.lawcheck import GenConfig, rand_sso, rand_valuation
+from topmonads.lawcheck import (
+    MUTATIONS,
+    GenConfig,
+    all_topologies,
+    rand_sso,
+    rand_valuation,
+)
 
 
 def test_support_of_dirac_is_point_closure():
@@ -152,3 +158,47 @@ def test_algebra_evaluate_is_join_of_support():
     x, y, top = w.index("x"), w.index("y"), w.index("t")
     nu = va.valuation_from_weights(w, (ZERO, ONE, ONE, ZERO))  # mass on x, y
     assert su.algebra_evaluate(w, joins, nu) == top
+
+
+def _cone_tables(space, joins):
+    """induced_V_algebra's tables, and the same from algebra_evaluate."""
+    report = su.induced_V_algebra(space, joins)
+
+    def e(pairs):
+        weights = [ZERO] * space.n
+        for c, x in pairs:
+            weights[x] = weights[x] + c
+        nu = va.valuation_from_weights(space, weights)
+        return su.algebra_evaluate(space, joins, nu)
+
+    points = range(space.n)
+    direct = (
+        tuple(tuple(e([(ONE, x), (ONE, y)]) for y in points) for x in points),
+        tuple(tuple(e([(r, x)]) for x in points) for r in report.smul_grid),
+        e([]),
+    )
+    return (report.add_table, report.smul_table, report.zero_element), direct
+
+
+def test_induced_algebra_evaluates_as_algebra_evaluate(monkeypatch):
+    # every join algebra on at most 3 points; the report looks support up
+    # when it runs, so a patched support reaches it
+    algebras = []
+    for space in (t for n in range(4) for t in all_topologies(n)):
+        joins = hy.join_algebra_map(space)
+        if joins is not None and hy.check_H_algebra(space, joins).is_algebra:
+            algebras.append((space, joins))
+    assert len(algebras) == 9
+    pristine = []
+    for space, joins in algebras:
+        tables, direct = _cone_tables(space, joins)
+        assert tables == direct
+        pristine.append(tables)
+    _, attr, mutant = MUTATIONS["support-null-union"]
+    monkeypatch.setattr(su, attr, mutant)
+    mutated = []
+    for space, joins in algebras:
+        tables, direct = _cone_tables(space, joins)
+        assert tables == direct
+        mutated.append(tables)
+    assert mutated != pristine

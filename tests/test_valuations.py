@@ -12,6 +12,7 @@ from topmonads.errors import (
     LawViolation,
     NotAKernel,
     NotAPreorder,
+    NotLowerSemicontinuous,
     NotModular,
     NotMonotone,
     NotStrict,
@@ -105,6 +106,27 @@ def test_lsc_validation():
     for x in (-1, 2):
         with pytest.raises(ShapeMismatch):
             g(x)
+
+
+def test_lsc_check_is_the_pairwise_monotonicity_scan():
+    # every {0, 1, oo}-valued function on every topology with at most 3 points
+    for n in range(4):
+        for space in all_topologies(n):
+            for values in itertools.product((ZERO, ONE, INF), repeat=n):
+                monotone = all(
+                    values[x] <= values[y]
+                    for x in range(n)
+                    for y in range(n)
+                    if space.leq(x, y)
+                )
+                if monotone:
+                    assert va.LowerSemiFn(space, values).values == values
+                else:
+                    with pytest.raises(
+                        NotLowerSemicontinuous,
+                        match="values are not monotone for specialization",
+                    ):
+                        va.LowerSemiFn(space, values)
 
 
 def test_integration_against_brute_force_oracle():
