@@ -81,15 +81,20 @@ def space_document(space: spaces.FiniteSpace, name: str | None = None) -> dict:
     return doc
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def parse_space(doc: dict) -> spaces.FiniteSpace:
     if not isinstance(doc, dict):
         raise MalformedDocument("space document must be an object")
     if doc.get("schema") not in (None, SCHEMA_VERSION):
         raise MalformedDocument(f"unsupported schema {doc.get('schema')!r}")
-    try:
-        points = [str(p) for p in doc["points"]]
-    except (KeyError, TypeError) as exc:
-        raise MalformedDocument("space document needs a points list") from exc
+    if "points" not in doc:
+        raise MalformedDocument("space document needs a points list")
+    points = [str(p) for p in _array(doc["points"], "points")]
     has_opens = "opens" in doc
     has_preorder = "preorder" in doc
     if has_opens == has_preorder:
@@ -99,16 +104,25 @@ def parse_space(doc: dict) -> spaces.FiniteSpace:
     if has_opens:
         index = {p: i for i, p in enumerate(points)}
         masks = []
-        for u in doc["opens"]:
+        for u in _array(doc["opens"], "opens"):
             mask = 0
-            for p in u:
-                if p not in index:
-                    raise MalformedDocument(f"open mentions unknown point {p!r}")
-                mask |= 1 << index[p]
+            for p in _array(u, "open"):
+                try:
+                    mask |= 1 << index[p]
+                except (KeyError, TypeError) as exc:  # TypeError: unhashable
+                    raise MalformedDocument(
+                        f"open mentions unknown point {p!r}"
+                    ) from exc
             masks.append(mask)
         space = spaces.from_opens(points, masks)
     else:
-        relation = [(str(a), str(b)) for a, b in doc["preorder"]]
+        relation = []
+        for pair in _array(doc["preorder"], "preorder"):
+            if len(_array(pair, "preorder pair")) != 2:
+                raise MalformedDocument(
+                    f"preorder pair {pair!r} needs exactly two entries"
+                )
+            relation.append((str(pair[0]), str(pair[1])))
         space = spaces.from_preorder(points, relation)
     want = doc.get("opens_checksum")
     if want is not None and want != _opens_checksum(space):

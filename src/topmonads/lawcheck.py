@@ -15,8 +15,11 @@ preimage lattices, live here as oracles, each compared in a named law of
 the suite that owns the operation.
 
 The mutation harness re-runs selected suites with one semantic bug patched in
-(see MUTATIONS) and asserts that at least one suite notices; the ten
-mutations are:
+(see MUTATIONS) and asserts that at least one suite notices.
+mutation_detected ends at the first failing check, with no report;
+run_with_mutation runs the same suites to the end and gives the full
+reports, with replay lines and shrunk counterexamples.  The ten mutations
+are:
 
   1. push-closed-no-closure      image of a closed set not closed over
   2. sigma-no-closure            unit returns the bare singleton
@@ -369,42 +372,50 @@ class _Run:
         self.cfg = cfg
         self.instances = 0
         self.failures: list[Failure] = []
+        self.replay = (
+            f"laws {suite} --seed {cfg.seed}"
+            f" --max-points {cfg.max_points}"
+            f" --count {cfg.instance_count}"
+        )
 
     def check(self, thunk, message: str, cex: Counterexample | None = None):
         index = self.instances
         self.instances += 1
-        replay = (
-            f"laws {self.suite} --seed {self.cfg.seed}"
-            f" --max-points {self.cfg.max_points}"
-            f" --count {self.cfg.instance_count}"
-        )
         try:
             ok = thunk()
         except Exception as exc:
-            self.failures.append(
-                Failure(
-                    index,
-                    f"{message}: {type(exc).__name__}: {exc}",
-                    replay,
-                    self._shrunk(cex),
-                )
-            )
+            self.fail(index, f"{message}: {type(exc).__name__}: {exc}", cex)
             return
         if ok is False:
-            self.failures.append(Failure(index, message, replay, self._shrunk(cex)))
+            self.fail(index, message, cex)
 
     def check_law(self, cex: Counterexample, message: str):
         """Check cex's law on cex itself, shrinking it if the law fails."""
         self.check(lambda: cex.law(cex.space, cex.valuations()), message, cex)
 
-    @staticmethod
-    def _shrunk(cex):
-        if cex is None:
-            return None
-        try:
-            return shrink(cex)
-        except NotAFailure:
-            return cex
+    def fail(self, index: int, message: str, cex: Counterexample | None):
+        """Record a failure with the replay line and the shrunk cex."""
+        if cex is not None:
+            try:
+                cex = shrink(cex)
+            except NotAFailure:
+                pass
+        self.failures.append(Failure(index, message, self.replay, cex))
+
+
+class _Detected(BaseException):
+    """Raised by _DetectingRun at the first failure.
+
+    A BaseException, so that the handlers of run_suite and of the suites
+    let it through to mutation_detected.
+    """
+
+
+class _DetectingRun(_Run):
+    """A run that ends at its first failing check, with no report."""
+
+    def fail(self, index, message, cex):
+        raise _Detected
 
 
 def _spaces(cfg, limit=None, min_points=0, max_points=None):
@@ -2119,23 +2130,25 @@ SUITES = {
 }
 
 
+def _execute(run: _Run) -> None:
+    """Run run.suite into run; a raise outside any check is one failure."""
+    try:
+        SUITES[run.suite](run.cfg, run)
+    except Exception as exc:
+        run.instances += 1
+        run.fail(
+            run.instances - 1,
+            f"suite aborted: {type(exc).__name__}: {exc}",
+            None,
+        )
+
+
 def run_suite(name: str, cfg: GenConfig) -> SuiteReport:
     if name not in SUITES:
         raise UnknownSuite(name)
     run = _Run(name, cfg)
     start = time.monotonic()
-    try:
-        SUITES[name](cfg, run)
-    except Exception as exc:
-        run.instances += 1
-        run.failures.append(
-            Failure(
-                run.instances - 1,
-                f"suite aborted: {type(exc).__name__}: {exc}",
-                f"laws {name} --seed {cfg.seed} --max-points {cfg.max_points}"
-                f" --count {cfg.instance_count}",
-            )
-        )
+    _execute(run)
     return SuiteReport(
         name, run.instances, tuple(run.failures), time.monotonic() - start
     )
@@ -2267,11 +2280,19 @@ def _patched(holder, attr: str, value):
         setattr(holder, attr, original)
 
 
-def run_with_mutation(name: str, cfg: GenConfig, suites=None) -> list[SuiteReport]:
-    """Re-run the detecting suites with one semantic bug patched in."""
+def _mutation(name: str):
     if name not in MUTATIONS:
         raise UnknownSuite(f"unknown mutation {name}")
-    holder, attr, mutant = MUTATIONS[name]
+    return MUTATIONS[name]
+
+
+def run_with_mutation(name: str, cfg: GenConfig, suites=None) -> list[SuiteReport]:
+    """Re-run the detecting suites with one semantic bug patched in.
+
+    Each report is complete: every failure, its replay line and its shrunk
+    counterexample.
+    """
+    holder, attr, mutant = _mutation(name)
     if suites is None:
         suites = DETECTING_SUITES[name]
     with _patched(holder, attr, mutant):
@@ -2279,4 +2300,18 @@ def run_with_mutation(name: str, cfg: GenConfig, suites=None) -> list[SuiteRepor
 
 
 def mutation_detected(name: str, cfg: GenConfig) -> bool:
-    return any(not report.ok for report in run_with_mutation(name, cfg))
+    """Whether some detecting suite fails with the mutation patched in.
+
+    Detection ends at the first failing check (or suite abort): it builds
+    no report, shrinks nothing, and runs no later check or suite.  It gives
+    the verdict of any(not r.ok for r in run_with_mutation(name, cfg)),
+    which gives the full reports.
+    """
+    holder, attr, mutant = _mutation(name)
+    with _patched(holder, attr, mutant):
+        try:
+            for suite in DETECTING_SUITES[name]:
+                _execute(_DetectingRun(suite, cfg))
+        except _Detected:
+            return True
+    return False

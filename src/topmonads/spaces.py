@@ -151,12 +151,11 @@ class FiniteSpace:
         if subset & ~self.full:
             raise ShapeMismatch("subset has bits outside the point set")
         closures = self._point_closures
-        acc, y = 0, 0
+        acc = 0
         while subset:
-            if subset & 1:
-                acc |= closures[y]
-            subset >>= 1
-            y += 1
+            low = subset & -subset
+            acc |= closures[low.bit_length() - 1]
+            subset ^= low
         return acc
 
     def closed_sets(self) -> list[int]:

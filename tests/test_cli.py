@@ -253,3 +253,31 @@ def test_valuation_document_round_trip(tmp_path):
     nu = va.valuation_from_weights(s, (ext("1/2"), ext("1/3")))
     doc = cli.valuation_document(nu)
     assert cli.parse_valuation(doc) == nu
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"points": ["a", "b"], "opens": [[], ["a", ["b"]], ["a", "b"]]},
+        {"points": ["a", "b"], "opens": 5},
+        {"points": ["a", "b"], "opens": [[], "ab"]},
+        {"points": "ab", "opens": [[], ["a", "b"]]},
+        {"points": ["a", "b"], "preorder": [["a", "a"], ["b"]]},
+        {"points": ["a", "b"], "preorder": "ab"},
+        {"points": ["a", "b"], "preorder": [["a", "a"], "ab"]},
+    ],
+    ids=[
+        "list-inside-open",
+        "opens-not-array",
+        "open-as-string",
+        "points-as-string",
+        "one-entry-pair",
+        "preorder-as-string",
+        "pair-as-string",
+    ],
+)
+def test_space_validate_malformed_shapes_exit_1(capsys, tmp_path, doc):
+    path = write_json(tmp_path, "shape.json", doc)
+    code, _, err = run_cli(capsys, "space", "validate", path)
+    assert code == 1
+    assert json.loads(err)["error"] == "malformed"

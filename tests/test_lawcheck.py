@@ -159,9 +159,66 @@ def test_mutations_are_ten_and_all_detected():
 
 def test_mutation_patching_is_scoped():
     cfg = lc.GenConfig(seed=42, max_points=2, instance_count=10)
-    assert lc.mutation_detected("sigma-no-closure", cfg)
+    for name, (holder, attr, _) in lc.MUTATIONS.items():
+        original = getattr(holder, attr)
+        lc.mutation_detected(name, cfg)
+        assert getattr(holder, attr) is original, name
     # after the harness exits, the pristine suite passes again
     assert lc.run_suite("supp-unit", cfg).ok
+
+
+def _full_route_detects(name, cfg):
+    return any(not report.ok for report in lc.run_with_mutation(name, cfg))
+
+
+@pytest.mark.parametrize("seed", [42, 10011])
+@pytest.mark.parametrize("allow_infinity", [True, False])
+def test_early_exit_detection_matches_the_full_reports(seed, allow_infinity):
+    cfg = lc.GenConfig(
+        seed=seed,
+        max_points=3,
+        instance_count=20,
+        allow_infinity=allow_infinity,
+    )
+    for name in lc.MUTATIONS:
+        assert lc.mutation_detected(name, cfg) == _full_route_detects(name, cfg), name
+
+
+def test_a_mutation_that_changes_nothing_is_not_detected(monkeypatch):
+    monkeypatch.setattr(
+        lc, "MUTATIONS", {"identity": (hy, "unit_sigma", hy.unit_sigma)}
+    )
+    monkeypatch.setattr(lc, "DETECTING_SUITES", {"identity": ("supp-unit", "h-monad")})
+    cfg = lc.GenConfig(seed=42, max_points=3, instance_count=20)
+    assert not lc.mutation_detected("identity", cfg)
+    assert not _full_route_detects("identity", cfg)
+
+
+def _raises_outside_checks():
+    raise RuntimeError("patched space constructor")
+
+
+def test_a_suite_aborted_by_a_mutation_counts_as_detected(monkeypatch):
+    monkeypatch.setattr(
+        lc, "MUTATIONS", {"abort": (sp, "w_lattice", _raises_outside_checks)}
+    )
+    monkeypatch.setattr(lc, "DETECTING_SUITES", {"abort": ("algebra-transfer",)})
+    original = sp.w_lattice
+    cfg = lc.GenConfig(seed=42, max_points=4, instance_count=20)
+    assert lc.mutation_detected("abort", cfg)
+    (report,) = lc.run_with_mutation("abort", cfg)
+    assert [f.message for f in report.failures] == [
+        "suite aborted: RuntimeError: patched space constructor"
+    ]
+    assert sp.w_lattice is original
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2, 3, 10011])
+@pytest.mark.parametrize("allow_infinity", [True, False])
+def test_every_mutation_is_detected_at_the_gate_seeds(seed, allow_infinity):
+    cfg = lc.GenConfig(seed=seed, allow_infinity=allow_infinity)
+    missed = [name for name in lc.MUTATIONS if not lc.mutation_detected(name, cfg)]
+    assert not missed
 
 
 def test_mutated_reports_carry_replay_lines():
