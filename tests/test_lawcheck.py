@@ -161,7 +161,7 @@ def test_mutation_patching_is_scoped():
     cfg = lc.GenConfig(seed=42, max_points=2, instance_count=10)
     for name, (holder, attr, _) in lc.MUTATIONS.items():
         original = getattr(holder, attr)
-        lc.mutation_detected(name, cfg)
+        assert lc.mutation_detected(name, cfg), name
         assert getattr(holder, attr) is original, name
     # after the harness exits, the pristine suite passes again
     assert lc.run_suite("supp-unit", cfg).ok
