@@ -87,6 +87,12 @@ def _array(value, what: str) -> list:
     return value
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedDocument(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_space(doc: dict) -> spaces.FiniteSpace:
     if not isinstance(doc, dict):
         raise MalformedDocument("space document must be an object")
@@ -174,7 +180,7 @@ def parse_valuation(doc: dict, base_dir: str = ".") -> Valuation:
     if has_weights:
         index = {p: i for i, p in enumerate(space.points)}
         weights = [ext("0")] * space.n
-        for p, r in doc["weights"].items():
+        for p, r in _object(doc["weights"], "weights").items():
             if p not in index:
                 raise MalformedDocument(f"weight names unknown point {p!r}")
             weights[index[p]] = _parse_rational(r)
@@ -183,7 +189,7 @@ def parse_valuation(doc: dict, base_dir: str = ".") -> Valuation:
     if want is not None and want != _opens_checksum(space):
         raise MalformedDocument("opens_checksum does not match the open list")
     table = [ext("0")] * len(space.opens)
-    for key, r in doc["table"].items():
+    for key, r in _object(doc["table"], "table").items():
         try:
             i = int(key)
         except ValueError as exc:
@@ -212,7 +218,7 @@ def parse_lsc(doc: dict, space=None, base_dir: str = ".") -> valuations.LowerSem
         space = _resolve_space(doc["space"], base_dir)
     index = {p: i for i, p in enumerate(space.points)}
     values = [ext("0")] * space.n
-    for p, r in doc["values"].items():
+    for p, r in _object(doc["values"], "values").items():
         if p not in index:
             raise MalformedDocument(f"function names unknown point {p!r}")
         values[index[p]] = _parse_rational(r)
@@ -228,8 +234,8 @@ def parse_map(doc: dict, base_dir: str = ".") -> spaces.ContinuousMap:
     tgt_index = {p: i for i, p in enumerate(target.points)}
     assignment = [0] * source.n
     seen = set()
-    for a, b in doc["assignment"].items():
-        if a not in src_index or b not in tgt_index:
+    for a, b in _object(doc["assignment"], "assignment").items():
+        if a not in src_index or not isinstance(b, str) or b not in tgt_index:
             raise MalformedDocument(f"assignment names unknown point {a!r}->{b!r}")
         assignment[src_index[a]] = tgt_index[b]
         seen.add(a)

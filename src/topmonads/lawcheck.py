@@ -2,7 +2,14 @@
 sensitivity checks.
 
 Every suite draws its instances from deterministic streams seeded by a
-GenConfig, so identical configurations replay identical checks.
+GenConfig, so identical configurations replay identical checks.  Two rules
+keep a run that ends early (mutation_detected) cheap:
+
+  - streams are drawn lazily: _spaces and _space_pairs are iterators, so a
+    run builds a space only when it checks one;
+  - fixed witnesses come before random instances: a suite checks the
+    canned cases that draw nothing from an RNG first, ahead of its loops
+    over the streams.
 
 The library computes each operation by one route.  Second routes, such as
 hit identities, integral forms, the layer-cake integral, the
@@ -40,7 +47,7 @@ import contextlib
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import hyperspace as hy
@@ -49,6 +56,7 @@ from . import spaces as sp
 from . import support as su
 from . import valuations as va
 from .errors import (
+    InfiniteMass,
     InfinityIndeterminate,
     NotAFailure,
     NotATopology,
@@ -56,6 +64,7 @@ from .errors import (
     NotModular,
     NotMonotone,
     NotStrict,
+    ShapeMismatch,
     UnknownSuite,
 )
 from .extrat import ExtRat, INF, ONE, ZERO, ext, sgn
@@ -269,15 +278,17 @@ def _rand_downset(rng, member_masks) -> int:
 class Counterexample:
     """A law instance given by a space plus valuations-as-weight-lists.
 
-    `law` takes (space, [valuations]) and returns True when the law holds;
-    shrinking preserves failure while dropping points, zeroing weights,
-    and simplifying fractions.
+    `law` takes (space, [valuations]) and returns True when the law holds.
+    `raises` is the exception type the original instance raised, or None
+    when its law returned False.  Shrinking preserves that failure while
+    dropping points, zeroing weights, and simplifying fractions.
     """
 
     space: sp.FiniteSpace
     weight_lists: tuple[tuple[ExtRat, ...], ...]
     law: object
     description: str = ""
+    raises: type[Exception] | None = None
 
     def valuations(self) -> list[va.Valuation]:
         return [
@@ -285,10 +296,19 @@ class Counterexample:
         ]
 
     def holds(self) -> bool:
-        try:
+        """Whether this instance escapes the original failure.
+
+        The failure is a False verdict when raises is None, and an
+        exception of type raises otherwise.  Any other exception
+        propagates, so a shrink never walks from one failure to another.
+        """
+        if self.raises is None:
             return bool(self.law(self.space, self.valuations()))
-        except Exception:
+        try:
+            self.law(self.space, self.valuations())
+        except self.raises:
             return False
+        return True
 
     def size(self) -> tuple:
         weight_size = 0
@@ -305,15 +325,13 @@ def _drop_point(cex: Counterexample, x: int) -> Counterexample:
     sub, _ = sp.subspace(cex.space, cex.space.full & ~(1 << x))
     kept = [y for y in range(cex.space.n) if y != x]
     lists = tuple(tuple(wl[y] for y in kept) for wl in cex.weight_lists)
-    return Counterexample(sub, lists, cex.law, cex.description)
+    return replace(cex, space=sub, weight_lists=lists)
 
 
 def _set_weight(cex: Counterexample, i: int, j: int, value: ExtRat) -> Counterexample:
     lists = list(map(list, cex.weight_lists))
     lists[i][j] = value
-    return Counterexample(
-        cex.space, tuple(map(tuple, lists)), cex.law, cex.description
-    )
+    return replace(cex, weight_lists=tuple(map(tuple, lists)))
 
 
 def _simpler_weights(w: ExtRat):
@@ -340,7 +358,7 @@ def shrink(cex: Counterexample) -> Counterexample:
         for x in range(current.space.n):
             try:
                 cand = _drop_point(current, x)
-            except Exception:
+            except (ShapeMismatch, NotATopology):  # what sp.subspace raises
                 continue
             if not cand.holds():
                 current = cand
@@ -384,6 +402,8 @@ class _Run:
         try:
             ok = thunk()
         except Exception as exc:
+            if cex is not None:
+                cex = replace(cex, raises=type(exc))
             self.fail(index, f"{message}: {type(exc).__name__}: {exc}", cex)
             return
         if ok is False:
@@ -394,13 +414,17 @@ class _Run:
         self.check(lambda: cex.law(cex.space, cex.valuations()), message, cex)
 
     def fail(self, index: int, message: str, cex: Counterexample | None):
-        """Record a failure with the replay line and the shrunk cex."""
-        if cex is not None:
-            try:
-                cex = shrink(cex)
-            except NotAFailure:
-                pass
+        """Record a failure with the replay line, then shrink its cex.
+
+        The failure is recorded before the shrink, so it stays in the
+        report when a smaller instance raises another error, which then
+        aborts the suite.
+        """
         self.failures.append(Failure(index, message, self.replay, cex))
+        if cex is not None:
+            with contextlib.suppress(NotAFailure):
+                shrunk = shrink(cex)
+                self.failures[-1] = replace(self.failures[-1], counterexample=shrunk)
 
 
 class _Detected(BaseException):
@@ -419,31 +443,28 @@ class _DetectingRun(_Run):
 
 
 def _spaces(cfg, limit=None, min_points=0, max_points=None):
+    """The first limit spaces of the stream with min_points..max_points
+    points, drawn lazily."""
     limit = cfg.instance_count if limit is None else limit
-    out = []
-    for space in generate_space(cfg):
-        if len(out) >= limit:
-            break
-        if space.n < min_points:
-            continue
-        if max_points is not None and space.n > max_points:
-            continue
-        out.append(space)
-    return out
+    fitting = (
+        s
+        for s in generate_space(cfg)
+        if s.n >= min_points and (max_points is None or s.n <= max_points)
+    )
+    return itertools.islice(fitting, max(limit, 0))
 
 
 def _space_pairs(cfg, limit=None, min_points=0, max_points=None, max_opens=None):
+    """Up to limit pairs of neighbours among the first 2 * limit spaces of
+    _spaces, skipping pairs whose open counts multiply past max_opens."""
     spaces = _spaces(cfg, (limit or cfg.instance_count) * 2, min_points, max_points)
-    pairs = []
     limit = cfg.instance_count if limit is None else limit
-    for i in range(len(spaces) - 1):
-        if len(pairs) >= limit:
-            break
-        a, b = spaces[i], spaces[i + 1]
-        if max_opens is not None and len(a.opens) * len(b.opens) > max_opens:
-            continue
-        pairs.append((a, b))
-    return pairs
+    pairs = itertools.pairwise(spaces)
+    if max_opens is not None:
+        pairs = (
+            (a, b) for a, b in pairs if len(a.opens) * len(b.opens) <= max_opens
+        )
+    return itertools.islice(pairs, max(limit, 0))
 
 
 # --- H-monad helpers (order-level, no iterated topologies) --------------------
@@ -1099,8 +1120,16 @@ def _suite_topology_core(cfg: GenConfig, run: _Run):
 
 def _suite_h_monad(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 2)
-    spaces = _spaces(cfg, max_points=min(cfg.max_points, 3))
-    for space in spaces:
+    # canned naturality witness: collapse a discrete pair onto the open point
+    if cfg.max_points >= 2:
+        d2, s2 = sp.discrete(2), sp.sierpinski()
+        f = sp.ContinuousMap(d2, s2, (s2.index("1"), s2.index("1")))
+        run.check(
+            lambda: hy.push_closed(f, hy.ClosedSet(d2, 1)).members
+            == s2.mask_of(["0", "1"]),
+            "pushing a point closure takes the closure of the image",
+        )
+    for space in _spaces(cfg, max_points=min(cfg.max_points, 3)):
         hx = hy.build_hyperspace(space)
         run.check(
             lambda h=hx: hy._vietoris_topology(h) == set(h.space.opens),
@@ -1146,15 +1175,6 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
                 lambda h=hx, d=hhx, m=xi, c=inner: h_associativity(h, d, m, c),
                 "associativity law",
             )
-    # canned naturality witness: collapse a discrete pair onto the open point
-    if cfg.max_points >= 2:
-        d2, s2 = sp.discrete(2), sp.sierpinski()
-        f = sp.ContinuousMap(d2, s2, (s2.index("1"), s2.index("1")))
-        run.check(
-            lambda: hy.push_closed(f, hy.ClosedSet(d2, 1)).members
-            == s2.mask_of(["0", "1"]),
-            "pushing a point closure takes the closure of the image",
-        )
     for a, b in _space_pairs(cfg, max_points=min(cfg.max_points, 3)):
         f = rand_map(rng, a, b)
         if f is None:
@@ -1478,7 +1498,7 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
         )
     # Kleisli composition: units, associativity, and the molecular route
     triples = _space_pairs(cfg, min_points=1)
-    for a, b in triples[: max(4, cfg.instance_count // 4)]:
+    for a, b in itertools.islice(triples, max(4, cfg.instance_count // 4)):
         rngk = random.Random(cfg.seed + 7 + a.n + b.n)
         h = rand_kernel(rngk, cfg, a, b)
         k = rand_kernel(rngk, cfg, b, a)
@@ -2182,8 +2202,6 @@ def _mutant_sgn(value):
 
 
 def _mutant_integrate(nu, g):
-    from .errors import ShapeMismatch
-
     if nu.space != g.space:
         raise ShapeMismatch("valuation and function live on different spaces")
     finite_values = sorted({v.frac for v in g.values if v.is_finite})
@@ -2219,8 +2237,6 @@ def _mutant_support(nu):
 
 def _mutant_closure(self, subset):
     if subset & ~self.full:
-        from .errors import ShapeMismatch
-
         raise ShapeMismatch("subset has bits outside the point set")
     acc = 0
     for x in sp.bits(subset):
@@ -2229,8 +2245,6 @@ def _mutant_closure(self, subset):
 
 
 def _mutant_extend(nu):
-    from .errors import InfiniteMass
-
     if nu.mass.is_infinite:
         raise InfiniteMass("only finite-mass valuations extend to measures")
     space = nu.space

@@ -281,3 +281,41 @@ def test_space_validate_malformed_shapes_exit_1(capsys, tmp_path, doc):
     code, _, err = run_cli(capsys, "space", "validate", path)
     assert code == 1
     assert json.loads(err)["error"] == "malformed"
+
+
+ONE_POINT = {"points": ["a"], "opens": [[], ["a"]]}
+UNIT_MASS = {"space": ONE_POINT, "weights": {"a": "1"}}
+
+
+def _map(assignment):
+    return {"source": ONE_POINT, "target": ONE_POINT, "assignment": assignment}
+
+
+@pytest.mark.parametrize(
+    "subcommand, valuation, extra",
+    [
+        ("supp", {"space": ONE_POINT, "weights": ["a"]}, None),
+        ("supp", {"space": ONE_POINT, "weights": "a"}, None),
+        ("validate", {"space": ONE_POINT, "table": ["0", "1"]}, None),
+        ("integrate", UNIT_MASS, ("--function", {"values": ["a"]})),
+        ("push", UNIT_MASS, ("--map", _map([["a", "a"]]))),
+        ("push", UNIT_MASS, ("--map", _map({"a": ["a"]}))),
+    ],
+    ids=[
+        "weights-as-array",
+        "weights-as-string",
+        "table-as-array",
+        "values-as-array",
+        "assignment-as-array",
+        "assignment-target-as-array",
+    ],
+)
+def test_val_malformed_shapes_exit_1(capsys, tmp_path, subcommand, valuation, extra):
+    argv = ["val", subcommand, write_json(tmp_path, "val.json", valuation)]
+    if extra is not None:
+        flag, doc = extra
+        argv += [flag, write_json(tmp_path, "extra.json", doc)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(err)["error"] == "malformed"
+

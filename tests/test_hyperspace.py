@@ -12,6 +12,7 @@ from topmonads.errors import (
     ShapeMismatch,
 )
 from topmonads.lawcheck import (
+    all_topologies,
     count_valid_functional_tables,
     h_associativity,
     h_left_unit,
@@ -146,6 +147,32 @@ def test_mult_union():
     for idx in (-1, 3):
         with pytest.raises(ShapeMismatch):
             hx.closed_of(idx)
+
+
+def _down_closed_under_inclusion(hx, mask):
+    """Every member below a member of the family is in the family."""
+    return all(
+        mask >> j & 1
+        for i in sp.bits(mask)
+        for j, m in enumerate(hx.members)
+        if m & ~hx.members[i] == 0
+    )
+
+
+def test_mult_union_accepts_exactly_the_inclusion_down_sets():
+    # every int family on every topology with at most 3 points
+    accepted = 0
+    for space in (t for n in range(4) for t in all_topologies(n)):
+        hx = hy.build_hyperspace(space)
+        for mask in range(1 << len(hx.members)):
+            try:
+                hy.mult_union(hx, mask)
+            except NotClosedFamily:
+                assert not _down_closed_under_inclusion(hx, mask)
+            else:
+                assert _down_closed_under_inclusion(hx, mask)
+                accepted += 1
+    assert accepted > 0
 
 
 def test_unit_laws_exhaustive_small():

@@ -10,7 +10,7 @@ from topmonads import lawcheck as lc
 from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
-from topmonads.errors import NotAFailure, UnknownSuite
+from topmonads.errors import NotAFailure, NotModular, UnknownSuite
 from topmonads.extrat import INF, ONE, ZERO, ext
 
 
@@ -147,6 +147,58 @@ def test_shrink_reaches_minimum_on_space_only_law():
     assert small.space.n == 0
 
 
+def _raises_on_three_points_or_more(space, valuations):
+    # smaller instances fail too, but by verdict: another failure
+    if space.n >= 3:
+        raise NotModular("three points or more")
+    return False
+
+
+def test_shrink_keeps_the_original_exception_type():
+    cex = lc.Counterexample(
+        sp.discrete(4), (), _raises_on_three_points_or_more, raises=NotModular
+    )
+    assert lc.shrink(cex).space.n == 3
+
+
+def test_shrink_keeps_the_original_false_verdict():
+    cex = lc.Counterexample(sp.discrete(4), (), _always_fails, raises=NotModular)
+    with pytest.raises(NotAFailure):  # a False verdict is not the failure
+        lc.shrink(cex)
+    assert not lc.Counterexample(sp.discrete(4), (), _always_fails).holds()
+
+
+def _false_but_raises_below_two_points(space, valuations):
+    if space.n < 2:
+        raise ZeroDivisionError("fewer than two points")
+    return False
+
+
+def test_a_shrink_meeting_another_error_lets_it_through():
+    cex = lc.Counterexample(sp.discrete(3), (), _false_but_raises_below_two_points)
+    with pytest.raises(ZeroDivisionError):
+        lc.shrink(cex)
+    # a run records the failure, unshrunk, before that error leaves it
+    run = lc._Run("supp-unit", lc.GenConfig())
+    with pytest.raises(ZeroDivisionError):
+        run.check_law(cex, "fake law")
+    assert [(f.message, f.counterexample) for f in run.failures] == [
+        ("fake law", cex)
+    ]
+
+
+def test_a_raising_law_records_its_exception_type():
+    def law(space, valuations):
+        raise NotModular("always")
+
+    run = lc._Run("supp-unit", lc.GenConfig())
+    run.check_law(lc.Counterexample(sp.discrete(3), (), law), "fake law")
+    (failure,) = run.failures
+    assert failure.message.startswith("fake law: NotModular: ")
+    assert failure.counterexample.raises is NotModular
+    assert failure.counterexample.space.n == 0
+
+
 # --- mutation harness ----------------------------------------------------------
 
 
@@ -165,6 +217,72 @@ def test_mutation_patching_is_scoped():
         assert getattr(holder, attr) is original, name
     # after the harness exits, the pristine suite passes again
     assert lc.run_suite("supp-unit", cfg).ok
+
+
+def test_the_canned_push_witness_detects_before_any_random_space(monkeypatch):
+    drawn = []
+    original = lc._random_space
+
+    def counting(rng, max_points):
+        drawn.append(max_points)
+        return original(rng, max_points)
+
+    monkeypatch.setattr(lc, "_random_space", counting)
+    cfg = lc.GenConfig(seed=42, max_points=3)
+    assert lc.mutation_detected("push-closed-no-closure", cfg)
+    assert drawn == []
+    lc.run_suite("h-monad", cfg)  # the full suite does draw
+    assert drawn
+
+
+def _eager_spaces(cfg, limit=None, min_points=0, max_points=None):
+    limit = cfg.instance_count if limit is None else limit
+    out = []
+    for space in lc.generate_space(cfg):
+        if len(out) >= limit:
+            break
+        if space.n < min_points:
+            continue
+        if max_points is not None and space.n > max_points:
+            continue
+        out.append(space)
+    return out
+
+
+def _eager_space_pairs(cfg, limit=None, min_points=0, max_points=None, max_opens=None):
+    spaces = _eager_spaces(
+        cfg, (limit or cfg.instance_count) * 2, min_points, max_points
+    )
+    pairs = []
+    limit = cfg.instance_count if limit is None else limit
+    for i in range(len(spaces) - 1):
+        if len(pairs) >= limit:
+            break
+        a, b = spaces[i], spaces[i + 1]
+        if max_opens is not None and len(a.opens) * len(b.opens) > max_opens:
+            continue
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [42, 7, 10011])
+def test_lazy_streams_yield_the_eager_sequences(seed):
+    space_args = [{}, {"min_points": 1}, {"max_points": 3}, {"limit": 5}]
+    pair_args = [
+        {},
+        {"min_points": 1},
+        {"max_points": 3, "max_opens": 256},
+        {"min_points": 1, "max_points": 3, "max_opens": 300},
+        {"limit": 0},
+        {"limit": 7, "max_opens": 40},
+    ]
+    for max_points, count in ((3, 60), (4, 60), (4, 9), (3, -1)):
+        cfg = lc.GenConfig(seed=seed, max_points=max_points, instance_count=count)
+        for kw in space_args:
+            assert list(lc._spaces(cfg, **kw)) == _eager_spaces(cfg, **kw), kw
+        for kw in pair_args:
+            got = list(lc._space_pairs(cfg, **kw))
+            assert got == _eager_space_pairs(cfg, **kw), kw
 
 
 def _full_route_detects(name, cfg):
