@@ -278,17 +278,15 @@ def _rand_downset(rng, member_masks) -> int:
 class Counterexample:
     """A law instance given by a space plus valuations-as-weight-lists.
 
-    `law` takes (space, [valuations]) and returns True when the law holds.
-    `raises` is the exception type the original instance raised, or None
-    when its law returned False.  Shrinking preserves that failure while
-    dropping points, zeroing weights, and simplifying fractions.
+    `law` takes (space, [valuations]) and returns True when the law holds;
+    shrinking preserves the way the instance fails while dropping points,
+    zeroing weights, and simplifying fractions.
     """
 
     space: sp.FiniteSpace
     weight_lists: tuple[tuple[ExtRat, ...], ...]
     law: object
     description: str = ""
-    raises: type[Exception] | None = None
 
     def valuations(self) -> list[va.Valuation]:
         return [
@@ -296,19 +294,7 @@ class Counterexample:
         ]
 
     def holds(self) -> bool:
-        """Whether this instance escapes the original failure.
-
-        The failure is a False verdict when raises is None, and an
-        exception of type raises otherwise.  Any other exception
-        propagates, so a shrink never walks from one failure to another.
-        """
-        if self.raises is None:
-            return bool(self.law(self.space, self.valuations()))
-        try:
-            self.law(self.space, self.valuations())
-        except self.raises:
-            return False
-        return True
+        return _failure(self) is None
 
     def size(self) -> tuple:
         weight_size = 0
@@ -319,6 +305,15 @@ class Counterexample:
                 elif w != ZERO:
                     weight_size += w.frac.numerator + w.frac.denominator
         return (self.space.n, weight_size)
+
+
+def _failure(cex: Counterexample):
+    """How cex fails its law: None if the law holds, False for a False
+    verdict, or the type of the exception the law raises."""
+    try:
+        return None if cex.law(cex.space, cex.valuations()) else False
+    except Exception as exc:
+        return type(exc)
 
 
 def _drop_point(cex: Counterexample, x: int) -> Counterexample:
@@ -348,8 +343,14 @@ def _simpler_weights(w: ExtRat):
 
 
 def shrink(cex: Counterexample) -> Counterexample:
-    """Greedy minimization of a failing instance; idempotent."""
-    if cex.holds():
+    """Greedy minimization of a failing instance; idempotent.
+
+    A smaller instance is kept only if it fails the way cex does: by a
+    False verdict, or by an exception of the same type.  So a shrink never
+    walks from one failure to another.
+    """
+    failure = _failure(cex)
+    if failure is None:
         raise NotAFailure("input does not fail the law")
     current = cex
     improved = True
@@ -360,7 +361,7 @@ def shrink(cex: Counterexample) -> Counterexample:
                 cand = _drop_point(current, x)
             except (ShapeMismatch, NotATopology):  # what sp.subspace raises
                 continue
-            if not cand.holds():
+            if _failure(cand) is failure:
                 current = cand
                 improved = True
                 break
@@ -370,7 +371,7 @@ def shrink(cex: Counterexample) -> Counterexample:
             for j, w in enumerate(wl):
                 for value in _simpler_weights(w):
                     cand = _set_weight(current, i, j, value)
-                    if not cand.holds() and cand.size() < current.size():
+                    if _failure(cand) is failure and cand.size() < current.size():
                         current = cand
                         improved = True
                         break
@@ -402,8 +403,6 @@ class _Run:
         try:
             ok = thunk()
         except Exception as exc:
-            if cex is not None:
-                cex = replace(cex, raises=type(exc))
             self.fail(index, f"{message}: {type(exc).__name__}: {exc}", cex)
             return
         if ok is False:
@@ -414,17 +413,13 @@ class _Run:
         self.check(lambda: cex.law(cex.space, cex.valuations()), message, cex)
 
     def fail(self, index: int, message: str, cex: Counterexample | None):
-        """Record a failure with the replay line, then shrink its cex.
-
-        The failure is recorded before the shrink, so it stays in the
-        report when a smaller instance raises another error, which then
-        aborts the suite.
-        """
-        self.failures.append(Failure(index, message, self.replay, cex))
+        """Record a failure with the replay line and the shrunk cex."""
         if cex is not None:
-            with contextlib.suppress(NotAFailure):
-                shrunk = shrink(cex)
-                self.failures[-1] = replace(self.failures[-1], counterexample=shrunk)
+            try:
+                cex = shrink(cex)
+            except NotAFailure:
+                pass
+        self.failures.append(Failure(index, message, self.replay, cex))
 
 
 class _Detected(BaseException):

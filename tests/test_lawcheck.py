@@ -155,48 +155,29 @@ def _raises_on_three_points_or_more(space, valuations):
 
 
 def test_shrink_keeps_the_original_exception_type():
-    cex = lc.Counterexample(
-        sp.discrete(4), (), _raises_on_three_points_or_more, raises=NotModular
-    )
+    cex = lc.Counterexample(sp.discrete(4), (), _raises_on_three_points_or_more)
     assert lc.shrink(cex).space.n == 3
 
 
-def test_shrink_keeps_the_original_false_verdict():
-    cex = lc.Counterexample(sp.discrete(4), (), _always_fails, raises=NotModular)
-    with pytest.raises(NotAFailure):  # a False verdict is not the failure
-        lc.shrink(cex)
-    assert not lc.Counterexample(sp.discrete(4), (), _always_fails).holds()
-
-
 def _false_but_raises_below_two_points(space, valuations):
+    # smaller instances fail too, but by raising: another failure
     if space.n < 2:
         raise ZeroDivisionError("fewer than two points")
     return False
 
 
-def test_a_shrink_meeting_another_error_lets_it_through():
+def test_shrink_keeps_the_original_false_verdict():
     cex = lc.Counterexample(sp.discrete(3), (), _false_but_raises_below_two_points)
-    with pytest.raises(ZeroDivisionError):
-        lc.shrink(cex)
-    # a run records the failure, unshrunk, before that error leaves it
+    assert lc.shrink(cex).space.n == 2
+
+
+def test_a_run_shrinks_a_raising_law_by_its_exception_type():
+    cex = lc.Counterexample(sp.discrete(4), (), _raises_on_three_points_or_more)
     run = lc._Run("supp-unit", lc.GenConfig())
-    with pytest.raises(ZeroDivisionError):
-        run.check_law(cex, "fake law")
-    assert [(f.message, f.counterexample) for f in run.failures] == [
-        ("fake law", cex)
-    ]
-
-
-def test_a_raising_law_records_its_exception_type():
-    def law(space, valuations):
-        raise NotModular("always")
-
-    run = lc._Run("supp-unit", lc.GenConfig())
-    run.check_law(lc.Counterexample(sp.discrete(3), (), law), "fake law")
+    run.check_law(cex, "fake law")
     (failure,) = run.failures
     assert failure.message.startswith("fake law: NotModular: ")
-    assert failure.counterexample.raises is NotModular
-    assert failure.counterexample.space.n == 0
+    assert failure.counterexample.space.n == 3
 
 
 # --- mutation harness ----------------------------------------------------------
