@@ -200,7 +200,9 @@ def test_mutation_patching_is_scoped():
     assert lc.run_suite("supp-unit", cfg).ok
 
 
-def test_the_canned_push_witness_detects_before_any_random_space(monkeypatch):
+def test_every_detection_draws_no_random_space(monkeypatch):
+    # each mutation is caught by a canned witness or on the canned corpus,
+    # so what its detection costs does not depend on the seed's stream
     drawn = []
     original = lc._random_space
 
@@ -209,9 +211,11 @@ def test_the_canned_push_witness_detects_before_any_random_space(monkeypatch):
         return original(rng, max_points)
 
     monkeypatch.setattr(lc, "_random_space", counting)
-    cfg = lc.GenConfig(seed=42, max_points=3)
-    assert lc.mutation_detected("push-closed-no-closure", cfg)
-    assert drawn == []
+    for seed, max_points in itertools.product((42, 7, 10011), (3, 4)):
+        cfg = lc.GenConfig(seed=seed, max_points=max_points)
+        for name in lc.MUTATIONS:
+            assert lc.mutation_detected(name, cfg)
+            assert drawn == [], (name, seed, max_points)
     lc.run_suite("h-monad", cfg)  # the full suite does draw
     assert drawn
 
