@@ -1,15 +1,19 @@
 """The hyperspace of closed sets with the lower Vietoris topology.
 
+A closed set is the Boolean instance of the weighted core (`weighted`): a
+{0, 1}-weight per point in canonical form, the closure, encoded as the
+bit-mask of its points.  The unit, push, multiplication, strength,
+product and reading a closed set off its hit table are the core's.
+
 Points of HX are the closed subsets of X (always including the empty set),
 ordered by inclusion; the lower Vietoris topology generated by the sets
 Hit(U) coincides with the up-set topology of that order, so the builder
-constructs HX from the inclusion order alone; `_vietoris_topology`
-regenerates the topology from the Hit subbasis as an oracle for the law
-suites.  Iterated hyperspaces reuse the same machinery through inclusion
-orders on bit-masks, so HHX and HHHX never materialize a power set.
+constructs HX from the inclusion order alone; `lawcheck.vietoris_topology`
+regenerates the topology from the Hit subbasis as an oracle.  Iterated
+hyperspaces reuse the same machinery through inclusion orders on
+bit-masks, so HHX and HHHX never materialize a power set.
 
-The strength and costrength push a closed set along the sections
-y -> (x, y) and x -> (x, y) of a product.  Both composites of the
+Both composites of the
 commutativity square are oracles in `lawcheck`, where a named law compares
 them with the product of closed sets.
 """
@@ -17,7 +21,6 @@ them with the product of closed sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -26,11 +29,13 @@ from .errors import (
     NotClosedFamily,
     ShapeMismatch,
 )
+from . import weighted as wt
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
     Product,
     bits,
+    cached,
     check_separation,
     product,
     upsets_of_up_masks,
@@ -53,22 +58,21 @@ def inclusion_downsets(member_masks: Sequence[int]) -> list[int]:
     down-set lattice and never touches the ambient power set.
     """
     n = len(member_masks)
-    # down-sets of <= are up-sets of >=
-    rev_up = [
-        sum(1 << j for j in range(n) if member_masks[j] & ~member_masks[i] == 0)
-        for i in range(n)
-    ]
-    return upsets_of_up_masks(n, rev_up)
+    full = (1 << n) - 1  # down-sets are the complements of up-sets
+    return sorted(full & ~u for u in upsets_of_up_masks(n, inclusion_up_masks(member_masks)))
 
 
 @dataclass(frozen=True)
 class ClosedSet:
+    """A closed set: canonical Boolean point weights, as the mask of the
+    points of weight one."""
+
     space: FiniteSpace
     members: int
 
     def __post_init__(self):
-        if self.members & ~self.space.full:
-            raise ShapeMismatch("members outside the point set")
+        if not isinstance(self.members, int) or self.members & ~self.space.full:
+            raise ShapeMismatch(f"members {self.members} outside the point set")
         if self.space.closure(self.members) != self.members:
             raise NotClosedFamily(
                 f"{self.space.mask_names(self.members)} is not closed"
@@ -77,6 +81,16 @@ class ClosedSet:
     def names(self) -> list[str]:
         return self.space.mask_names(self.members)
 
+    @property
+    def weights(self) -> tuple[bool, ...]:
+        return tuple([self.members >> x & 1 == 1 for x in range(self.space.n)])
+
+
+def closed_of_weights(space: FiniteSpace, weights) -> ClosedSet:
+    """The closed set that Boolean point weights denote: their canonical
+    form, the closure of the points of weight one."""
+    return ClosedSet(space, space.closure(sum([1 << x for x, a in enumerate(weights) if a])))
+
 
 @dataclass(frozen=True)
 class Hyperspace:
@@ -84,17 +98,23 @@ class Hyperspace:
     space: FiniteSpace
     members: tuple[int, ...]  # closed-set mask of the base per HX point
 
-    @cached_property
+    @cached
     def _index(self) -> dict[int, int]:
         """The HX point of each closed-set mask."""
         return {m: i for i, m in enumerate(self.members)}
 
+    @cached
+    def _weights(self) -> tuple[tuple[bool, ...], ...]:
+        """The Boolean weights of each member."""
+        return tuple(ClosedSet(self.base, m).weights for m in self.members)
+
     def point_of(self, mask: int) -> int:
+        if mask not in self._index:
+            raise ShapeMismatch(f"{mask!r} is not a closed set of the base")
         return self._index[mask]
 
     def closed_of(self, idx: int) -> ClosedSet:
-        if idx not in range(len(self.members)):
-            raise ShapeMismatch(f"{idx!r} is not a point of the hyperspace")
+        self.space.require_point(idx)
         return ClosedSet(self.base, self.members[idx])
 
     def hit_mask(self, u: int) -> int:
@@ -114,36 +134,6 @@ def build_hyperspace(x: FiniteSpace) -> Hyperspace:
     names = tuple(_hyperspace_name(x, c) for c in closed)
     space = FiniteSpace(names, tuple(up_masks))
     return Hyperspace(x, space, closed)
-
-
-def _vietoris_topology(hx: Hyperspace) -> set[int]:
-    """Topology generated by the subbasis {Hit(U) : U open}, via closure
-    under pairwise intersection then pairwise union."""
-    full = hx.space.full
-    subbasis = {hx.hit_mask(u) for u in hx.base.opens}
-    basis = {full} | subbasis
-    frontier = set(basis)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in subbasis:
-                c = a & b
-                if c not in basis:
-                    new.add(c)
-        basis |= new
-        frontier = new
-    family = {0} | basis
-    frontier = set(family)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in basis:
-                c = a | b
-                if c not in family:
-                    new.add(c)
-        family |= new
-        frontier = new
-    return family
 
 
 # --- hit coupling and duality -------------------------------------------
@@ -192,11 +182,8 @@ def functional_of_closed(c: ClosedSet) -> HitFunctional:
 
 
 def closed_of_functional(phi: HitFunctional) -> ClosedSet:
-    null = 0
-    for u, t in zip(phi.space.opens, phi.table):
-        if not t:
-            null |= u
-    return ClosedSet(phi.space, phi.space.full & ~null)
+    """The closed set whose weights are read off its hit table."""
+    return closed_of_weights(phi.space, wt.read_weights(wt.BOOL, phi.space, phi.table))
 
 
 # --- monad structure ------------------------------------------------------
@@ -204,35 +191,27 @@ def closed_of_functional(phi: HitFunctional) -> ClosedSet:
 
 def unit_sigma(space: FiniteSpace, x: int) -> ClosedSet:
     """The unit of H: the closure of the singleton {x}."""
-    if x not in range(space.n):
-        raise ShapeMismatch(f"{x!r} is not a point of the space")
-    return ClosedSet(space, space.closure(1 << x))
+    space.require_point(x)
+    return closed_of_weights(space, wt.unit(wt.BOOL, space.n, x))
 
 
 def push_closed(f: ContinuousMap, c: ClosedSet) -> ClosedSet:
     """Functorial action: the closure of the image of C under f."""
-    if c.space != f.source:
-        raise ShapeMismatch("closed set does not live on the map's source")
-    return ClosedSet(f.target, f.target.closure(f.image(c.members)))
+    f.source.require_here(c)
+    return closed_of_weights(
+        f.target, wt.push(wt.BOOL, f.assignment, f.target.n, c.weights)
+    )
 
 
 def mult_union(hx: Hyperspace, family) -> ClosedSet:
-    """The multiplication of H: closure of the union of a closed family."""
-    if isinstance(family, ClosedSet):
-        if family.space != hx.space:
-            raise ShapeMismatch("family does not live on the hyperspace")
-        mask = family.members
-    else:
-        mask = int(family)
-        if mask & ~hx.space.full:  # negative, or bits outside HX's points
-            raise ShapeMismatch(f"family {mask} is not a set of hyperspace points")
+    """The multiplication of H: the closure of the union of the members of
+    a closed family."""
+    if not isinstance(family, ClosedSet):
         # HX is specialized by inclusion, so its closed sets are the down-sets
-        if hx.space.closure(mask) != mask:
-            raise NotClosedFamily("family is not down-closed under inclusion")
-    union = 0
-    for i in bits(mask):
-        union |= hx.members[i]
-    return ClosedSet(hx.base, hx.base.closure(union))
+        family = ClosedSet(hx.space, family)
+    hx.space.require_here(family)
+    mixture = ((True, hx._weights[i]) for i in bits(family.members))
+    return closed_of_weights(hx.base, wt.mult(wt.BOOL, hx.base.n, mixture))
 
 
 def sigma_is_embedding(space: FiniteSpace) -> bool:
@@ -247,8 +226,7 @@ def unit_closure_membership(space: FiniteSpace, c: ClosedSet) -> bool:
     have a common point.  Every open that hits c contains the smallest
     neighbourhood of a point of c, so it suffices to intersect those.
     """
-    if c.space != space:
-        raise ShapeMismatch("closed set lives on a different space")
+    space.require_here(c)
     common = space.full
     for x in bits(c.members):
         common &= space.min_nbhd[x]
@@ -260,29 +238,26 @@ def unit_closure_membership(space: FiniteSpace, c: ClosedSet) -> bool:
 
 def strength_H(prod: Product, x: int, c: ClosedSet) -> ClosedSet:
     """s(x, C): the push of C along y -> (x, y), the closure of {x} x C."""
-    if c.space != prod.right:
-        raise ShapeMismatch("closed set must live on the right factor")
-    return push_closed(prod.at_left(x), c)
+    prod.right.require_here(c)
+    return closed_of_weights(prod.space, wt.strength(wt.BOOL, prod, x, c.weights))
 
 
 def costrength_H(prod: Product, c: ClosedSet, y: int) -> ClosedSet:
     """t(C, y): the push of C along x -> (x, y), the closure of C x {y}."""
-    if c.space != prod.left:
-        raise ShapeMismatch("closed set must live on the left factor")
-    return push_closed(prod.at_right(y), c)
+    prod.left.require_here(c)
+    return closed_of_weights(prod.space, wt.costrength(wt.BOOL, prod, c.weights, y))
 
 
 def product_closed(prod: Product, c: ClosedSet, d: ClosedSet) -> ClosedSet:
     """The monoidal structure map of H: (C, D) -> C x D."""
-    if c.space != prod.left or d.space != prod.right:
-        raise ShapeMismatch("closed sets do not match the product factors")
-    return ClosedSet(prod.space, prod.rectangle(c.members, d.members))
+    prod.left.require_here(c)
+    prod.right.require_here(d)
+    return closed_of_weights(prod.space, wt.product(wt.BOOL, c.weights, d.weights))
 
 
 def marginals(prod: Product, e: ClosedSet) -> tuple[ClosedSet, ClosedSet]:
     """Opmonoidal comultiplication: project a closed set to both factors."""
-    if e.space != prod.space:
-        raise ShapeMismatch("closed set does not live on the product")
+    prod.space.require_here(e)
     return push_closed(prod.proj1, e), push_closed(prod.proj2, e)
 
 
@@ -313,29 +288,26 @@ def join_of_closed(space: FiniteSpace, mask: int) -> int | None:
 
     The join of the empty set is the bottom element.
     """
-    uppers = [
-        z
-        for z in range(space.n)
-        if all(space.leq(x, z) for x in bits(mask))
-    ]
-    least = [
-        z for z in uppers if all(space.leq(z, w) for w in uppers)
-    ]
-    if len(least) != 1:
-        return None
-    return least[0]
+    uppers = space.full  # the points above every point of mask
+    for x in bits(space.closure(mask)):  # which has the same upper bounds
+        uppers &= space.min_nbhd[x]
+    least = [z for z in bits(uppers) if uppers & ~space.min_nbhd[z] == 0]
+    return least[0] if len(least) == 1 else None
 
 
 def join_algebra_map(space: FiniteSpace) -> list[int] | None:
-    """The join-of-closed-sets table on HX points, or None if a join is missing."""
-    hx = build_hyperspace(space)
-    table = []
-    for m in hx.members:
-        j = join_of_closed(space, m)
-        if j is None:
-            return None
-        table.append(j)
-    return table
+    """The join-of-closed-sets table on HX points, or None if a join is
+    missing.  HX orders its points as the sorted closed sets."""
+    table = [join_of_closed(space, m) for m in sorted(space.closed_sets())]
+    return None if None in table else table
+
+
+def _is_continuous(source: FiniteSpace, target: FiniteSpace, table) -> bool:
+    try:
+        ContinuousMap(source, target, tuple(table))
+    except NotATopology:
+        return False
+    return True
 
 
 def check_H_algebra(a_space: FiniteSpace, a_map: Sequence[int]) -> HAlgebraVerdict:
@@ -345,58 +317,42 @@ def check_H_algebra(a_space: FiniteSpace, a_map: Sequence[int]) -> HAlgebraVerdi
     if len(a_map) != len(hx.members):
         raise ShapeMismatch("a_map is not a table on the points of HA")
     a_map = tuple(a_map)
-
-    try:
-        ContinuousMap(hx.space, a_space, a_map)
-        map_continuous = True
-    except NotATopology:
-        map_continuous = False
-
+    map_continuous = _is_continuous(hx.space, a_space, a_map)
     unit_ok = all(
-        a_map[hx.point_of(a_space.closure(1 << x))] == x
+        a_map[hx.point_of(unit_sigma(a_space, x).members)] == x
         for x in range(a_space.n)
     )
 
+    # a o mult = a o H(a) on every closed family; the table need not be
+    # continuous, so H(a) is the push of the family's weights along it
     square_ok = True
-    for fam in inclusion_downsets(hx.members):
-        union = 0
-        for i in bits(fam):
-            union |= hx.members[i]
-        via_mult = a_map[hx.point_of(a_space.closure(union))]
-        image = 0
-        for i in bits(fam):
-            image |= 1 << a_map[i]
-        via_push = a_map[hx.point_of(a_space.closure(image))]
+    for mask in inclusion_downsets(hx.members):
+        fam = ClosedSet(hx.space, mask)
+        via_mult = a_map[hx.point_of(mult_union(hx, fam).members)]
+        pushed = wt.push(wt.BOOL, a_map, a_space.n, fam.weights)
+        via_push = a_map[hx.point_of(closed_of_weights(a_space, pushed).members)]
         if via_mult != via_push:
             square_ok = False
             break
 
-    joins = [join_of_closed(a_space, m) for m in hx.members]
-    equals_join = all(j is not None for j in joins) and all(
-        a_map[i] == joins[i] for i in range(len(joins))
-    )
+    joins = join_algebra_map(a_space)
+    complete = joins is not None
+    equals_join = complete and tuple(joins) == a_map
 
     sep = check_separation(a_space)
-    complete = all(j is not None for j in joins)
     binary_join_continuous = False
     closed_join_continuous = False
     if complete:
-        try:
-            ContinuousMap(hx.space, a_space, tuple(joins))
-            closed_join_continuous = True
-        except NotATopology:
-            closed_join_continuous = False
+        closed_join_continuous = _is_continuous(hx.space, a_space, joins)
         # every closed set has a join, so every pair {x, y} does too
-        pair_join = tuple(
+        pair_join = (
             joins[hx.point_of(a_space.closure(1 << x | 1 << y))]
             for x in range(a_space.n)
             for y in range(a_space.n)
         )
-        try:
-            ContinuousMap(product(a_space, a_space).space, a_space, pair_join)
-            binary_join_continuous = True
-        except NotATopology:
-            binary_join_continuous = False
+        binary_join_continuous = _is_continuous(
+            product(a_space, a_space).space, a_space, pair_join
+        )
     is_tcjs = (
         sep.is_T0
         and sep.is_sober

@@ -22,10 +22,11 @@ hit identities, integral forms, the layer-cake integral, the
 inclusion-exclusion product, both composites of the commutativity squares
 of H and V built from strength and multiplication, the pairwise validity
 scan of a table, the scan for the least closed set of full measure, the
-rectangle-generated product topology, the pairwise closure scan of an open
-family, the sobriety scan, continuity by preimages and equivalence by
-preimage lattices, live here as oracles, each compared in a named law of
-the suite that owns the operation.
+rectangle-generated product topology, the lower Vietoris topology
+generated by the Hit sets, the pairwise closure scan of an open family,
+the sobriety scan, continuity by preimages and equivalence by preimage
+lattices, live here as oracles, each compared in a named law of the suite
+that owns the operation.
 
 The mutation harness re-runs selected suites with one semantic bug patched in
 (see MUTATIONS) and asserts that at least one suite notices.
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, replace
@@ -61,6 +63,7 @@ from . import probability as pb
 from . import spaces as sp
 from . import support as su
 from . import valuations as va
+from . import weighted as wt
 from .errors import (
     InfiniteMass,
     InfinityIndeterminate,
@@ -601,6 +604,16 @@ def way_below_by_covers(space: sp.FiniteSpace, v: int, u: int) -> bool:
     return True
 
 
+def _closure_under(op, seeds, generators) -> set[int]:
+    """The least family holding seeds and closed under op with each generator."""
+    family = set(seeds)
+    frontier = set(family)
+    while frontier:
+        frontier = {op(a, b) for a in frontier for b in generators} - family
+        family |= frontier
+    return family
+
+
 def rectangle_topology(prod: sp.Product) -> set[int]:
     """Topology generated from rectangles U x V, by closing under union.
 
@@ -610,18 +623,15 @@ def rectangle_topology(prod: sp.Product) -> set[int]:
     base = {
         prod.rectangle(u, v) for u in prod.left.opens for v in prod.right.opens
     }
-    family = set(base)
-    frontier = set(base)
-    while frontier:
-        new = set()
-        for w in frontier:
-            for r in base:
-                cand = w | r
-                if cand not in family:
-                    new.add(cand)
-        family |= new
-        frontier = new
-    return family
+    return _closure_under(operator.or_, base, base)
+
+
+def vietoris_topology(hx: hy.Hyperspace) -> set[int]:
+    """Topology generated by the subbasis {Hit(U) : U open}, via closure
+    under pairwise intersection then pairwise union."""
+    subbasis = {hx.hit_mask(u) for u in hx.base.opens}
+    basis = _closure_under(operator.and_, {hx.space.full} | subbasis, subbasis)
+    return _closure_under(operator.or_, {0} | basis, basis)
 
 
 def family_is_topology(n: int, family) -> bool:
@@ -1133,7 +1143,7 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
     for space in _spaces(cfg, max_points=min(cfg.max_points, 3)):
         hx = hy.build_hyperspace(space)
         run.check(
-            lambda h=hx: hy._vietoris_topology(h) == set(h.space.opens),
+            lambda h=hx: vietoris_topology(h) == set(h.space.opens),
             "lower Vietoris topology equals the inclusion up-sets",
         )
         run.check(
@@ -1945,7 +1955,19 @@ def _supp_mult_law(space, valuations):
     return su.check_monad_morphism(space, [xi]).ok
 
 
+def sgn_is_a_semiring_homomorphism(a: ExtRat, b: ExtRat) -> bool:
+    """sgn(a + b) = sgn a or sgn b and sgn(a * b) = sgn a and sgn b: the
+    support is the change of scalars along sgn, and a semiring homomorphism
+    induces a monad morphism."""
+    sa, sb = su.sgn(a), su.sgn(b)
+    return su.sgn(a + b) == (sa or sb) and su.sgn(a * b) == (sa and sb)
+
+
 def _suite_supp_mult(cfg: GenConfig, run: _Run):
+    run.check(
+        lambda: su.sgn(ZERO) is False and su.sgn(ONE) is True,
+        "sgn sends 0 and 1 to false and true",
+    )
     rng = random.Random(cfg.seed + 15)
     for space in _spaces(cfg):
         xis = [rand_sso(rng, cfg, space) for _ in range(3)] if space.n else []
@@ -1962,6 +1984,14 @@ def _suite_supp_mult(cfg: GenConfig, run: _Run):
                 "support multiplication square",
             )
             run.check_law(cex, "multiplication square on a unit-weight mixture")
+    # sampled pairs from a stream of their own, so no other draw moves
+    pair_rng = random.Random(cfg.seed + 22)
+    sample = [ZERO, INF] + [_rand_extrat(pair_rng, cfg) for _ in range(6)]
+    for a, b in itertools.product(sample, repeat=2):
+        run.check(
+            lambda a=a, b=b: sgn_is_a_semiring_homomorphism(a, b),
+            "sgn is a semiring homomorphism",
+        )
 
 
 def _suite_supp_natural(cfg: GenConfig, run: _Run):
@@ -2272,7 +2302,7 @@ MUTATIONS = {
     "sgn-not-strict": (su, "sgn", _mutant_sgn),
     "integrate-strict-levels": (va, "integrate", _mutant_integrate),
     "mult-E-ignores-weights": (va, "mult_E", _mutant_mult_E),
-    "inclusion-exclusion-all-plus": (va, "monus", _mutant_monus),
+    "inclusion-exclusion-all-plus": (wt, "EXT", replace(wt.EXT, monus=_mutant_monus)),
     "support-null-union": (su, "support", _mutant_support),
     "closure-up-set": (sp.FiniteSpace, "closure", _mutant_closure),
     "moebius-no-inversion": (pb, "extend_to_measure", _mutant_extend),

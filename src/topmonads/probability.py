@@ -3,8 +3,8 @@
 On a finite T0 space the point closures separate points, so the Borel
 sigma-algebra is the full power set and a measure is just a table of
 nonnegative point weights.  A valuation is stored as its point weights
-(see `valuations`), so on a T0 space a finite-mass valuation extends to
-the measure with those same weights; they are nonnegative by construction.
+(see `weighted`), so on a T0 space a finite-mass valuation extends to the
+measure with those same weights; they are nonnegative by construction.
 Non-T0 spaces route through the Kolmogorov quotient (valuations cannot see
 more), and the result carries the quotient map as an explicit marker.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import weighted as wt
 from .errors import (
     InfiniteMass,
     NotNormalized,
@@ -107,10 +108,9 @@ def extend_to_measure(nu: Valuation) -> FiniteMeasure:
 
 
 def integrate_measure(m: FiniteMeasure, g: LowerSemiFn) -> ExtRat:
-    """Integral against the measure: the weighted sum of g over the points."""
-    if m.space != g.space:
-        raise ShapeMismatch("measure and function live on different spaces")
-    return sum((w * v for w, v in zip(m.point_weights, g.values)), ZERO)
+    """Integral against the measure: the pairing of its restriction with g."""
+    m.space.require_here(g)
+    return wt.pairing(wt.EXT, m.restriction().weights, g.values)
 
 
 def mult_E_measure(xi: SimpleSecondOrder) -> ProbValuation:

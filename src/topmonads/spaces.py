@@ -11,7 +11,6 @@ order-theoretic toolbox below exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -20,6 +19,23 @@ from .errors import (
     NotOpen,
     ShapeMismatch,
 )
+
+
+class cached:
+    """A cached property without the lock that functools.cached_property
+    takes on each first read before Python 3.12 (about 1 us): the value is
+    stored in the instance's __dict__, where later reads find it first."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 def popcount(mask: int) -> int:
@@ -74,13 +90,36 @@ class FiniteSpace:
         object.__setattr__(self, "n", len(self.points))
         object.__setattr__(self, "full", (1 << len(self.points)) - 1)
 
-    @cached_property
+    def __eq__(self, other):
+        # operands usually share their space object, so test identity first
+        if self is other:
+            return True
+        if not isinstance(other, FiniteSpace):
+            return NotImplemented
+        return self.points == other.points and self.min_nbhd == other.min_nbhd
+
+    @cached
     def opens(self) -> tuple[int, ...]:
         """The open sets, sorted: the up-sets of the specialization preorder."""
         return tuple(upsets_of_up_masks(self.n, self.min_nbhd))
 
     def index(self, point: str) -> int:
+        if point not in self.points:
+            raise ShapeMismatch(f"{point!r} is not a point of the space")
         return self.points.index(point)
+
+    def require_point(self, x) -> None:
+        """Raise ShapeMismatch naming x unless it is a point index."""
+        if not (isinstance(x, int) and 0 <= x < self.n):
+            raise ShapeMismatch(f"{x!r} is not a point of the space")
+
+    def require_here(self, *objects) -> tuple:
+        """The objects, after checking that each lives on this space: raise
+        ShapeMismatch naming the first that does not."""
+        for obj in objects:
+            if getattr(obj, "space", None) != self:
+                raise ShapeMismatch(f"{obj!r} does not live on the space {self.points}")
+        return objects
 
     def is_open(self, mask: int) -> bool:
         """Is mask an up-set of the specialization preorder?"""
@@ -107,12 +146,18 @@ class FiniteSpace:
         return mask
 
     def mask_names(self, mask: int) -> list[str]:
+        if mask & ~self.full:
+            raise ShapeMismatch(f"mask {mask} has bits outside the point set")
         return [self.points[i] for i in bits(mask)]
 
     # --- order-theoretic structure -------------------------------------
 
     def leq(self, x: int, y: int) -> bool:
         """Specialization: x <= y iff x lies in the closure of {y}."""
+        n = self.n
+        if type(x) is not int or type(y) is not int or not (0 <= x < n and 0 <= y < n):
+            self.require_point(x)  # raises, unless x and y are bools
+            self.require_point(y)
         return bool(self.min_nbhd[x] >> y & 1)
 
     def specialization(self) -> set[tuple[str, str]]:
@@ -123,7 +168,7 @@ class FiniteSpace:
             if self.leq(x, y)
         }
 
-    @cached_property
+    @cached
     def classes(self) -> tuple[int, ...]:
         """Per point x, the mask of its specialization class [x]: the points
         with the same smallest open neighborhood as x."""
@@ -132,11 +177,16 @@ class FiniteSpace:
             by_nbhd[up] = by_nbhd.get(up, 0) | 1 << x
         return tuple(by_nbhd[up] for up in self.min_nbhd)
 
+    @cached
+    def least(self) -> tuple[int, ...]:
+        """Per point x, the least point of its specialization class [x]."""
+        return tuple((c & -c).bit_length() - 1 for c in self.classes)
+
     def up_mask(self, x: int) -> int:
         """Points above x; equals the smallest open neighborhood of x."""
         return self.min_nbhd[x]
 
-    @cached_property
+    @cached
     def _point_closures(self) -> tuple[int, ...]:
         """Per point y, the mask of cl{y}: the points x with y in min_nbhd[x]."""
         closures = [0] * len(self.points)
@@ -254,8 +304,7 @@ class ContinuousMap:
         if len(self.assignment) != self.source.n:
             raise ShapeMismatch("assignment length differs from source size")
         for y in self.assignment:
-            if y not in range(self.target.n):
-                raise ShapeMismatch(f"assignment entry {y!r} is not a target point")
+            self.target.require_point(y)
         # continuity between Alexandrov spaces is monotonicity
         for x, fx in enumerate(self.assignment):
             outside = self.image(self.source.min_nbhd[x]) & ~self.target.min_nbhd[fx]
@@ -310,17 +359,18 @@ class Product:
     proj2: ContinuousMap
 
     def pair(self, i: int, j: int) -> int:
-        if i not in range(self.left.n):
-            raise ShapeMismatch(f"{i!r} is not a point of the left factor")
-        if j not in range(self.right.n):
-            raise ShapeMismatch(f"{j!r} is not a point of the right factor")
+        self.left.require_point(i)
+        self.right.require_point(j)
         return i * self.right.n + j
 
     def split(self, p: int) -> tuple[int, int]:
+        self.space.require_point(p)
         return divmod(p, self.right.n)
 
     def rectangle(self, u: int, v: int) -> int:
         """The mask of U x V in the product space."""
+        if u & ~self.left.full or v & ~self.right.full:
+            raise ShapeMismatch(f"sides {u}, {v} have bits outside the factors")
         mask = 0
         for i in bits(u):
             for j in bits(v):
@@ -329,15 +379,13 @@ class Product:
 
     def at_left(self, x: int) -> ContinuousMap:
         """The section y -> (x, y) = x * |Y| + y of the right factor."""
-        if x not in range(self.left.n):
-            raise ShapeMismatch(f"{x!r} is not a point of the left factor")
+        self.left.require_point(x)
         m = self.right.n
         return ContinuousMap(self.right, self.space, tuple(range(x * m, x * m + m)))
 
     def at_right(self, y: int) -> ContinuousMap:
         """The section x -> (x, y) = x * |Y| + y of the left factor."""
-        if y not in range(self.right.n):
-            raise ShapeMismatch(f"{y!r} is not a point of the right factor")
+        self.right.require_point(y)
         m = self.right.n
         return ContinuousMap(self.left, self.space, tuple(range(y, self.space.n, m)))
 

@@ -1,24 +1,28 @@
 """The support map from valuations to closed sets, and its morphism laws.
 
-The support of a valuation or a measure is the closure of its points of
-positive weight; for a valuation, the closed set hitting exactly the opens
-of positive mass.  The sign route through the duality and the scan for the
-least closed set of full measure are oracles in `lawcheck`.  This module
-verifies that taking supports commutes with units, multiplications,
-pushforwards, strengths, and products, and transfers hyperspace algebras
-to valuation algebras.
+Valuations and closed sets are point weights in [0, oo] and {0, 1}
+(`weighted`); the support is the change of scalars along the semiring
+homomorphism sgn, then the Boolean canonical form, the closure: the closed
+set hitting exactly the opens of positive mass.  The support of a measure
+is the support of its restriction.  The sign route through the duality
+and the scan for the least closed set of full measure are oracles in
+`lawcheck`.  This module verifies that taking supports commutes with
+units, multiplications, pushforwards, strengths, and products, and
+transfers hyperspace algebras to valuation algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LawViolation, NotAnHAlgebra, ShapeMismatch
+from . import weighted as wt
+from .errors import LawViolation, NotAnHAlgebra
 from .extrat import ExtRat, ONE, ZERO, ext, sgn
 from .hyperspace import (
     ClosedSet,
     build_hyperspace,
     check_H_algebra,
+    closed_of_weights,
     hit,
     mult_union,
     product_closed,
@@ -30,7 +34,6 @@ from .probability import FiniteMeasure
 from .spaces import ContinuousMap, FiniteSpace, Product
 from .valuations import (
     LowerSemiFn,
-    SimpleSecondOrder,
     Valuation,
     integrate,
     mult_E,
@@ -38,7 +41,6 @@ from .valuations import (
     pushforward,
     strength_V,
     unit_delta,
-    valuation_from_weights,
     zero_valuation,
 )
 
@@ -60,54 +62,56 @@ class MorphismVerdict:
 
 
 def support(nu: Valuation) -> ClosedSet:
-    """The closure of the points of positive weight: the closed set that
+    """The change of scalars along sgn, each weight sent to its sign, in
+    canonical form: the closure of the points of positive weight, which
     hits exactly the opens of positive mass."""
-    positive = sum(1 << x for x, w in enumerate(nu.weights) if sgn(w))
-    return ClosedSet(nu.space, nu.space.closure(positive))
+    return closed_of_weights(nu.space, tuple(map(sgn, nu.weights)))
 
 
 def support_test_lsc(nu: Valuation, g: LowerSemiFn) -> bool:
     """sgn<nu, g>; equals whether the support hits {g > 0}."""
-    if nu.space != g.space:
-        raise ShapeMismatch("valuation and function live on different spaces")
+    nu.space.require_here(g)
     return sgn(integrate(nu, g))
 
 
 def support_of_measure(m: FiniteMeasure) -> ClosedSet:
-    """The least closed set of full measure: the closure of the points of
-    positive weight.  It equals the support of the measure's restriction."""
-    positive = sum(1 << x for x, w in enumerate(m.point_weights) if sgn(w))
-    return ClosedSet(m.space, m.space.closure(positive))
+    """The least closed set of full measure: the support of the measure's
+    restriction, the closure of the points of positive weight."""
+    return support(m.restriction())
 
 
 # --- morphism diagrams ------------------------------------------------------
 
 
+def _verdict(squares) -> MorphismVerdict:
+    """The verdict on (name, cases) squares, each case an (inputs, lhs, rhs)
+    triple: a square holds when every case's two routes agree, and the
+    first case that fails, with both routes, is the counterexample."""
+    checks, witness = [], None
+    for name, cases in squares:
+        bad = next(((*args, lhs, rhs) for args, lhs, rhs in cases if lhs != rhs), None)
+        checks.append((name, bad is None))
+        witness = witness or bad
+    return MorphismVerdict(tuple(checks), witness)
+
+
 def check_supp_continuity(space: FiniteSpace, valuations) -> MorphismVerdict:
     """Preimage identity supp^{-1}(Hit(U)) = theta(U, 0), extensionally."""
-    checks = []
-    witness = None
-    for u in space.opens:
-        ok = True
-        for nu in valuations:
-            if hit(support(nu), u) != sgn(nu.value(u)):
-                ok = False
-                witness = (space, nu, u)
-                break
-        checks.append((f"preimage of Hit({space.mask_names(u)})", ok))
-    return MorphismVerdict(tuple(checks), witness)
+    pairs = [(nu, support(nu)) for nu in space.require_here(*valuations)]
+    return _verdict(
+        (
+            f"preimage of Hit({space.mask_names(u)})",
+            [((space, nu, u), hit(c, u), sgn(nu.value(u))) for nu, c in pairs],
+        )
+        for u in space.opens
+    )
 
 
 def check_supp_naturality(f: ContinuousMap, nu: Valuation) -> MorphismVerdict:
     """supp(f_* nu) = f_sharp(supp nu)."""
-    if nu.space != f.source:
-        raise ShapeMismatch("valuation does not live on the map's source")
-    lhs = support(pushforward(f, nu))
-    rhs = push_closed(f, support(nu))
-    ok = lhs == rhs
-    return MorphismVerdict(
-        (("naturality square", ok),), None if ok else (f, nu, lhs, rhs)
-    )
+    f.source.require_here(nu)
+    lhs, rhs = support(pushforward(f, nu)), push_closed(f, support(nu))
+    return _verdict([("naturality square", [((f, nu), lhs, rhs)])])
 
 
 def check_monad_morphism(space: FiniteSpace, xis) -> MorphismVerdict:
@@ -120,65 +124,45 @@ def check_monad_morphism(space: FiniteSpace, xis) -> MorphismVerdict:
     closure step only contributes subsets of the union, so the final
     union map is evaluated on that down-closure.
     """
-    checks = []
-    witness = None
-    unit_ok = all(
-        support(unit_delta(space, x)) == unit_sigma(space, x)
-        for x in range(space.n)
-    )
-    checks.append(("unit square", unit_ok))
-    if not unit_ok:
-        witness = (space, "unit")
+    xis = space.require_here(*xis)
     hx = build_hyperspace(space)
-    mult_ok = True
-    for xi in xis:
-        left = support(mult_E(xi))
+
+    def through_hvx(xi) -> ClosedSet:
         atom_supports = 0
         for _, nu in xi.atoms:  # atom weights are positive
             atom_supports |= 1 << hx.point_of(support(nu).members)
-        family = hx.space.closure(atom_supports)
-        right = mult_union(hx, ClosedSet(hx.space, family))
-        if left != right:
-            mult_ok = False
-            witness = (space, xi, left, right)
-            break
-    checks.append(("multiplication square", mult_ok))
-    return MorphismVerdict(tuple(checks), witness)
+        return mult_union(hx, ClosedSet(hx.space, hx.space.closure(atom_supports)))
+
+    units = (
+        ((space, x), support(unit_delta(space, x)), unit_sigma(space, x))
+        for x in range(space.n)
+    )
+    mults = (((space, xi), support(mult_E(xi)), through_hvx(xi)) for xi in xis)
+    return _verdict([("unit square", units), ("multiplication square", mults)])
 
 
 def check_supp_monoidal(
     prod: Product, nu: Valuation, rho: Valuation
 ) -> MorphismVerdict:
     """Strength, product, and marginal compatibility of the support."""
-    checks = []
-    witness = None
-    strength_ok = True
-    for x in range(prod.left.n):
-        lhs = support(strength_V(prod, x, rho))
-        rhs = strength_H(prod, x, support(rho))
-        if lhs != rhs:
-            strength_ok = False
-            witness = (prod, x, rho, lhs, rhs)
-            break
-    checks.append(("strength square", strength_ok))
     prod_val = product_valuation(nu, rho, prod)
-    lhs = support(prod_val)
-    rhs = product_closed(prod, support(nu), support(rho))
-    monoidal_ok = lhs == rhs
-    checks.append(("monoidal square", monoidal_ok))
-    if not monoidal_ok and witness is None:
-        witness = (prod, nu, rho, lhs, rhs)
-    opmonoidal_ok = True
-    for proj in (prod.proj1, prod.proj2):
-        lhs = support(pushforward(proj, prod_val))
-        rhs = push_closed(proj, support(prod_val))
-        if lhs != rhs:
-            opmonoidal_ok = False
-            if witness is None:
-                witness = (prod, nu, rho, proj, lhs, rhs)
-            break
-    checks.append(("opmonoidal (marginal) square", opmonoidal_ok))
-    return MorphismVerdict(tuple(checks), witness)
+    joint = support(prod_val)
+    strengths = (
+        ((prod, x, rho), support(strength_V(prod, x, rho)), strength_H(prod, x, support(rho)))
+        for x in range(prod.left.n)
+    )
+    monoidal = [((prod, nu, rho), joint, product_closed(prod, support(nu), support(rho)))]
+    marginal = (
+        ((prod, nu, rho, proj), support(pushforward(proj, prod_val)), push_closed(proj, joint))
+        for proj in (prod.proj1, prod.proj2)
+    )
+    return _verdict(
+        [
+            ("strength square", strengths),
+            ("monoidal square", monoidal),
+            ("opmonoidal (marginal) square", marginal),
+        ]
+    )
 
 
 # --- algebra transfer --------------------------------------------------------
@@ -186,6 +170,7 @@ def check_supp_monoidal(
 
 def algebra_evaluate(a_space: FiniteSpace, a_map, nu: Valuation) -> int:
     """The induced valuation-algebra map e = a after support."""
+    a_space.require_here(nu)
     hx = build_hyperspace(a_space)
     return a_map[hx.point_of(support(nu).members)]
 
@@ -224,35 +209,29 @@ def induced_V_algebra(
     x + y = e(delta_x + delta_y) and r.x = e(r.delta_x) and verifies the
     semimodule axioms on the scalar grid.
     """
-    verdict = check_H_algebra(a_space, a_map)
-    if not verdict.is_algebra:
+    if not check_H_algebra(a_space, a_map).is_algebra:
         raise NotAnHAlgebra("the given table is not a hyperspace algebra")
+    xis = a_space.require_here(*xis)
     n = a_space.n
-    hx = build_hyperspace(a_space)
+    # the points of HA are the closed sets of A, sorted
+    point_of = {m: i for i, m in enumerate(sorted(a_space.closed_sets()))}
 
     def e(nu: Valuation) -> int:
-        """algebra_evaluate on the HX built once above."""
-        return a_map[hx.point_of(support(nu).members)]
-
-    unit_ok = all(e(unit_delta(a_space, x)) == x for x in range(n))
-    mult_ok = True
-    for xi in xis:
-        left = e(mult_E(xi))
-        pushed = mult_E(
-            SimpleSecondOrder(
-                a_space,
-                tuple((c, unit_delta(a_space, e(nu))) for c, nu in xi.atoms),
-            )
-        )
-        if left != e(pushed):
-            mult_ok = False
-            break
+        """algebra_evaluate, without building HA again."""
+        return a_map[point_of[support(nu).members]]
 
     def dirac_weights(pairs) -> Valuation:
-        weights = [ZERO] * n
-        for c, x in pairs:
-            weights[x] = weights[x] + c
-        return valuation_from_weights(a_space, weights)
+        """The sum of c * delta_x over the (c, x) pairs: each c pushed to x."""
+        pairs = list(pairs)
+        points = [x for _, x in pairs]
+        return Valuation(a_space, wt.push(wt.EXT, points, n, [c for c, _ in pairs]))
+
+    unit_ok = all(e(unit_delta(a_space, x)) == x for x in range(n))
+    # e o mult = e o V(e): V(e) sends each atom nu of xi to the Dirac at e(nu)
+    mult_ok = all(
+        e(mult_E(xi)) == e(dirac_weights((c, e(nu)) for c, nu in xi.atoms))
+        for xi in xis
+    )
 
     add = tuple(
         tuple(e(dirac_weights([(ONE, x), (ONE, y)])) for y in range(n))

@@ -7,14 +7,14 @@ contains its supremum, so these three conditions already give Scott
 continuity (that implication is a theorem, not a runtime check).  On a
 finite space every such valuation is simple, a finite sum of weighted
 Diracs (Jones 1990; Heckmann 1996), so a `Valuation` stores only its point
-weights, and every operation computes on them: integration is a weighted
-sum, the monad structure (Dirac unit, molecular multiplication, Kleisli
-composition), pushforward and the product are index sums and products, and
-the strength is the pushforward along a section y -> (x, y) of the product.
-The value of an open is the sum of the weights in it; the table of values
-on all opens is derived on demand, and `validate_valuation` reads weights
-off a table.  The module also provides the weak topology subbasis with
-Portmanteau certificates and order comparisons.  The routes that confirm
+weights: it is the [0, oo] instance of the weighted core (`weighted`), of
+which H is the Boolean instance.  The Dirac unit, the pushforward, the
+molecular multiplication and Kleisli composition, the strength, the
+product, the integral (the pairing of weights with a function), the
+canonical form behind equality and `validate_valuation`'s reading of
+weights off a table are the core's operations.  The value of an open is
+the sum of the weights in it.  The module also provides the weak topology
+subbasis with Portmanteau certificates and order comparisons.  The routes that confirm
 these (the layer-cake integral, the inclusion-exclusion product, both
 composites of the Fubini square, the pairwise validity scan) are laws in
 `lawcheck`.
@@ -22,9 +22,8 @@ composites of the Fubini square, the pairwise validity scan) are laws in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -39,8 +38,9 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from .extrat import ExtRat, INF, ONE, ZERO, ext, monus, sgn
-from .spaces import ContinuousMap, FiniteSpace, Product, bits, from_preorder, product
+from . import weighted as wt
+from .extrat import ExtRat, ONE, ZERO, ext, sgn
+from .spaces import ContinuousMap, FiniteSpace, Product, bits, cached, from_preorder, product
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +49,8 @@ class Valuation:
 
     Each specialization class keeps its total weight on its least point.
     Two valuations are equal when they agree on every open, which is when
-    their weights agree after `_canonical` fills in the weights an oo hides.
+    their weights agree in the core's canonical form, which fills in the
+    weights an oo hides.
     """
 
     space: FiniteSpace
@@ -59,29 +60,14 @@ class Valuation:
         weights = [ext(w) for w in self.weights]
         if len(weights) != self.space.n:
             raise ShapeMismatch("one weight per point required")
-        for x, c in enumerate(self.space.classes):
-            least = (c & -c).bit_length() - 1
-            if least != x:
-                weights[least] = weights[least] + weights[x]
-                weights[x] = ZERO
-        object.__setattr__(self, "weights", tuple(weights))
-
-    @cached_property
-    def _canonical(self) -> tuple[ExtRat, ...]:
-        """The weights, with oo on each point that has an oo-weight point
-        strictly above it: every open containing such a point has value oo
-        whatever the point's own weight, and otherwise a weight is fixed by
-        the values on the opens."""
-        infinite = sum(1 << x for x, w in enumerate(self.weights) if w.is_infinite)
-        if not infinite:
-            return self.weights
-        space = self.space
-        return tuple(
-            INF if c & -c == 1 << x and up & ~c & infinite else w
-            for x, (w, up, c) in enumerate(
-                zip(self.weights, space.min_nbhd, space.classes)
-            )
+        # push each weight to the least point of its class
+        object.__setattr__(
+            self, "weights", wt.push(wt.EXT, self.space.least, self.space.n, weights)
         )
+
+    @cached
+    def _canonical(self) -> tuple[ExtRat, ...]:
+        return wt.canonical(wt.EXT, self.space, self.weights)
 
     def __eq__(self, other):
         if not isinstance(other, Valuation):
@@ -91,7 +77,7 @@ class Valuation:
     def __hash__(self):
         return hash((self.space, self._canonical))
 
-    @cached_property
+    @cached
     def table(self) -> tuple[ExtRat, ...]:
         """The values on `space.opens`, in order."""
         positive = [(1 << x, w) for x, w in enumerate(self.weights) if w]
@@ -106,7 +92,7 @@ class Valuation:
         self.space.require_open(u)
         return sum((self.weights[x] for x in bits(u)), ZERO)
 
-    @cached_property
+    @cached
     def mass(self) -> ExtRat:
         return sum(self.weights, ZERO)
 
@@ -129,27 +115,25 @@ def validate_valuation(space: FiniteSpace, table) -> Valuation:
     """The valuation with the given values on `space.opens`, after checking
     strictness, monotonicity, and modularity, with witnesses.
 
-    The weights are read off the table: w_x = nu(up x) - nu(up x minus [x]),
-    truncated, so oo - oo = 0, on the least point x of each class.  By
-    modularity they reproduce every valid table, so only a table they fail
-    to reproduce is scanned pairwise for a NotMonotone or NotModular witness.
+    The weights are read off the table by the core: w_x = nu(up x) -
+    nu(up x minus [x]), truncated, so oo - oo = 0, on the least point x of
+    each class.  By modularity they reproduce every valid table, so only a
+    table they fail to reproduce is scanned pairwise for a NotMonotone or
+    NotModular witness.
     """
     if isinstance(table, dict):
+        if set(table) != set(space.opens):
+            raise ShapeMismatch("table keys are not the opens of the space")
         table = tuple(table[u] for u in space.opens)
     table = tuple(ext(v) for v in table)
     if len(table) != len(space.opens):
         raise ShapeMismatch("table size differs from number of opens")
     if table[0] != ZERO:
         raise NotStrict(f"value on the empty set is {table[0]}")
-    value = dict(zip(space.opens, table))
-    weights = [ZERO] * space.n
-    for x, c in enumerate(space.classes):
-        if c & -c == 1 << x:
-            up = space.min_nbhd[x]
-            weights[x] = monus(value[up], value[up & ~c])
-    nu = Valuation(space, tuple(weights))
+    nu = Valuation(space, wt.read_weights(wt.EXT, space, table))
     if nu.table == table:
         return nu
+    value = dict(zip(space.opens, table))
     for u in space.opens:
         for v in space.opens:
             if u & ~v == 0 and value[u] > value[v]:
@@ -167,9 +151,8 @@ def zero_valuation(space: FiniteSpace) -> Valuation:
 
 def unit_delta(space: FiniteSpace, x: int) -> Valuation:
     """The Dirac valuation: mass 1 on every open containing x."""
-    if x not in range(space.n):
-        raise ShapeMismatch(f"{x!r} is not a point of the space")
-    return Valuation(space, tuple(ONE if y == x else ZERO for y in range(space.n)))
+    space.require_point(x)
+    return Valuation(space, wt.unit(wt.EXT, space.n, x))
 
 
 # --- lower semicontinuous functions ---------------------------------------
@@ -197,8 +180,7 @@ class LowerSemiFn:
                     )
 
     def __call__(self, x: int) -> ExtRat:
-        if x not in range(self.space.n):
-            raise ShapeMismatch(f"{x!r} is not a point of the space")
+        self.space.require_point(x)
         return self.values[x]
 
     def upper_level(self, r: ExtRat) -> int:
@@ -222,32 +204,21 @@ def indicator(space: FiniteSpace, u: int, coefficient=ONE) -> LowerSemiFn:
 
 
 def compose_lsc(g: LowerSemiFn, f: ContinuousMap) -> LowerSemiFn:
-    if g.space != f.target:
-        raise ShapeMismatch("function does not live on the map's target")
+    f.target.require_here(g)
     return LowerSemiFn(f.source, tuple(g.values[f(x)] for x in range(f.source.n)))
 
 
 def canonical_lsc_family(space: FiniteSpace, max_value: int | None = None):
-    """All monotone functions into {0, 1, ..., max_value} (default |X|)."""
+    """All monotone functions into {0, 1, ..., max_value} (default |X|),
+    in lexicographic order of their values."""
     if max_value is None:
         max_value = space.n
-    values = [ExtRat(k) for k in range(max_value + 1)]
-
-    def extend(partial):
-        x = len(partial)
-        if x == space.n:
-            yield LowerSemiFn(space, tuple(partial))
-            return
-        for v in values:
-            ok = all(
-                (not space.leq(y, x) or partial[y] <= v)
-                and (not space.leq(x, y) or v <= partial[y])
-                for y in range(x)
-            )
-            if ok:
-                yield from extend(partial + [v])
-
-    yield from extend([])
+    for values in itertools.product(map(ExtRat, range(max_value + 1)), repeat=space.n):
+        try:
+            g = LowerSemiFn(space, values)
+        except NotLowerSemicontinuous:
+            continue
+        yield g
 
 
 # --- integration -----------------------------------------------------------
@@ -255,9 +226,8 @@ def canonical_lsc_family(space: FiniteSpace, max_value: int | None = None):
 
 def integrate(nu: Valuation, g: LowerSemiFn) -> ExtRat:
     """The pairing <nu, g> = sum of w_x * g(x), with oo * 0 = 0."""
-    if nu.space != g.space:
-        raise ShapeMismatch("valuation and function live on different spaces")
-    return sum((w * v for w, v in zip(nu.weights, g.values) if w), ZERO)
+    nu.space.require_here(g)
+    return wt.pairing(wt.EXT, nu.weights, g.values)
 
 
 # --- functor and monad ------------------------------------------------------
@@ -265,13 +235,8 @@ def integrate(nu: Valuation, g: LowerSemiFn) -> ExtRat:
 
 def pushforward(f: ContinuousMap, nu: Valuation) -> Valuation:
     """f_* nu, the valuation U -> nu(f^{-1} U): each weight moves to f(x)."""
-    if nu.space != f.source:
-        raise ShapeMismatch("valuation does not live on the map's source")
-    weights = [ZERO] * f.target.n
-    for x, w in enumerate(nu.weights):
-        if w:
-            weights[f.assignment[x]] = weights[f.assignment[x]] + w
-    return Valuation(f.target, tuple(weights))
+    f.source.require_here(nu)
+    return Valuation(f.target, wt.push(wt.EXT, f.assignment, f.target.n, nu.weights))
 
 
 @dataclass(frozen=True)
@@ -291,26 +256,20 @@ class SimpleSecondOrder:
         for c, nu in self.atoms:
             if not sgn(c):
                 raise PreconditionFailed("atom weights must be positive")
-            if nu.space != self.space:
-                raise ShapeMismatch("atom valuation on a different space")
+        self.space.require_here(*(nu for _, nu in self.atoms))
 
 
 def mult_E(xi: SimpleSecondOrder) -> Valuation:
     """The multiplication of V on molecular input: sum of c_j * nu_j."""
-    weights = [ZERO] * xi.space.n
-    for c, nu in xi.atoms:
-        for x, w in enumerate(nu.weights):
-            if w:
-                weights[x] = weights[x] + c * w
-    return Valuation(xi.space, tuple(weights))
+    mixture = [(c, nu.weights) for c, nu in xi.atoms]
+    return Valuation(xi.space, wt.mult(wt.EXT, xi.space.n, mixture))
 
 
 def pairing_with_evaluation(xi: SimpleSecondOrder, g: LowerSemiFn) -> ExtRat:
     """<xi, nu -> <nu, g>>, the other side of the multiplication identity."""
-    total = ZERO
-    for c, nu in xi.atoms:
-        total = total + c * integrate(nu, g)
-    return total
+    return wt.pairing(
+        wt.EXT, [c for c, _ in xi.atoms], [integrate(nu, g) for _, nu in xi.atoms]
+    )
 
 
 @dataclass(frozen=True)
@@ -324,9 +283,7 @@ class Kernel:
     def __post_init__(self):
         if len(self.table) != self.source.n:
             raise ShapeMismatch("one valuation per source point required")
-        for nu in self.table:
-            if nu.space != self.target:
-                raise ShapeMismatch("kernel valuation on a different space")
+        self.target.require_here(*self.table)
         for u in self.target.opens:
             try:
                 LowerSemiFn(
@@ -339,6 +296,7 @@ class Kernel:
                 ) from exc
 
     def __call__(self, x: int) -> Valuation:
+        self.source.require_point(x)
         return self.table[x]
 
 
@@ -356,15 +314,12 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
     """(k .! h)(x) = sum over y of h(x)_y * k(y), avoiding second-order values."""
     if h.target != k.source:
         raise ShapeMismatch("kernels are not composable")
-    table = []
-    for hx in h.table:
-        weights = [ZERO] * k.target.n
-        for y, w in enumerate(hx.weights):
-            if w:
-                for z, v in enumerate(k.table[y].weights):
-                    weights[z] = weights[z] + w * v
-        table.append(Valuation(k.target, tuple(weights)))
-    return Kernel(h.source, k.target, tuple(table))
+    rows = [ky.weights for ky in k.table]
+    table = tuple(
+        Valuation(k.target, wt.mult(wt.EXT, k.target.n, zip(hx.weights, rows)))
+        for hx in h.table
+    )
+    return Kernel(h.source, k.target, table)
 
 
 # --- strength and products ---------------------------------------------------
@@ -372,16 +327,14 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
 
 def strength_V(prod: Product, x: int, nu: Valuation) -> Valuation:
     """s(x, nu): the pushforward of nu along y -> (x, y); W -> nu(W_x)."""
-    if nu.space != prod.right:
-        raise ShapeMismatch("valuation must live on the right factor")
-    return pushforward(prod.at_left(x), nu)
+    prod.right.require_here(nu)
+    return Valuation(prod.space, wt.strength(wt.EXT, prod, x, nu.weights))
 
 
 def costrength_V(prod: Product, nu: Valuation, y: int) -> Valuation:
     """t(nu, y): the pushforward of nu along x -> (x, y)."""
-    if nu.space != prod.left:
-        raise ShapeMismatch("valuation must live on the left factor")
-    return pushforward(prod.at_right(y), nu)
+    prod.left.require_here(nu)
+    return Valuation(prod.space, wt.costrength(wt.EXT, prod, nu.weights, y))
 
 
 def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None) -> Valuation:
@@ -389,11 +342,9 @@ def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None
     weight of the pair (x, y) is w_x * w_y."""
     if prod is None:
         prod = product(nu.space, rho.space)
-    if nu.space != prod.left or rho.space != prod.right:
-        raise ShapeMismatch("valuations do not match the product factors")
-    return Valuation(
-        prod.space, tuple(a * b for a in nu.weights for b in rho.weights)
-    )
+    prod.left.require_here(nu)
+    prod.right.require_here(rho)
+    return Valuation(prod.space, wt.product(wt.EXT, nu.weights, rho.weights))
 
 
 # --- the weak topology and Portmanteau certificates -------------------------
@@ -412,8 +363,7 @@ def big_theta_membership(nu: Valuation, f: LowerSemiFn, r) -> bool:
     r = ext(r)
     if r.is_infinite:
         raise PreconditionFailed("threshold must be finite")
-    if nu.space != f.space:
-        raise ShapeMismatch("valuation and function live on different spaces")
+    nu.space.require_here(f)
     return integrate(nu, f) > r
 
 
@@ -427,23 +377,15 @@ def portmanteau_witness(
     contained in Theta(f, r) for every valuation, not just nu.
     """
     r = ext(r)
-    if r.is_infinite:
-        raise PreconditionFailed("threshold must be finite")
-    if not big_theta_membership(nu, f, r):
+    if not big_theta_membership(nu, f, r):  # which requires r finite
         raise PreconditionFailed("<nu, f> does not exceed the threshold")
-    layers = []  # (c_i, U_i) with nu(U_i) > 0
-    finite_values = sorted({v.frac for v in f.values if v.is_finite})
-    prev = Fraction(0)
-    for v in finite_values:
-        if v == 0:
-            continue
-        u = f.weak_level(ExtRat(v))
+    layers = []  # f is the sum of c_i 1_{U_i}; keep those with nu(U_i) > 0
+    prev = ZERO
+    for v in sorted({v for v in f.values if v}):
+        u = f.weak_level(v)
         if sgn(nu.value(u)):
-            layers.append((ExtRat(v - prev), u))
+            layers.append((v - prev, u))
         prev = v
-    inf_level = f.weak_level(INF)
-    if sgn(nu.value(inf_level)):
-        layers.append((INF, inf_level))
     # an infinite term certifies alone with any sufficient finite r_i
     for c, u in layers:
         if (c * nu.value(u)).is_infinite:
@@ -452,13 +394,9 @@ def portmanteau_witness(
             else:
                 ri = (r + ONE) / c
             return [(c, u, ri)]
-    total = ZERO
-    for c, u in layers:
-        total = total + c * nu.value(u)
-    slack = total - r
-    coeff_sum = ZERO
-    for c, u in layers:
-        coeff_sum = coeff_sum + c
+    coeffs = [c for c, _ in layers]
+    slack = wt.pairing(wt.EXT, coeffs, [nu.value(u) for _, u in layers]) - r
+    coeff_sum = sum(coeffs, ZERO)
     eps = slack / (ExtRat(2) * coeff_sum)
     cert = []
     for c, u in layers:
@@ -473,6 +411,8 @@ def check_certificate(
     """Independent soundness check of a Portmanteau certificate."""
     r = ext(r)
     space = f.space
+    if nu is not None:
+        space.require_here(nu)
     for x in range(space.n):
         g_x = ZERO
         for c, u, _ in cert:
@@ -507,8 +447,11 @@ def _closed_preorder(space: FiniteSpace, relation: set[tuple[int, int]]) -> Fini
     """The auxiliary preorder as a space on the same points, after checking
     that it is a preorder (with a witness) whose graph is closed."""
     for a, b in relation:
-        if a not in range(space.n) or b not in range(space.n):
-            raise NotAPreorder("pair mentions a point outside the space", (a, b))
+        try:
+            space.require_point(a)
+            space.require_point(b)
+        except ShapeMismatch as exc:
+            raise NotAPreorder("pair mentions a point outside the space", (a, b)) from exc
     names = space.points
     aux = from_preorder(names, [(names[a], names[b]) for a, b in relation])
     prod = product(space, space)
@@ -533,9 +476,8 @@ def order_checks(
     The opens order coincides with the integral order <nu, g> <= <rho, g>
     over lower semicontinuous g.
     """
-    if nu.space != rho.space:
-        raise ShapeMismatch("valuations live on different spaces")
     space = nu.space
+    space.require_here(rho)
     opens_le = all(a <= b for a, b in zip(nu.table, rho.table))
     stochastic = None
     if aux_preorder is not None:

@@ -1,0 +1,116 @@
+"""The weighted core that H and V share: point weights in a semiring.
+
+On a finite space a closed set is a {0, 1}-weight per point and a
+continuous valuation a [0, oo]-weight per point; H and V are the monad of
+semiring-valued multisets over the two semirings (Coumans and Jacobs,
+"Scalars, monads, and categories", 2013; Kock, TAC 2012).  So each
+operation is written once here, on weight tuples, for a semiring given as
+an object.  The support V -> H is the change of scalars along the semiring
+homomorphism sgn, which is why it is a monad morphism.
+
+Weights fix a closed set or a valuation up to the weights under a top
+weight, which no open sees; `canonical` fills them in.  For the Boolean
+semiring every nonzero weight is top and the fill is the closure, so H
+keeps `FiniteSpace.closure` as its canonical form.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
+
+from .extrat import INF, ONE, ZERO, monus
+from .spaces import FiniteSpace, Product
+
+
+@dataclass(frozen=True)
+class _Semiring:
+    """A commutative semiring with an absorbing top and truncated
+    subtraction: monus(a, b) is the least c with a <= b + c."""
+
+    zero: object
+    one: object
+    top: object
+    add: Callable
+    mul: Callable
+    monus: Callable
+
+
+BOOL = _Semiring(False, True, True, operator.or_, operator.and_, lambda a, b: a and not b)
+EXT = _Semiring(ZERO, ONE, INF, operator.add, operator.mul, monus)
+
+
+def unit(s: _Semiring, n: int, x: int) -> tuple:
+    """The Dirac weights: the one-point space's weight one, pushed to x."""
+    return push(s, (x,), n, (s.one,))
+
+
+def push(s: _Semiring, assignment: Sequence[int], n: int, w: Sequence) -> tuple:
+    """Each weight w_x moves to assignment[x], one of n target points."""
+    zero = s.zero
+    out = [zero] * n
+    for x, a in enumerate(w):
+        y = assignment[x]
+        out[y] = a if out[y] is zero else s.add(out[y], a)
+    return tuple(out)
+
+
+def mult(s: _Semiring, n: int, mixture: Iterable[tuple[object, Sequence]]) -> tuple:
+    """The multiplication of a finite mixture: the sum of c * w over its
+    (c, w) pairs, on n points."""
+    zero, add, mul = s.zero, s.add, s.mul
+    out = [zero] * n
+    for c, w in mixture:
+        for x, a in enumerate(w):
+            if a:
+                ca = mul(c, a)
+                out[x] = ca if out[x] is zero else add(out[x], ca)
+    return tuple(out)
+
+
+def strength(s: _Semiring, prod: Product, x: int, w: Sequence) -> tuple:
+    """s(x, w): the push along the section y -> (x, y)."""
+    return push(s, prod.at_left(x).assignment, prod.space.n, w)
+
+
+def costrength(s: _Semiring, prod: Product, w: Sequence, y: int) -> tuple:
+    """t(w, y): the push along the section x -> (x, y)."""
+    return push(s, prod.at_right(y).assignment, prod.space.n, w)
+
+
+def product(s: _Semiring, w: Sequence, v: Sequence) -> tuple:
+    """The weight of the pair (x, y) is w_x * v_y."""
+    return tuple([s.mul(a, b) for a in w for b in v])
+
+
+def pairing(s: _Semiring, w: Sequence, g: Sequence):
+    """<w, g>, the sum of w_x * g(x)."""
+    zero, add, mul = s.zero, s.add, s.mul
+    acc = zero
+    for a, b in zip(w, g):
+        if a:
+            acc = mul(a, b) if acc is zero else add(acc, mul(a, b))
+    return acc
+
+
+def canonical(s: _Semiring, space: FiniteSpace, w: Sequence) -> tuple:
+    """The weights with top on every point below a top weight, which fixes
+    every other weight by the values on the opens."""
+    top = s.top
+    tops = sum([1 << x for x, a in enumerate(w) if a == top])
+    if not tops:
+        return tuple(w)
+    below = space.closure(tops)
+    return tuple([top if below >> x & 1 else a for x, a in enumerate(w)])
+
+
+def read_weights(s: _Semiring, space: FiniteSpace, table: Sequence) -> tuple:
+    """Weights read off values on `space.opens`: w_x = v(up x) - v(up x
+    minus [x]), truncated, on the least point x of each specialization
+    class, and zero on the rest of the class."""
+    v = dict(zip(space.opens, table))
+    return tuple([
+        s.monus(v[up], v[up & ~c]) if c & -c == 1 << x else s.zero
+        for x, (up, c) in enumerate(zip(space.min_nbhd, space.classes))
+    ])

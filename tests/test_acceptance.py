@@ -123,7 +123,7 @@ def test_criterion_03_vietoris_cross_check():
             # regenerate the lower Vietoris topology from the Hit subbasis
             # and compare it with the inclusion up-sets HX is built from
             hx = hy.build_hyperspace(space)
-            ok = ok and hy._vietoris_topology(hx) == set(hx.space.opens)
+            ok = ok and lc.vietoris_topology(hx) == set(hx.space.opens)
             ok = ok and h_specialization_is_inclusion(hx)
         return ok, (
             f"lower Vietoris = inclusion up-sets on {len(spaces)} spaces"

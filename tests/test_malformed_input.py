@@ -1,0 +1,192 @@
+"""Malformed input at every public boundary raises a TopmonadsError.
+
+Every public function that takes a point, a point name, a mask of points or
+an object that lives on a space is called with an out-of-range index, a
+negative index, an unknown name and an object from another space of the
+same size (discrete(2) against Sierpinski space), wherever its signature
+admits that kind of input.  Each call must raise a subclass of
+TopmonadsError: no IndexError, KeyError, bare ValueError or TypeError, no
+endless loop, and no result.
+
+Left out, because their inputs are bare bit-masks that no space checks:
+spaces.bits, popcount and upsets_of_up_masks, and hyperspace's
+inclusion_up_masks and inclusion_downsets.  The predicates is_open and
+is_closed answer False for a mask with bits outside the points, which is
+the right answer, and require_open raises.
+"""
+
+import pytest
+
+from topmonads import hyperspace as hy
+from topmonads import probability as pb
+from topmonads import spaces as sp
+from topmonads import support as su
+from topmonads import valuations as va
+from topmonads.errors import TopmonadsError
+from topmonads.extrat import ONE, ZERO, ext
+
+S = sp.sierpinski()
+D = sp.discrete(2)  # the other space: two points, like S
+P = sp.product(S, S)
+OUT, NEG, NAME = 7, -1, "zz"
+
+nu = va.valuation_from_weights(S, (ext("1/2"), ext("1/2")))
+nu_d = va.valuation_from_weights(D, (ext("1/2"), ext("1/2")))
+g = va.LowerSemiFn(S, (ZERO, ONE))
+g_d = va.LowerSemiFn(D, (ZERO, ONE))
+c = hy.unit_sigma(S, 1)
+c_d = hy.unit_sigma(D, 1)
+hx = hy.build_hyperspace(S)
+f = sp.identity_map(S)
+f_d = sp.identity_map(D)
+xi = va.SimpleSecondOrder(S, ((ONE, nu),))
+xi_d = va.SimpleSecondOrder(D, ((ONE, nu_d),))
+k = va.delta_kernel(S)
+m = pb.extend_to_measure(nu)
+p = pb.ProbValuation(nu)
+joins = hy.join_algebra_map(S)
+
+CALLS = {
+    # spaces
+    "FiniteSpace.index name": lambda: S.index(NAME),
+    "FiniteSpace.mask_of name": lambda: S.mask_of([NAME]),
+    "FiniteSpace.require_point out": lambda: S.require_point(OUT),
+    "FiniteSpace.require_point negative": lambda: S.require_point(NEG),
+    "FiniteSpace.require_point name": lambda: S.require_point(NAME),
+    "FiniteSpace.require_point object": lambda: S.require_point(c),
+    "FiniteSpace.leq out": lambda: S.leq(OUT, 0),
+    "FiniteSpace.leq negative": lambda: S.leq(0, NEG),
+    "FiniteSpace.leq name": lambda: S.leq(NAME, 0),
+    "FiniteSpace.mask_names out": lambda: S.mask_names(1 << OUT),
+    "FiniteSpace.mask_names negative": lambda: S.mask_names(NEG),
+    "FiniteSpace.closure out": lambda: S.closure(1 << OUT),
+    "FiniteSpace.closure negative": lambda: S.closure(NEG),
+    "FiniteSpace.require_open out": lambda: S.require_open(1 << OUT),
+    "FiniteSpace.require_open negative": lambda: S.require_open(NEG),
+    "from_opens out": lambda: sp.from_opens(S.points, [0, 1 << OUT, 3]),
+    "from_opens negative": lambda: sp.from_opens(S.points, [0, NEG, 3]),
+    "from_preorder name": lambda: sp.from_preorder(S.points, [(NAME, "0")]),
+    "ContinuousMap out": lambda: sp.ContinuousMap(S, S, (OUT, 1)),
+    "ContinuousMap negative": lambda: sp.ContinuousMap(S, S, (0, NEG)),
+    "ContinuousMap name": lambda: sp.ContinuousMap(S, S, (NAME, 1)),
+    "compose object": lambda: sp.compose(f_d, f),
+    "constant_map out": lambda: sp.constant_map(S, S, OUT),
+    "constant_map negative": lambda: sp.constant_map(S, S, NEG),
+    "Product.pair out": lambda: P.pair(0, OUT),
+    "Product.pair negative": lambda: P.pair(NEG, 0),
+    "Product.split out": lambda: P.split(OUT),
+    "Product.split negative": lambda: P.split(NEG),
+    "Product.rectangle out": lambda: P.rectangle(1 << OUT, 1),
+    "Product.rectangle negative": lambda: P.rectangle(1, NEG),
+    "Product.at_left out": lambda: P.at_left(OUT),
+    "Product.at_left negative": lambda: P.at_left(NEG),
+    "Product.at_right out": lambda: P.at_right(OUT),
+    "Product.at_right negative": lambda: P.at_right(NEG),
+    "le_2cell object": lambda: sp.le_2cell(f, f_d),
+    "way_below out": lambda: sp.way_below(S, 1 << OUT, 3),
+    "way_below negative": lambda: sp.way_below(S, 2, NEG),
+    "subspace out": lambda: sp.subspace(S, 1 << OUT),
+    "subspace negative": lambda: sp.subspace(S, NEG),
+    # hyperspace
+    "ClosedSet out": lambda: hy.ClosedSet(S, 1 << OUT),
+    "ClosedSet negative": lambda: hy.ClosedSet(S, NEG),
+    "ClosedSet name": lambda: hy.ClosedSet(S, NAME),
+    "closed_of_weights out": lambda: hy.closed_of_weights(S, (False,) * OUT + (True,)),
+    "Hyperspace.point_of out": lambda: hx.point_of(1 << OUT),
+    "Hyperspace.point_of negative": lambda: hx.point_of(NEG),
+    "Hyperspace.point_of name": lambda: hx.point_of(NAME),
+    "Hyperspace.closed_of out": lambda: hx.closed_of(OUT),
+    "Hyperspace.closed_of negative": lambda: hx.closed_of(NEG),
+    "Hyperspace.hit_mask out": lambda: hx.hit_mask(1 << OUT),
+    "Hyperspace.hit_mask negative": lambda: hx.hit_mask(NEG),
+    "hit out": lambda: hy.hit(c, 1 << OUT),
+    "hit negative": lambda: hy.hit(c, NEG),
+    "HitFunctional.value out": lambda: hy.functional_of_closed(c).value(1 << OUT),
+    "HitFunctional.value negative": lambda: hy.functional_of_closed(c).value(NEG),
+    "unit_sigma out": lambda: hy.unit_sigma(S, OUT),
+    "unit_sigma negative": lambda: hy.unit_sigma(S, NEG),
+    "unit_sigma name": lambda: hy.unit_sigma(S, NAME),
+    "push_closed object": lambda: hy.push_closed(f, c_d),
+    "mult_union out": lambda: hy.mult_union(hx, 1 << OUT),
+    "mult_union negative": lambda: hy.mult_union(hx, NEG),
+    "mult_union name": lambda: hy.mult_union(hx, NAME),
+    "mult_union object": lambda: hy.mult_union(hx, c),
+    "unit_closure_membership object": lambda: hy.unit_closure_membership(S, c_d),
+    "strength_H out": lambda: hy.strength_H(P, OUT, c),
+    "strength_H negative": lambda: hy.strength_H(P, NEG, c),
+    "strength_H object": lambda: hy.strength_H(P, 0, c_d),
+    "costrength_H out": lambda: hy.costrength_H(P, c, OUT),
+    "costrength_H negative": lambda: hy.costrength_H(P, c, NEG),
+    "costrength_H object": lambda: hy.costrength_H(P, c_d, 0),
+    "product_closed object": lambda: hy.product_closed(P, c, c_d),
+    "marginals object": lambda: hy.marginals(P, c),
+    "join_of_closed out": lambda: hy.join_of_closed(S, 1 << OUT),
+    "join_of_closed negative": lambda: hy.join_of_closed(S, NEG),
+    "check_H_algebra out": lambda: hy.check_H_algebra(S, (0, OUT, 1)),
+    "check_H_algebra negative": lambda: hy.check_H_algebra(S, (0, NEG, 1)),
+    "check_H_algebra name": lambda: hy.check_H_algebra(S, (0, NAME, 1)),
+    # valuations
+    "valuation_from_weights name": lambda: va.valuation_from_weights(S, {NAME: 1}),
+    "validate_valuation out": lambda: va.validate_valuation(S, {0: 0, 1: 1, 1 << OUT: 1}),
+    "validate_valuation negative": lambda: va.validate_valuation(S, {0: 0, 1: 1, NEG: 1}),
+    "unit_delta out": lambda: va.unit_delta(S, OUT),
+    "unit_delta negative": lambda: va.unit_delta(S, NEG),
+    "unit_delta name": lambda: va.unit_delta(S, NAME),
+    "Valuation.value out": lambda: nu.value(1 << OUT),
+    "Valuation.value negative": lambda: nu.value(NEG),
+    "LowerSemiFn.__call__ out": lambda: g(OUT),
+    "LowerSemiFn.__call__ negative": lambda: g(NEG),
+    "LowerSemiFn.__call__ name": lambda: g(NAME),
+    "indicator out": lambda: va.indicator(S, 1 << OUT),
+    "indicator negative": lambda: va.indicator(S, NEG),
+    "compose_lsc object": lambda: va.compose_lsc(g_d, f),
+    "integrate object": lambda: va.integrate(nu, g_d),
+    "pushforward object": lambda: va.pushforward(f, nu_d),
+    "SimpleSecondOrder object": lambda: va.SimpleSecondOrder(S, ((ONE, nu_d),)),
+    "pairing_with_evaluation object": lambda: va.pairing_with_evaluation(xi, g_d),
+    "Kernel object": lambda: va.Kernel(S, S, (nu, nu_d)),
+    "Kernel.__call__ out": lambda: k(OUT),
+    "Kernel.__call__ negative": lambda: k(NEG),
+    "Kernel.__call__ name": lambda: k(NAME),
+    "kleisli_compose object": lambda: va.kleisli_compose(k, va.delta_kernel(D)),
+    "strength_V out": lambda: va.strength_V(P, OUT, nu),
+    "strength_V negative": lambda: va.strength_V(P, NEG, nu),
+    "strength_V object": lambda: va.strength_V(P, 0, nu_d),
+    "costrength_V out": lambda: va.costrength_V(P, nu, OUT),
+    "costrength_V negative": lambda: va.costrength_V(P, nu, NEG),
+    "costrength_V object": lambda: va.costrength_V(P, nu_d, 0),
+    "product_valuation object": lambda: va.product_valuation(nu, nu_d, P),
+    "theta_membership out": lambda: va.theta_membership(nu, 1 << OUT, 0),
+    "theta_membership negative": lambda: va.theta_membership(nu, NEG, 0),
+    "big_theta_membership object": lambda: va.big_theta_membership(nu, g_d, 0),
+    "portmanteau_witness object": lambda: va.portmanteau_witness(nu_d, g, 0),
+    "check_certificate out": lambda: va.check_certificate(g, 0, [(ONE, 1 << OUT, ZERO)]),
+    "check_certificate negative": lambda: va.check_certificate(g, 0, [(ONE, NEG, ZERO)]),
+    "check_certificate object": lambda: va.check_certificate(g, 0, [(ONE, 2, ext("1/4"))], nu_d),
+    "order_checks out": lambda: va.order_checks(nu, nu, [(0, 0), (1, 1), (0, OUT)]),
+    "order_checks negative": lambda: va.order_checks(nu, nu, [(0, 0), (1, 1), (NEG, 1)]),
+    "order_checks name": lambda: va.order_checks(nu, nu, [(0, 0), (1, 1), (NAME, 1)]),
+    "order_checks object": lambda: va.order_checks(nu, nu_d),
+    # probability
+    "FiniteMeasure.measure_of out": lambda: m.measure_of(1 << OUT),
+    "FiniteMeasure.measure_of negative": lambda: m.measure_of(NEG),
+    "integrate_measure object": lambda: pb.integrate_measure(m, g_d),
+    "product_measure object": lambda: pb.product_measure(p, pb.ProbValuation(nu_d), P),
+    "a_topology_membership out": lambda: pb.a_topology_membership(p, 1 << OUT, 0),
+    "a_topology_membership negative": lambda: pb.a_topology_membership(p, NEG, 0),
+    # support
+    "support_test_lsc object": lambda: su.support_test_lsc(nu, g_d),
+    "check_supp_continuity object": lambda: su.check_supp_continuity(S, [nu_d]),
+    "check_supp_naturality object": lambda: su.check_supp_naturality(f, nu_d),
+    "check_monad_morphism object": lambda: su.check_monad_morphism(S, [xi_d]),
+    "check_supp_monoidal object": lambda: su.check_supp_monoidal(P, nu, nu_d),
+    "algebra_evaluate object": lambda: su.algebra_evaluate(S, joins, nu_d),
+    "induced_V_algebra out": lambda: su.induced_V_algebra(S, (0, OUT, 1)),
+    "induced_V_algebra object": lambda: su.induced_V_algebra(S, joins, [xi_d]),
+}
+
+
+@pytest.mark.parametrize("call", list(CALLS), ids=list(CALLS))
+def test_malformed_input_raises_a_library_error(call):
+    with pytest.raises(TopmonadsError):
+        CALLS[call]()
