@@ -13,9 +13,8 @@ regenerates the topology from the Hit subbasis as an oracle.  Iterated
 hyperspaces reuse the same machinery through inclusion orders on
 bit-masks, so HHX and HHHX never materialize a power set.
 
-Both composites of the
-commutativity square are oracles in `lawcheck`, where a named law compares
-them with the product of closed sets.
+Both composites of the commutativity square are oracles in `lawcheck`,
+where a named law compares them with the product of closed sets.
 """
 
 from __future__ import annotations
@@ -23,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import weighted as wt
 from .errors import (
     NotATopology,
     NotAValidFunctional,
     NotClosedFamily,
     ShapeMismatch,
 )
-from . import weighted as wt
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
@@ -83,6 +82,7 @@ class ClosedSet:
 
     @property
     def weights(self) -> tuple[bool, ...]:
+        """The Boolean point weights: one on the members."""
         return tuple([self.members >> x & 1 == 1 for x in range(self.space.n)])
 
 

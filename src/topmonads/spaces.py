@@ -118,7 +118,9 @@ class FiniteSpace:
         ShapeMismatch naming the first that does not."""
         for obj in objects:
             if getattr(obj, "space", None) != self:
-                raise ShapeMismatch(f"{obj!r} does not live on the space {self.points}")
+                raise ShapeMismatch(
+                    f"{type(obj).__name__} does not live on the space {self.points}"
+                )
         return objects
 
     def is_open(self, mask: int) -> bool:
@@ -156,7 +158,7 @@ class FiniteSpace:
         """Specialization: x <= y iff x lies in the closure of {y}."""
         n = self.n
         if type(x) is not int or type(y) is not int or not (0 <= x < n and 0 <= y < n):
-            self.require_point(x)  # raises, unless x and y are bools
+            self.require_point(x)  # raises unless both are points (bools are ints)
             self.require_point(y)
         return bool(self.min_nbhd[x] >> y & 1)
 

@@ -14,10 +14,10 @@ product, the integral (the pairing of weights with a function), the
 canonical form behind equality and `validate_valuation`'s reading of
 weights off a table are the core's operations.  The value of an open is
 the sum of the weights in it.  The module also provides the weak topology
-subbasis with Portmanteau certificates and order comparisons.  The routes that confirm
-these (the layer-cake integral, the inclusion-exclusion product, both
-composites of the Fubini square, the pairwise validity scan) are laws in
-`lawcheck`.
+subbasis with Portmanteau certificates and order comparisons.  The routes
+that confirm these (the layer-cake integral, the inclusion-exclusion
+product, both composites of the Fubini square, the pairwise validity
+scan) are laws in `lawcheck`.
 """
 
 from __future__ import annotations
