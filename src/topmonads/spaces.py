@@ -371,8 +371,6 @@ class Product:
 
     def rectangle(self, u: int, v: int) -> int:
         """The mask of U x V in the product space."""
-        if u & ~self.left.full or v & ~self.right.full:
-            raise ShapeMismatch(f"sides {u}, {v} have bits outside the factors")
         mask = 0
         for i in bits(u):
             for j in bits(v):

@@ -169,10 +169,10 @@ def check_supp_monoidal(
 
 
 def algebra_evaluate(a_space: FiniteSpace, a_map, nu: Valuation) -> int:
-    """The induced valuation-algebra map e = a after support."""
+    """The induced valuation-algebra map e = a after support; the points of
+    HA are the closed sets of A, sorted."""
     a_space.require_here(nu)
-    hx = build_hyperspace(a_space)
-    return a_map[hx.point_of(support(nu).members)]
+    return a_map[sorted(a_space.closed_sets()).index(support(nu).members)]
 
 
 @dataclass(frozen=True)
@@ -213,11 +213,10 @@ def induced_V_algebra(
         raise NotAnHAlgebra("the given table is not a hyperspace algebra")
     xis = a_space.require_here(*xis)
     n = a_space.n
-    # the points of HA are the closed sets of A, sorted
     point_of = {m: i for i, m in enumerate(sorted(a_space.closed_sets()))}
 
     def e(nu: Valuation) -> int:
-        """algebra_evaluate, without building HA again."""
+        """algebra_evaluate, with HA's point index built once."""
         return a_map[point_of[support(nu).members]]
 
     def dirac_weights(pairs) -> Valuation:

@@ -22,7 +22,6 @@ scan) are laws in `lawcheck`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -213,12 +212,18 @@ def canonical_lsc_family(space: FiniteSpace, max_value: int | None = None):
     in lexicographic order of their values."""
     if max_value is None:
         max_value = space.n
-    for values in itertools.product(map(ExtRat, range(max_value + 1)), repeat=space.n):
-        try:
-            g = LowerSemiFn(space, values)
-        except NotLowerSemicontinuous:
-            continue
-        yield g
+    values = [ExtRat(k) for k in range(max_value + 1)]
+    prefixes = [()]
+    for x in range(space.n):  # the prefixes monotone on the points before x
+        below = [y for y in range(x) if space.leq(y, x)]
+        above = [y for y in range(x) if space.leq(x, y)]
+        prefixes = [
+            p + (v,)
+            for p in prefixes
+            for v in values
+            if all(p[y] <= v for y in below) and all(v <= p[y] for y in above)
+        ]
+    return (LowerSemiFn(space, p) for p in prefixes)
 
 
 # --- integration -----------------------------------------------------------
