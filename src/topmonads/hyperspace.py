@@ -80,7 +80,7 @@ class ClosedSet:
     def names(self) -> list[str]:
         return self.space.mask_names(self.members)
 
-    @property
+    @cached
     def weights(self) -> tuple[bool, ...]:
         """The Boolean point weights: one on the members."""
         return tuple([self.members >> x & 1 == 1 for x in range(self.space.n)])
