@@ -1,7 +1,8 @@
 """CLI documents pinned byte for byte.
 
-Each case runs one command on Sierpinski space, chain(3) or
-discrete(2) x Sierpinski and compares its whole standard output, open
+Each case runs one command on Sierpinski space, chain(3),
+discrete(2) x Sierpinski or the non-T0 indiscrete(2) x Sierpinski and
+compares its whole standard output, open
 lists and `opens_checksum` included, with the text stored in
 `golden/cli_documents.json`.  Running this file as a script rewrites
 that file from the current code.
@@ -22,6 +23,7 @@ SPACES = {
     "sierpinski": cli.space_document(sp.sierpinski()),
     "chain3": cli.space_document(sp.chain(3)),
     "d2xs": cli.space_document(sp.product(sp.discrete(2), sp.sierpinski()).space),
+    "i2xs": cli.space_document(sp.product(sp.indiscrete(2), sp.sierpinski()).space),
 }
 
 INPUTS = {
@@ -35,6 +37,11 @@ INPUTS = {
     "nu_d2xs.json": {
         "space": SPACES["d2xs"],
         "weights": {"(d0,0)": "1/4", "(d0,1)": "0", "(d1,0)": "0", "(d1,1)": "3/4"},
+    },
+    # not T0: the measure lives on the two-point Kolmogorov quotient
+    "nu_i2xs.json": {
+        "space": SPACES["i2xs"],
+        "weights": {"(i0,0)": "1/6", "(i0,1)": "0", "(i1,0)": "1/3", "(i1,1)": "1/2"},
     },
     "c3_to_s.json": {
         "source": SPACES["chain3"],
@@ -73,6 +80,7 @@ CASES = {
     "val product nu_d2xs nu_s": ["val", "product", "nu_d2xs.json", "--other", "nu_s.json"],
     "val extend nu_c3": ["val", "extend", "nu_c3.json"],
     "val extend nu_d2xs": ["val", "extend", "nu_d2xs.json"],
+    "val extend nu_i2xs": ["val", "extend", "nu_i2xs.json"],
 }
 
 
