@@ -2,8 +2,9 @@
 
 A closed set is the Boolean instance of the weighted core (`weighted`): a
 {0, 1}-weight per point in canonical form, the closure, encoded as the
-bit-mask of its points.  The unit, push, multiplication, strength,
-product and reading a closed set off its hit table are the core's.
+bit-mask of its points.  The unit, push, multiplication, strength and
+product are the core's, and so are a closed set's hit table and the check
+of a `HitFunctional`, which reads its closed set back off the table.
 
 Points of HX are the closed subsets of X (always including the empty set),
 ordered by inclusion; the lower Vietoris topology generated by the sets
@@ -19,11 +20,12 @@ where a named law compares them with the product of closed sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from . import weighted as wt
 from .errors import (
+    LawViolation,
     NotATopology,
     NotAValidFunctional,
     NotClosedFamily,
@@ -147,43 +149,41 @@ def hit(c: ClosedSet, u: int) -> bool:
 
 @dataclass(frozen=True)
 class HitFunctional:
-    """A strict, join-preserving boolean functional on the open lattice."""
+    """A strict, join-preserving boolean table on the opens: the hit table of `closed`."""
 
     space: FiniteSpace
     table: tuple[bool, ...]  # aligned with space.opens
+    closed: ClosedSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        opens = self.space.opens
-        if len(self.table) != len(opens):
-            raise NotAValidFunctional("table size differs from number of opens")
-        lookup = {u: t for u, t in zip(opens, self.table)}
-        if lookup[0]:
-            raise NotAValidFunctional("not strict", witness=(0,))
-        for u in opens:
-            for v in opens:
-                if lookup[u | v] != (lookup[u] or lookup[v]):
-                    raise NotAValidFunctional(
-                        "not join-preserving",
-                        witness=(
-                            self.space.mask_names(u),
-                            self.space.mask_names(v),
-                        ),
-                    )
+        opens, table = self.space.opens, self.table
+        if not isinstance(table, Sequence) or [type(t) for t in table] != [bool] * len(opens):
+            raise ShapeMismatch(f"the table needs one bool per open, {len(opens)} in all")
+        object.__setattr__(self, "table", tuple(table))
+        weights = wt.validate(wt.BOOL, self.space, self.table)
+        if weights is None:  # scan the pairs for a witness
+            lookup = dict(zip(opens, table))
+            if lookup[0]:
+                raise NotAValidFunctional("not strict", witness=(0,))
+            for u in opens:
+                for v in opens:
+                    if lookup[u | v] != (lookup[u] or lookup[v]):
+                        witness = (self.space.mask_names(u), self.space.mask_names(v))
+                        raise NotAValidFunctional("not join-preserving", witness=witness)
+            raise LawViolation("the weights read off a valid table do not reproduce it")
+        object.__setattr__(self, "closed", closed_of_weights(self.space, weights))
 
     def value(self, u: int) -> bool:
-        self.space.require_open(u)
-        return self.table[self.space.opens.index(u)]
+        return hit(self.closed, u)
 
 
 def functional_of_closed(c: ClosedSet) -> HitFunctional:
-    return HitFunctional(
-        c.space, tuple(bool(c.members & u) for u in c.space.opens)
-    )
+    return HitFunctional(c.space, wt.table(wt.BOOL, c.space, c.weights))
 
 
 def closed_of_functional(phi: HitFunctional) -> ClosedSet:
     """The closed set whose weights are read off its hit table."""
-    return closed_of_weights(phi.space, wt.read_weights(wt.BOOL, phi.space, phi.table))
+    return phi.closed
 
 
 # --- monad structure ------------------------------------------------------

@@ -1,42 +1,34 @@
 """Normalized valuations and their extension to measures on the power set.
 
 On a finite T0 space the point closures separate points, so the Borel
-sigma-algebra is the full power set and a measure is just a table of
-nonnegative point weights.  A valuation is stored as its point weights
-(see `weighted`), so on a T0 space a finite-mass valuation extends to the
-measure with those same weights; they are nonnegative by construction.
-Non-T0 spaces route through the Kolmogorov quotient (valuations cannot see
-more), and the result carries the quotient map as an explicit marker.
+sigma-algebra is the full power set.  A valuation is stored as its point
+weights (see `weighted`), so a finite-mass valuation there extends to the
+measure with the same weights, and a `FiniteMeasure` is a view of that
+valuation: the measure of a set is the pairing of the weights with its
+indicator.  Non-T0 spaces route through the Kolmogorov quotient
+(valuations cannot see more), and the result carries the quotient map as
+an explicit marker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import weighted as wt
-from .errors import (
-    InfiniteMass,
-    NotNormalized,
-    ShapeMismatch,
-)
-from .extrat import ExtRat, ONE, ZERO, ext
+from .errors import InfiniteMass, NotNormalized, PreconditionFailed, ShapeMismatch
+from .extrat import ExtRat, ONE, ZERO
 from .spaces import (
-    ContinuousMap,
-    FiniteSpace,
-    Product,
-    bits,
-    kolmogorov_quotient,
-    product,
+    ContinuousMap, FiniteSpace, Product, check_separation, kolmogorov_quotient, product
 )
 from .valuations import (
     LowerSemiFn,
     SimpleSecondOrder,
     Valuation,
+    integrate,
     mult_E,
     product_valuation,
     pushforward,
     theta_membership,
-    valuation_from_weights,
 )
 
 
@@ -59,7 +51,9 @@ class ProbValuation:
 
 @dataclass(frozen=True)
 class FiniteMeasure:
-    """Point weights, i.e. a measure on the full power set of a T0 space.
+    """A measure on a T0 space, whose Borel sets are all its subsets: a
+    view of `valuation`, the finite-mass valuation with the same point
+    weights, which is the measure restricted to the opens.
 
     `quotient_map` is set when the measure was produced from a valuation
     on a non-T0 space: the weights then live on the Kolmogorov quotient.
@@ -68,30 +62,30 @@ class FiniteMeasure:
     space: FiniteSpace
     point_weights: tuple[ExtRat, ...]
     quotient_map: ContinuousMap | None = None
+    valuation: Valuation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "point_weights", tuple(ext(w) for w in self.point_weights)
-        )
-        if len(self.point_weights) != self.space.n:
-            raise ShapeMismatch("one weight per point required")
-        for w in self.point_weights:
-            if w.is_infinite:
-                raise InfiniteMass("point weights must be finite")
+        if not check_separation(self.space).is_T0:
+            raise PreconditionFailed("a measure needs a T0 space, where every subset is Borel")
+        nu = Valuation(self.space, self.point_weights)
+        if nu.mass.is_infinite:
+            raise InfiniteMass("point weights must be finite")
+        object.__setattr__(self, "point_weights", nu.weights)
+        object.__setattr__(self, "valuation", nu)
 
     def measure_of(self, subset: int) -> ExtRat:
-        """Measure of an arbitrary subset (every subset is Borel here)."""
+        """The measure of any subset: the pairing of the weights with its indicator."""
         if subset & ~self.space.full:
             raise ShapeMismatch("subset has bits outside the point set")
-        return sum((self.point_weights[x] for x in bits(subset)), ZERO)
+        return wt.value(wt.EXT, self.point_weights, subset)
 
     @property
     def total(self) -> ExtRat:
-        return self.measure_of(self.space.full)
+        return self.valuation.mass
 
     def restriction(self) -> Valuation:
-        """The measure restricted to the opens, as a valuation."""
-        return valuation_from_weights(self.space, self.point_weights)
+        """The measure restricted to the opens: the valuation it views."""
+        return self.valuation
 
 
 def extend_to_measure(nu: Valuation) -> FiniteMeasure:
@@ -99,18 +93,15 @@ def extend_to_measure(nu: Valuation) -> FiniteMeasure:
     measure of a point is its weight."""
     if nu.mass.is_infinite:
         raise InfiniteMass("only finite-mass valuations extend to measures")
-    space = nu.space
-    if any(c != 1 << x for x, c in enumerate(space.classes)):  # not T0
-        quotient, qmap = kolmogorov_quotient(space)
-        inner = extend_to_measure(pushforward(qmap, nu))
-        return FiniteMeasure(quotient, inner.point_weights, qmap)
-    return FiniteMeasure(space, nu.weights)
+    if not check_separation(nu.space).is_T0:
+        quotient, qmap = kolmogorov_quotient(nu.space)
+        return FiniteMeasure(quotient, pushforward(qmap, nu).weights, qmap)
+    return FiniteMeasure(nu.space, nu.weights)
 
 
 def integrate_measure(m: FiniteMeasure, g: LowerSemiFn) -> ExtRat:
-    """Integral against the measure: the pairing of its restriction with g."""
-    m.space.require_here(g)
-    return wt.pairing(wt.EXT, m.restriction().weights, g.values)
+    """Integral against the measure: the integral against its restriction."""
+    return integrate(m.valuation, g)
 
 
 def mult_E_measure(xi: SimpleSecondOrder) -> ProbValuation:

@@ -4,20 +4,16 @@ point weights.
 A valuation assigns a value in [0, oo] to every open set, strictly,
 monotonely, and modularly; on a finite open lattice every directed family
 contains its supremum, so these three conditions already give Scott
-continuity (that implication is a theorem, not a runtime check).  On a
-finite space every such valuation is simple, a finite sum of weighted
-Diracs (Jones 1990; Heckmann 1996), so a `Valuation` stores only its point
-weights: it is the [0, oo] instance of the weighted core (`weighted`), of
-which H is the Boolean instance.  The Dirac unit, the pushforward, the
-molecular multiplication and Kleisli composition, the strength, the
-product, the integral (the pairing of weights with a function), the
-canonical form behind equality and `validate_valuation`'s reading of
-weights off a table are the core's operations.  The value of an open is
-the sum of the weights in it.  The module also provides the weak topology
-subbasis with Portmanteau certificates and order comparisons.  The routes
-that confirm these (the layer-cake integral, the inclusion-exclusion
-product, both composites of the Fubini square, the pairwise validity
-scan) are laws in `lawcheck`.
+continuity (a theorem, not a runtime check).  On a finite space every such
+valuation is a finite sum of weighted Diracs (Jones 1990; Heckmann 1996),
+so a `Valuation` is the [0, oo] instance of the weighted core
+(`weighted`), of which H is the Boolean instance: its value on a set is
+the sum of its weights there, and its table, the check of a table, the
+unit, pushforward, multiplication, Kleisli composition, strength, product,
+integral and canonical form are the core's.  The module also provides the
+weak topology subbasis with Portmanteau certificates and order
+comparisons.  The second routes that confirm these operations are laws in
+`lawcheck`.
 """
 
 from __future__ import annotations
@@ -79,17 +75,13 @@ class Valuation:
     @cached
     def table(self) -> tuple[ExtRat, ...]:
         """The values on `space.opens`, in order."""
-        positive = [(1 << x, w) for x, w in enumerate(self.weights) if w]
-        return tuple(
-            sum((w for bit, w in positive if u & bit), ZERO)
-            for u in self.space.opens
-        )
+        return wt.table(wt.EXT, self.space, self.weights)
 
     def value(self, u: int) -> ExtRat:
         """nu(U), the sum of the weights over U: an open holds whole
         specialization classes, so it holds each class's weight whole."""
         self.space.require_open(u)
-        return sum((self.weights[x] for x in bits(u)), ZERO)
+        return wt.value(wt.EXT, self.weights, u)
 
     @cached
     def mass(self) -> ExtRat:
@@ -112,13 +104,9 @@ def valuation_from_weights(space: FiniteSpace, weights) -> Valuation:
 
 def validate_valuation(space: FiniteSpace, table) -> Valuation:
     """The valuation with the given values on `space.opens`, after checking
-    strictness, monotonicity, and modularity, with witnesses.
-
-    The weights are read off the table by the core: w_x = nu(up x) -
-    nu(up x minus [x]), truncated, so oo - oo = 0, on the least point x of
-    each class.  By modularity they reproduce every valid table, so only a
-    table they fail to reproduce is scanned pairwise for a NotMonotone or
-    NotModular witness.
+    strictness, monotonicity, and modularity: the core reads the weights
+    back off the table (`weighted.validate`), and only a table they do not
+    give back is scanned pairwise for a NotMonotone or NotModular witness.
     """
     if isinstance(table, dict):
         if set(table) != set(space.opens):
@@ -129,9 +117,9 @@ def validate_valuation(space: FiniteSpace, table) -> Valuation:
         raise ShapeMismatch("table size differs from number of opens")
     if table[0] != ZERO:
         raise NotStrict(f"value on the empty set is {table[0]}")
-    nu = Valuation(space, wt.read_weights(wt.EXT, space, table))
-    if nu.table == table:
-        return nu
+    weights = wt.validate(wt.EXT, space, table)
+    if weights is not None:
+        return Valuation(space, weights)
     value = dict(zip(space.opens, table))
     for u in space.opens:
         for v in space.opens:

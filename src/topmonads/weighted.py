@@ -12,6 +12,10 @@ Weights fix a closed set or a valuation up to the weights under a top
 weight, which no open sees; `canonical` fills them in.  For the Boolean
 semiring every nonzero weight is top and the fill is the closure, so H
 keeps `FiniteSpace.closure` as its canonical form.
+
+Values on the opens form a hit functional or a valuation exactly when the
+weights read back off them give them back, so `validate` checks a table
+by one read and one `table`, with no scan of the pairs of opens.
 """
 
 from __future__ import annotations
@@ -94,6 +98,23 @@ def pairing(s: _Semiring, w: Sequence, g: Sequence):
     return acc
 
 
+def value(s: _Semiring, w: Sequence, subset: int):
+    """The pairing of w with a subset's indicator: the sum of its weights."""
+    zero, add = s.zero, s.add
+    acc = zero
+    while subset:  # step by the lowest set bit
+        a = w[(subset & -subset).bit_length() - 1]
+        if a:
+            acc = a if acc is zero else add(acc, a)
+        subset &= subset - 1
+    return acc
+
+
+def table(s: _Semiring, space: FiniteSpace, w: Sequence) -> tuple:
+    """The values on `space.opens`, in order."""
+    return tuple([value(s, w, u) for u in space.opens])
+
+
 def canonical(s: _Semiring, space: FiniteSpace, w: Sequence) -> tuple:
     """The weights with top on every point below a top weight, which fixes
     every other weight by the values on the opens."""
@@ -105,12 +126,12 @@ def canonical(s: _Semiring, space: FiniteSpace, w: Sequence) -> tuple:
     return tuple([top if below >> x & 1 else a for x, a in enumerate(w)])
 
 
-def read_weights(s: _Semiring, space: FiniteSpace, table: Sequence) -> tuple:
-    """Weights read off values on `space.opens`: w_x = v(up x) - v(up x
-    minus [x]), truncated, on the least point x of each specialization
-    class, and zero on the rest of the class."""
-    v = dict(zip(space.opens, table))
-    return tuple([
+def validate(s: _Semiring, space: FiniteSpace, values: Sequence) -> tuple | None:
+    """Weights w_x = v(up x) - v(up x minus [x]), truncated, on the least point of
+    each class and zero elsewhere, read off values v on the opens if they give v back."""
+    v = dict(zip(space.opens, values))
+    w = tuple([
         s.monus(v[up], v[up & ~c]) if c & -c == 1 << x else s.zero
         for x, (up, c) in enumerate(zip(space.min_nbhd, space.classes))
     ])
+    return w if table(s, space, w) == tuple(values) else None

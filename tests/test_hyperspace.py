@@ -121,6 +121,21 @@ def test_functional_validation():
         hy.HitFunctional(s, (True, False, True))  # not strict at the empty set
     with pytest.raises(NotAValidFunctional):
         hy.HitFunctional(s, (False, True, False))  # not monotone under joins
+    phi = hy.HitFunctional(s, [False, True, True])  # a list is stored as a tuple
+    assert phi.table == (False, True, True)
+    assert hash(phi) == hash(hy.functional_of_closed(hy.ClosedSet(s, s.full)))
+    assert phi.value(s.mask_of(["1"])) and not phi.value(0)
+
+
+def test_functional_of_closed_validates_without_a_scan_of_pairs():
+    # 4,096 opens: a scan of every pair of opens takes about 2 s
+    space = sp.discrete(12)
+    c = hy.ClosedSet(space, 0b100000000101)
+    assert len(space.opens) == 4096
+    start = time.monotonic()
+    phi = hy.functional_of_closed(c)
+    assert time.monotonic() - start < 0.5
+    assert hy.closed_of_functional(phi) == c
 
 
 def test_push_closed_takes_closure_of_image():

@@ -6,7 +6,8 @@ negative index, an unknown name and an object from another space of the
 same size (discrete(2) against Sierpinski space), wherever its signature
 admits that kind of input.  Each call must raise a subclass of
 TopmonadsError: no IndexError, KeyError, bare ValueError or TypeError, no
-endless loop, and no result.
+endless loop, and no result.  A hit table must be one bool per open, and a
+measure needs a T0 space, where every subset is Borel.
 
 Left out, because their inputs are bare bit-masks that no space checks:
 spaces.bits, popcount and upsets_of_up_masks, and hyperspace's
@@ -101,6 +102,8 @@ CALLS = {
     "Hyperspace.hit_mask negative": lambda: hx.hit_mask(NEG),
     "hit out": lambda: hy.hit(c, 1 << OUT),
     "hit negative": lambda: hy.hit(c, NEG),
+    "HitFunctional None": lambda: hy.HitFunctional(S, None),
+    "HitFunctional ints": lambda: hy.HitFunctional(S, (0, 1, 1)),
     "HitFunctional.value out": lambda: hy.functional_of_closed(c).value(1 << OUT),
     "HitFunctional.value negative": lambda: hy.functional_of_closed(c).value(NEG),
     "unit_sigma out": lambda: hy.unit_sigma(S, OUT),
@@ -168,6 +171,7 @@ CALLS = {
     "order_checks name": lambda: va.order_checks(nu, nu, [(0, 0), (1, 1), (NAME, 1)]),
     "order_checks object": lambda: va.order_checks(nu, nu_d),
     # probability
+    "FiniteMeasure non-T0": lambda: pb.FiniteMeasure(sp.indiscrete(2), (ext("1/3"), ext("2/3"))),
     "FiniteMeasure.measure_of out": lambda: m.measure_of(1 << OUT),
     "FiniteMeasure.measure_of negative": lambda: m.measure_of(NEG),
     "integrate_measure object": lambda: pb.integrate_measure(m, g_d),

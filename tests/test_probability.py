@@ -145,5 +145,6 @@ def test_finite_measure_basics():
     assert m.total == ONE
     assert m.measure_of(1) == ext("1/3")
     assert m.restriction().value(s.mask_of(["1"])) == ext("2/3")
+    assert m.restriction() is m.valuation  # a view: no copy of the weights
     with pytest.raises(InfiniteMass):
         pb.FiniteMeasure(s, (INF, ZERO))

@@ -2,7 +2,13 @@
 (390 labelled spaces): reading a closed set's weights off its hit table
 gives the closed set back, for each of the 2,483 closed sets, and the
 support is the closure of the points of positive weight, for 20 seeded
-valuations per space with weights in {0, 1/2, 1, oo}."""
+valuations per space with weights in {0, 1/2, 1, oo}.
+
+Validation reads the weights back and compares tables; on the 35
+topologies of at most three points it agrees with the pairwise scan on
+every table: all 1,070 Boolean tables (145 valid) through `HitFunctional`
+and all 13,449 tables valued in {0, 1, oo} (335 valid) through
+`validate_valuation`, with the scan's error type and first failing pair."""
 
 import itertools
 import random
@@ -11,10 +17,12 @@ from topmonads import hyperspace as hy
 from topmonads import support as su
 from topmonads import valuations as va
 from topmonads import weighted as wt
+from topmonads.errors import NotAValidFunctional, NotModular, NotMonotone, NotStrict
 from topmonads.extrat import INF, ONE, ZERO, ext
-from topmonads.lawcheck import all_topologies
+from topmonads.lawcheck import all_topologies, count_valid_functional_tables, table_is_valuation
 
 SPACES = [space for n in range(5) for space in all_topologies(n)]
+SMALL = [space for space in SPACES if space.n <= 3]
 
 
 def test_there_are_390_topologies_on_at_most_four_points():
@@ -27,7 +35,7 @@ def test_every_closed_set_is_read_back_off_its_hit_table():
         for mask in space.closed_sets():
             c = hy.ClosedSet(space, mask)
             table = hy.functional_of_closed(c).table
-            weights = wt.read_weights(wt.BOOL, space, table)
+            weights = wt.validate(wt.BOOL, space, table)
             assert hy.closed_of_weights(space, weights) == c
             assert hy.closed_of_functional(hy.functional_of_closed(c)) == c
             count += 1
@@ -69,3 +77,59 @@ def test_canonical_form_fills_the_weights_below_a_top_weight():
     booleans = [False, False]
     booleans[high] = True
     assert wt.canonical(wt.BOOL, space, booleans) == (True, True)
+
+
+def _first_pair(space, fails):
+    """The first pair of opens, in `space.opens` order, on which fails
+    holds, as lists of point names; None if there is none."""
+    for u in space.opens:
+        for v in space.opens:
+            if fails(u, v):
+                return space.mask_names(u), space.mask_names(v)
+    return None
+
+
+def test_hit_functional_verdicts_match_the_pairwise_scan():
+    assert len(SMALL) == 35
+    tables = valid = 0
+    for space in SMALL:
+        for table in itertools.product((False, True), repeat=len(space.opens)):
+            t = dict(zip(space.opens, table))
+            join = _first_pair(space, lambda u, v: t[u | v] != (t[u] or t[v]))
+            witness = (0,) if t[0] else join
+            try:
+                phi = hy.HitFunctional(space, table)
+            except NotAValidFunctional as exc:
+                assert witness is not None and exc.witness == witness
+            else:
+                assert witness is None
+                assert hy.functional_of_closed(hy.closed_of_functional(phi)) == phi
+                valid += 1
+            tables += 1
+    assert (tables, valid) == (1070, 145)
+    assert valid == sum(count_valid_functional_tables(space) for space in SMALL)
+
+
+def test_validate_valuation_verdicts_match_the_pairwise_scan():
+    tables = valid = 0
+    for space in SMALL:
+        for table in itertools.product((ZERO, ONE, INF), repeat=len(space.opens)):
+            t = dict(zip(space.opens, table))
+            monotone = _first_pair(space, lambda u, v: u & ~v == 0 and t[u] > t[v])
+            modular = _first_pair(space, lambda u, v: t[u | v] + t[u & v] != t[u] + t[v])
+            if t[0] != ZERO:
+                expected = (NotStrict, None)
+            elif monotone or modular:
+                expected = (NotMonotone, monotone) if monotone else (NotModular, modular)
+            else:
+                expected = None
+            assert (expected is None) == table_is_valuation(space, table)
+            try:
+                nu = va.validate_valuation(space, table)
+            except (NotStrict, NotMonotone, NotModular) as exc:
+                assert (type(exc), getattr(exc, "witness", None)) == expected
+            else:
+                assert expected is None and nu.table == table
+                valid += 1
+            tables += 1
+    assert (tables, valid) == (13449, 335)
