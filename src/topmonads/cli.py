@@ -5,6 +5,11 @@ precondition, 4 law-suite failures, 5 unknown suite.  Rationals cross the
 boundary as strings ("p/q", "p", or "inf"), never floats; open sets are
 referenced by index into the canonical sorted open list, and documents
 embed a checksum of that list to prevent index drift.
+
+A rational string is read by the grammar of `extrat`: after whitespace is
+stripped at both ends, it is `inf`, `p` or `p/q`, with p and q in ASCII
+decimal digits and q not 0.  Signs, decimal points, exponents and
+underscores are malformed.  A JSON integer is read as itself.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     TopmonadsError,
     UnknownSuite,
 )
-from .extrat import ext
+from .extrat import ZERO, ext
 from .hyperspace import build_hyperspace
 from .valuations import SimpleSecondOrder, Valuation
 
@@ -55,8 +60,16 @@ class MalformedDocument(Exception):
     pass
 
 
+def _names_sorted(space: spaces.FiniteSpace, masks) -> list[list[str]]:
+    """Per mask, the names of its points in string order; the points are
+    sorted by name once, and each mask lists its names in that order."""
+    order = sorted(range(space.n), key=space.points.__getitem__)
+    named = [(1 << i, space.points[i]) for i in order]
+    return [[name for bit, name in named if mask & bit] for mask in masks]
+
+
 def _open_names(space: spaces.FiniteSpace) -> list[list[str]]:
-    return [sorted(space.mask_names(u)) for u in space.opens]
+    return _names_sorted(space, space.opens)
 
 
 def _checksum(open_names: list[list[str]]) -> str:
@@ -179,7 +192,7 @@ def parse_valuation(doc: dict, base_dir: str = ".") -> Valuation:
         )
     if has_weights:
         index = {p: i for i, p in enumerate(space.points)}
-        weights = [ext("0")] * space.n
+        weights = [ZERO] * space.n
         for p, r in _object(doc["weights"], "weights").items():
             if p not in index:
                 raise MalformedDocument(f"weight names unknown point {p!r}")
@@ -188,7 +201,7 @@ def parse_valuation(doc: dict, base_dir: str = ".") -> Valuation:
     want = doc.get("opens_checksum")
     if want is not None and want != _opens_checksum(space):
         raise MalformedDocument("opens_checksum does not match the open list")
-    table = [ext("0")] * len(space.opens)
+    table = [ZERO] * len(space.opens)
     for key, r in _object(doc["table"], "table").items():
         try:
             i = int(key)
@@ -204,7 +217,7 @@ def _parse_rational(text):
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise MalformedDocument(f"rational must be a string, got {text!r}")
     try:
-        return ext(text if isinstance(text, int) else text.strip())
+        return ext(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise MalformedDocument(f"bad rational {text!r}") from exc
 
@@ -217,7 +230,7 @@ def parse_lsc(doc: dict, space=None, base_dir: str = ".") -> valuations.LowerSem
             raise MalformedDocument("function document needs a space reference")
         space = _resolve_space(doc["space"], base_dir)
     index = {p: i for i, p in enumerate(space.points)}
-    values = [ext("0")] * space.n
+    values = [ZERO] * space.n
     for p, r in _object(doc["values"], "values").items():
         if p not in index:
             raise MalformedDocument(f"function names unknown point {p!r}")
@@ -288,7 +301,7 @@ def _cmd_space(args) -> int:
     elif args.subcommand == "hyper":
         hx = build_hyperspace(space)
         doc = space_document(hx.space)
-        doc["closed_sets"] = [sorted(space.mask_names(m)) for m in hx.members]
+        doc["closed_sets"] = _names_sorted(space, hx.members)
         _emit(doc)
     else:  # product
         other = parse_space(_load_json(args.other))

@@ -67,6 +67,24 @@ class NotAKernel(TopmonadsError):
     """Point-to-valuation table is not continuous into the valuation space."""
 
 
+class MalformedValue(TopmonadsError):
+    """A weight or value is not an element of [0, oo].  Each subclass is
+    also the builtin exception that Python raises for such input, so code
+    that catches the builtin still catches it."""
+
+
+class InvalidValue(MalformedValue, ValueError):
+    """A negative number, or a string outside the grammar 'inf', 'p', 'p/q'."""
+
+
+class InvalidValueType(MalformedValue, TypeError):
+    """A float, None, or another object that is not a rational."""
+
+
+class ZeroDenominator(MalformedValue, ZeroDivisionError):
+    """A string 'p/q' with q = 0."""
+
+
 class InfinityIndeterminate(TopmonadsError):
     """Signed extended-rational arithmetic hit an indeterminate infinity."""
 

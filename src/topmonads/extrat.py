@@ -8,6 +8,15 @@ way `fractions.Fraction` does, and skip the gcd when both denominators are
 The conventions are oo + x = oo, oo * x = oo for x > 0, and oo * 0 = 0 (the
 one needed for positive linear combinations with coefficients in (0, oo]).
 Besides the partial subtraction there is the total, truncated one, `monus`.
+
+Strings are read by one grammar, on plain ints: after whitespace is
+stripped at both ends, a string is `inf`, `p` or `p/q`, where p and q are
+ASCII decimal digits and q is not 0.  Signs, decimal points, exponents,
+underscores and inner whitespace are rejected.  A malformed value raises a
+`MalformedValue`, which is also the builtin error for it: `InvalidValue`
+(a `ValueError`) for a negative number or a string outside the grammar,
+`ZeroDenominator` (a `ZeroDivisionError`) for `p/0`, and
+`InvalidValueType` (a `TypeError`) for a float or a non-rational.
 """
 
 from __future__ import annotations
@@ -16,7 +25,9 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import InfinityIndeterminate
+from .errors import (
+    InfinityIndeterminate, InvalidValue, InvalidValueType, ZeroDenominator
+)
 
 
 _HASH_MODULUS = sys.hash_info.modulus
@@ -36,13 +47,21 @@ class ExtRat:
             num, den = value, 1
         elif type(value) is Fraction:
             num, den = value.numerator, value.denominator
+        elif isinstance(value, str):
+            self._num, self._den = _parse(value)
+            return
         elif isinstance(value, float):
-            raise TypeError("floats are not allowed; use Fraction or 'p/q' strings")
+            raise InvalidValueType("floats are not allowed; use Fraction or 'p/q' strings")
         else:
-            frac = Fraction(value)
+            try:
+                frac = Fraction(value)
+            except TypeError as exc:
+                raise InvalidValueType(f"{value!r} is not a rational") from exc
+            except ValueError as exc:  # a NaN Decimal
+                raise InvalidValue(f"{value!r} is not a rational") from exc
             num, den = frac.numerator, frac.denominator
         if num < 0:
-            raise ValueError(f"negative value {Fraction(num, den)} not in [0, oo]")
+            raise InvalidValue(f"negative value {Fraction(num, den)} not in [0, oo]")
         self._num, self._den = num, den
 
     @property
@@ -209,20 +228,44 @@ ZERO = ExtRat(0)
 ONE = ExtRat(1)
 
 
+def _parse(text: str) -> tuple[int | None, int]:
+    """The coprime pair of a string by the module's grammar, with the
+    numerator None for 'inf'."""
+    body = text.strip()
+    if body == "inf":
+        return None, 1
+    num, slash, den = body.partition("/")
+    if (
+        num.isdigit() and num.isascii()
+        and (not slash or den.isdigit() and den.isascii())
+    ):
+        try:
+            p = int(num)
+            q = int(den) if slash else 1
+        except ValueError as exc:  # more digits than int() converts
+            raise InvalidValue(f"rational {text!r} is too long") from exc
+        if q == 0:
+            raise ZeroDenominator(f"rational {text!r} has denominator 0")
+        g = gcd(p, q)
+        return p // g, q // g
+    raise InvalidValue(f"{text!r} is not 'inf', 'p' or 'p/q' in decimal digits")
+
+
 def ext(value) -> ExtRat:
-    """Coerce ints, Fractions, and 'p/q' / 'inf' strings to ExtRat."""
+    """Coerce ints, Fractions, and 'p', 'p/q' and 'inf' strings to ExtRat."""
     if isinstance(value, ExtRat):
         return value
     if isinstance(value, str):
-        if value.strip() == "inf":
-            return INF
-        return ExtRat(Fraction(value))
+        num, den = _parse(value)
+        return INF if num is None else _finite(num, den)
     return ExtRat(value)
 
 
 def sgn(value: ExtRat) -> bool:
     """True iff the value is strictly positive (infinity counts)."""
-    return bool(ext(value))
+    if type(value) is not ExtRat:
+        value = ext(value)
+    return value._num != 0
 
 
 def monus(a: ExtRat, b: ExtRat) -> ExtRat:

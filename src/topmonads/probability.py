@@ -88,6 +88,17 @@ class FiniteMeasure:
         return self.valuation
 
 
+def _view(nu: Valuation, quotient_map: ContinuousMap | None = None) -> FiniteMeasure:
+    """The measure that views nu, which the caller has checked: its space
+    is T0 and its mass finite.  It skips the checks of `FiniteMeasure(...)`
+    and holds nu itself."""
+    measure = object.__new__(FiniteMeasure)
+    measure.__dict__.update(
+        space=nu.space, point_weights=nu.weights, quotient_map=quotient_map, valuation=nu
+    )
+    return measure
+
+
 def extend_to_measure(nu: Valuation) -> FiniteMeasure:
     """Extend a finite-mass valuation to a measure: on a T0 space the
     measure of a point is its weight."""
@@ -95,8 +106,8 @@ def extend_to_measure(nu: Valuation) -> FiniteMeasure:
         raise InfiniteMass("only finite-mass valuations extend to measures")
     if not check_separation(nu.space).is_T0:
         quotient, qmap = kolmogorov_quotient(nu.space)
-        return FiniteMeasure(quotient, pushforward(qmap, nu).weights, qmap)
-    return FiniteMeasure(nu.space, nu.weights)
+        return _view(pushforward(qmap, nu), qmap)
+    return _view(nu)
 
 
 def integrate_measure(m: FiniteMeasure, g: LowerSemiFn) -> ExtRat:

@@ -236,7 +236,8 @@ def from_opens(points: Sequence[str], opens: Iterable[int]) -> FiniteSpace:
     the intersection of the members containing x.  Every member contains
     the smallest neighbourhoods of its points, so the family lies inside the
     up-sets of that preorder, and it is a topology exactly when it is all
-    of them; an up-set missing from the family is the witness.
+    of them; an up-set missing from the family is the witness.  The
+    up-sets found that way, sorted, are kept as the space's opens.
     """
     points = tuple(points)
     if len(set(points)) != len(points):
@@ -257,6 +258,8 @@ def from_opens(points: Sequence[str], opens: Iterable[int]) -> FiniteSpace:
             f"not a topology: {{{names}}} is a union of intersections of"
             " members but not a member"
         )
+    # no up-set missing, so the search ran to the end and sorted them all
+    space.__dict__["opens"] = tuple(upsets)
     return space
 
 

@@ -52,7 +52,7 @@ class Valuation:
     weights: tuple[ExtRat, ...]
 
     def __post_init__(self):
-        weights = [ext(w) for w in self.weights]
+        weights = [w if type(w) is ExtRat else ext(w) for w in self.weights]
         if len(weights) != self.space.n:
             raise ShapeMismatch("one weight per point required")
         # push each weight to the least point of its class

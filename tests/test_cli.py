@@ -319,3 +319,27 @@ def test_val_malformed_shapes_exit_1(capsys, tmp_path, subcommand, valuation, ex
     assert code == 1
     assert json.loads(err)["error"] == "malformed"
 
+
+def _renamed(space):
+    """The space with names whose string order differs from index order:
+    "x1" < "x10" < "x11" < "x2"."""
+    names = ("x2", "x10", "x1", "x11")[: space.n]
+    return sp.FiniteSpace(names, space.min_nbhd)
+
+
+def test_open_names_sort_each_open_by_name():
+    """`_open_names` lists each open's names in string order, on the 390
+    topologies of at most four points, on their hyperspaces, and on the
+    products of every ordered pair of them with at most eight points."""
+    from topmonads.hyperspace import build_hyperspace
+    from topmonads.lawcheck import all_topologies
+
+    base = [_renamed(s) for n in range(5) for s in all_topologies(n)]
+    checked = [*base, *(build_hyperspace(s).space for s in base)]
+    checked += [
+        sp.product(a, b).space for a in base for b in base if a.n * b.n <= 8
+    ]
+    assert len(checked) == 390 + 390 + 4644
+    for space in checked:
+        want = [sorted(space.mask_names(u)) for u in space.opens]
+        assert cli._open_names(space) == want

@@ -8,7 +8,13 @@ import pytest
 
 from topmonads import INF, ONE, ZERO, ExtRat, ext, monus, sgn
 from topmonads.lawcheck import signed_sum
-from topmonads.errors import InfinityIndeterminate
+from topmonads.errors import (
+    InfinityIndeterminate,
+    InvalidValue,
+    InvalidValueType,
+    MalformedValue,
+    ZeroDenominator,
+)
 
 
 def test_construction_and_parsing():
@@ -19,6 +25,78 @@ def test_construction_and_parsing():
     assert str(ext("2/4")) == "1/2"
     assert str(ZERO) == "0"
     assert str(INF) == "inf"
+
+
+# The grammar: after whitespace is stripped at both ends, 'inf', 'p' or
+# 'p/q' in ASCII decimal digits, q not 0.  Each string with its value, or
+# with the error it raises.
+GRAMMAR = [
+    ("0", Fraction(0)),
+    ("7", Fraction(7)),
+    ("007", Fraction(7)),
+    ("2/4", Fraction(1, 2)),
+    ("0/5", Fraction(0)),
+    ("6/3", Fraction(2)),
+    (" 1/3\n", Fraction(1, 3)),
+    ("\t12 ", Fraction(12)),
+    ("123456789012345678901234567890/3", Fraction(41152263004115226300411522630)),
+    ("inf", None),
+    (" inf ", None),
+    ("1/0", ZeroDenominator),
+    ("0/0", ZeroDenominator),
+    ("", InvalidValue),
+    ("  ", InvalidValue),
+    ("Inf", InvalidValue),
+    ("infinity", InvalidValue),
+    ("-inf", InvalidValue),
+    ("-1", InvalidValue),
+    ("-1/2", InvalidValue),
+    ("+1", InvalidValue),
+    ("1/-2", InvalidValue),
+    ("0.5", InvalidValue),
+    (".5", InvalidValue),
+    ("1e3", InvalidValue),
+    ("1_000", InvalidValue),
+    ("1 / 2", InvalidValue),
+    ("1/", InvalidValue),
+    ("/2", InvalidValue),
+    ("1/2/3", InvalidValue),
+    ("1 2", InvalidValue),
+    ("\u0661", InvalidValue),  # ARABIC-INDIC DIGIT ONE: a digit, not ASCII
+    ("\uff11/2", InvalidValue),  # FULLWIDTH DIGIT ONE
+    ("\u00b2", InvalidValue),  # SUPERSCRIPT TWO
+    ("x", InvalidValue),
+]
+
+
+@pytest.mark.parametrize("text, want", GRAMMAR, ids=[repr(t) for t, _ in GRAMMAR])
+def test_string_grammar(text, want):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            ext(text)
+        with pytest.raises(want):
+            ExtRat(text)
+        return
+    for value in (ext(text), ExtRat(text)):
+        if want is None:
+            assert value.is_infinite and value == INF
+        else:
+            assert value.frac == want and str(value) == str(want)
+            assert hash(value) == hash(want)
+
+
+def test_malformed_values_are_library_errors_and_builtins():
+    for call, error, builtin in (
+        (lambda: ext("0.5"), InvalidValue, ValueError),
+        (lambda: ExtRat(-1), InvalidValue, ValueError),
+        (lambda: ext("1/0"), ZeroDenominator, ZeroDivisionError),
+        (lambda: ext(0.5), InvalidValueType, TypeError),
+        (lambda: ext(None), InvalidValueType, TypeError),
+        (lambda: ext(object()), InvalidValueType, TypeError),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        assert isinstance(info.value, MalformedValue) and isinstance(info.value, builtin)
 
 
 def test_rejects_negative_and_floats():

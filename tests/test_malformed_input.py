@@ -7,7 +7,9 @@ same size (discrete(2) against Sierpinski space), wherever its signature
 admits that kind of input.  Each call must raise a subclass of
 TopmonadsError: no IndexError, KeyError, bare ValueError or TypeError, no
 endless loop, and no result.  A hit table must be one bool per open, and a
-measure needs a T0 space, where every subset is Borel.
+measure needs a T0 space, where every subset is Borel.  A weight or value
+must be an element of [0, oo]: a negative number, a string outside the
+rational grammar, or None raises a MalformedValue.
 
 Left out, because their inputs are bare bit-masks that no space checks:
 spaces.bits, popcount and upsets_of_up_masks, and hyperspace's
@@ -130,6 +132,9 @@ CALLS = {
     "check_H_algebra name": lambda: hy.check_H_algebra(S, (0, NAME, 1)),
     # valuations
     "valuation_from_weights name": lambda: va.valuation_from_weights(S, {NAME: 1}),
+    "Valuation negative": lambda: va.Valuation(S, (-1, 1)),
+    "Valuation string": lambda: va.Valuation(S, ("x", 1)),
+    "validate_valuation None": lambda: va.validate_valuation(S, (None, 1, 1)),
     "validate_valuation out": lambda: va.validate_valuation(S, {0: 0, 1: 1, 1 << OUT: 1}),
     "validate_valuation negative": lambda: va.validate_valuation(S, {0: 0, 1: 1, NEG: 1}),
     "unit_delta out": lambda: va.unit_delta(S, OUT),
@@ -172,6 +177,7 @@ CALLS = {
     "order_checks object": lambda: va.order_checks(nu, nu_d),
     # probability
     "FiniteMeasure non-T0": lambda: pb.FiniteMeasure(sp.indiscrete(2), (ext("1/3"), ext("2/3"))),
+    "FiniteMeasure negative": lambda: pb.FiniteMeasure(S, (-1, 2)),
     "FiniteMeasure.measure_of out": lambda: m.measure_of(1 << OUT),
     "FiniteMeasure.measure_of negative": lambda: m.measure_of(NEG),
     "integrate_measure object": lambda: pb.integrate_measure(m, g_d),

@@ -62,6 +62,24 @@ def test_extend_non_t0_routes_through_quotient():
     assert m.total == ONE
 
 
+def test_extend_is_the_checked_measure_and_views_nu():
+    """The extension equals the measure built through the checking
+    constructor, and on a T0 space it holds nu itself."""
+    rng = random.Random(12)
+    cfg = GenConfig(seed=12, allow_infinity=False)
+    for space in (sp.sierpinski(), sp.w_lattice(), sp.indiscrete(2), sp.chain(3)):
+        nu = rand_valuation(rng, cfg, space)
+        m = pb.extend_to_measure(nu)
+        if m.quotient_map is None:
+            assert m.valuation is nu
+            assert m == pb.FiniteMeasure(space, nu.weights)
+        else:
+            pushed = va.pushforward(m.quotient_map, nu)
+            assert m == pb.FiniteMeasure(m.space, pushed.weights, m.quotient_map)
+            assert m.valuation == pushed
+        assert m.total == nu.mass
+
+
 def test_integrate_measure_matches_valuation():
     w = sp.w_lattice()
     nu = va.valuation_from_weights(

@@ -47,6 +47,19 @@ def test_from_opens_round_trips_a_large_family():
     assert sp.from_opens(p.points, p.opens) == p
 
 
+def test_from_opens_keeps_the_up_sets_it_enumerated():
+    """The opens of a space read from its family are a fresh enumeration
+    of the up-sets, whatever the order and repetition of the family."""
+    spaces = [s for n in range(5) for s in all_topologies(n)]
+    spaces.append(sp.product(sp.discrete(3), sp.discrete(3)).space)
+    for space in spaces:
+        family = list(reversed(space.opens)) + [0]
+        built = sp.from_opens(space.points, family)
+        assert "opens" in built.__dict__  # kept, not enumerated on first read
+        fresh = tuple(sp.upsets_of_up_masks(built.n, built.min_nbhd))
+        assert built.opens == fresh == space.opens
+
+
 def test_from_preorder_requires_reflexivity_and_transitivity():
     with pytest.raises(NotAPreorder):
         sp.from_preorder(("a", "b"), [("a", "a"), ("a", "b")])
