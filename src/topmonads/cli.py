@@ -28,6 +28,7 @@ from . import lawcheck, probability, spaces, support, valuations
 from .errors import (
     InfiniteMass,
     InfinityIndeterminate,
+    InvalidValue,
     NotAKernel,
     NotNormalized,
     PreconditionFailed,
@@ -358,11 +359,15 @@ def _cmd_val(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    cfg = lawcheck.GenConfig(
-        seed=args.seed,
-        max_points=args.max_points,
-        instance_count=args.count,
-    )
+    try:
+        cfg = lawcheck.GenConfig(
+            seed=args.seed,
+            max_points=args.max_points,
+            instance_count=args.count,
+        )
+    except InvalidValue as exc:
+        _emit_error("malformed", exc)
+        return EXIT_MALFORMED
     if args.suite == "all":
         reports = lawcheck.run_all(cfg)
     else:

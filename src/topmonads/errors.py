@@ -74,7 +74,8 @@ class MalformedValue(TopmonadsError):
 
 
 class InvalidValue(MalformedValue, ValueError):
-    """A negative number, or a string outside the grammar 'inf', 'p', 'p/q'."""
+    """A negative number, a string outside the grammar 'inf', 'p', 'p/q', or
+    a law-run size (GenConfig.max_points) that is not an int >= 0."""
 
 
 class InvalidValueType(MalformedValue, TypeError):

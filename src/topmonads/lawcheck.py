@@ -2,14 +2,20 @@
 sensitivity checks.
 
 Every suite draws its instances from deterministic streams seeded by a
-GenConfig, so identical configurations replay identical checks.  Two rules
-keep a run that ends early (mutation_detected) cheap:
+GenConfig, so identical configurations replay identical checks.  Three rules
+keep a run cheap, the first two a run that ends early (mutation_detected),
+the third one that runs several suites on one configuration (run_all):
 
   - streams are drawn lazily: _spaces and _space_pairs are iterators, so a
     run builds a space only when it checks one;
   - fixed witnesses come before random instances: a suite checks the
     canned cases that draw nothing from an RNG first, ahead of its loops
-    over the streams.
+    over the streams;
+  - a configuration's stream, with the products and hyperspaces of its
+    spaces, is drawn once per process and shared by the suites run on it:
+    only the last (seed, max_points) stream is held, and patching a
+    mutation in or out drops it, so nothing built under a mutant reaches a
+    clean run, or the reverse.
 
 Each mutation is caught before its suites draw a random space: by a
 canned witness (push-closed-no-closure and closure-up-set in h-monad,
@@ -67,6 +73,7 @@ from . import weighted as wt
 from .errors import (
     InfiniteMass,
     InfinityIndeterminate,
+    InvalidValue,
     NotAFailure,
     NotATopology,
     NotLowerSemicontinuous,
@@ -86,6 +93,11 @@ class GenConfig:
     instance_count: int = 60
     weight_denominator_bound: int = 16
     allow_infinity: bool = True
+
+    def __post_init__(self):
+        size = self.max_points
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise InvalidValue(f"max_points must be an int >= 0, not {size!r}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +166,63 @@ def generate_space(cfg: GenConfig):
     rng = random.Random(cfg.seed)
     while True:
         yield _random_space(rng, cfg.max_points)
+
+
+class _Stream:
+    """The spaces of one configuration's stream drawn so far, and the
+    products and hyperspaces of those spaces built so far.
+
+    Iterating draws from generate_space(cfg) only past the spaces already
+    drawn, so iterators over one stream may be advanced in any order."""
+
+    def __init__(self, cfg: GenConfig):
+        self.key = (cfg.seed, cfg.max_points)
+        self._source = generate_space(cfg)
+        self._drawn: list[sp.FiniteSpace] = []
+        # position of each drawn space by id; the list keeps the spaces
+        # alive, so no other object shares an id with one of them
+        self._position: dict[int, int] = {}
+        self._products: dict[tuple[int, int], sp.Product] = {}
+        self._hyperspaces: dict[int, hy.Hyperspace] = {}
+
+    def __iter__(self):
+        for i in itertools.count():
+            if i == len(self._drawn):
+                space = next(self._source)
+                self._position[id(space)] = i
+                self._drawn.append(space)
+            yield self._drawn[i]
+
+    def product(self, a: sp.FiniteSpace, b: sp.FiniteSpace) -> sp.Product:
+        """sp.product(a, b) of two spaces of this stream, built once."""
+        key = (self._position[id(a)], self._position[id(b)])
+        if key not in self._products:
+            self._products[key] = sp.product(a, b)
+        return self._products[key]
+
+    def hyperspace(self, space: sp.FiniteSpace) -> hy.Hyperspace:
+        """hy.build_hyperspace(space) of a space of this stream, built once."""
+        key = self._position[id(space)]
+        if key not in self._hyperspaces:
+            self._hyperspaces[key] = hy.build_hyperspace(space)
+        return self._hyperspaces[key]
+
+
+_last_stream: _Stream | None = None
+
+
+def _stream(cfg: GenConfig) -> _Stream:
+    """The stream of cfg's (seed, max_points), shared with the last caller
+    that asked for the same pair; asking for another pair drops it."""
+    global _last_stream
+    if _last_stream is None or _last_stream.key != (cfg.seed, cfg.max_points):
+        _last_stream = _Stream(cfg)
+    return _last_stream
+
+
+def _drop_stream() -> None:
+    global _last_stream
+    _last_stream = None
 
 
 def all_topologies(n: int) -> list[sp.FiniteSpace]:
@@ -452,7 +521,7 @@ def _spaces(cfg, limit=None, min_points=0, max_points=None):
     limit = cfg.instance_count if limit is None else limit
     fitting = (
         s
-        for s in generate_space(cfg)
+        for s in _stream(cfg)
         if s.n >= min_points and (max_points is None or s.n <= max_points)
     )
     return itertools.islice(fitting, max(limit, 0))
@@ -1045,6 +1114,7 @@ def mixture_of_measures_agrees(xi: va.SimpleSecondOrder) -> bool:
 
 def _suite_topology_core(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 1)
+    stream = _stream(cfg)
     known = [
         (sp.sierpinski(), (True, False, True)),
         (sp.discrete(2), (True, True, True)),
@@ -1120,7 +1190,7 @@ def _suite_topology_core(cfg: GenConfig, run: _Run):
         run.check(
             lambda x=a, y=b: (
                 lambda prod: set(prod.space.opens) == rectangle_topology(prod)
-            )(sp.product(x, y)),
+            )(stream.product(x, y)),
             "product topology equals the rectangle-generated topology",
         )
         run.check(
@@ -1131,6 +1201,7 @@ def _suite_topology_core(cfg: GenConfig, run: _Run):
 
 def _suite_h_monad(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 2)
+    stream = _stream(cfg)
     # canned naturality witness: collapse a discrete pair onto the open point
     if cfg.max_points >= 2:
         d2, s2 = sp.discrete(2), sp.sierpinski()
@@ -1141,7 +1212,7 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
             "pushing a point closure takes the closure of the image",
         )
     for space in _spaces(cfg, max_points=min(cfg.max_points, 3)):
-        hx = hy.build_hyperspace(space)
+        hx = stream.hyperspace(space)
         run.check(
             lambda h=hx: vietoris_topology(h) == set(h.space.opens),
             "lower Vietoris topology equals the inclusion up-sets",
@@ -1190,7 +1261,7 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
         f = rand_map(rng, a, b)
         if f is None:
             continue
-        hxa, hxb = hy.build_hyperspace(a), hy.build_hyperspace(b)
+        hxa, hxb = stream.hyperspace(a), stream.hyperspace(b)
         for x in range(a.n):
             run.check(
                 lambda g=f, s=a, t=b, p=x: hy.push_closed(g, hy.unit_sigma(s, p))
@@ -1218,10 +1289,11 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
 
 def _suite_h_strength(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 3)
+    stream = _stream(cfg)
     one = sp.one_point()
     for a, b in _space_pairs(cfg, max_points=min(cfg.max_points, 3), max_opens=300):
-        prod = sp.product(a, b)
-        hxb = hy.build_hyperspace(b)
+        prod = stream.product(a, b)
+        hxb = stream.hyperspace(b)
         for _ in range(2):
             if a.n == 0:
                 break
@@ -1260,7 +1332,7 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
                     "strength unitor diagram",
                 )
         # costrength is the swap of strength
-        prod_ba = sp.product(b, a)
+        prod_ba = stream.product(b, a)
         swap = _swap_map(prod_ba, prod)
         if a.n and b.n:
             x = rng.randrange(a.n)
@@ -1326,6 +1398,7 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
 
 def _suite_h_algebra(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 4)
+    stream = _stream(cfg)
     w = sp.w_lattice()
     if w.n <= cfg.max_points:
         joins = hy.join_algebra_map(w)
@@ -1366,7 +1439,7 @@ def _suite_h_algebra(cfg: GenConfig, run: _Run):
                 )(hy.check_H_algebra(s, t)),
                 "binary-join and closed-join continuity agree on sober spaces",
             )
-        hx = hy.build_hyperspace(space)
+        hx = stream.hyperspace(space)
         if space.n:
             table = tuple(
                 rng.randrange(space.n) for _ in range(len(hx.members))
@@ -1555,9 +1628,10 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
 
 def _suite_v_strength(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 8)
+    stream = _stream(cfg)
     one = sp.one_point()
     for a, b in _space_pairs(cfg, min_points=1, max_points=3, max_opens=300):
-        prod = sp.product(a, b)
+        prod = stream.product(a, b)
         x = rng.randrange(a.n)
         y = rng.randrange(b.n)
         nu = rand_valuation(rng, cfg, b)
@@ -1590,7 +1664,7 @@ def _suite_v_strength(cfg: GenConfig, run: _Run):
             ),
             "strength unitor diagram",
         )
-        prod_ba = sp.product(b, a)
+        prod_ba = stream.product(b, a)
         swap = _swap_map(prod_ba, prod)
         run.check(
             lambda p=prod, q=prod_ba, sw=swap, px=x, v=nu: va.costrength_V(
@@ -1639,7 +1713,7 @@ def _suite_v_fubini(cfg: GenConfig, run: _Run):
             "inclusion-exclusion on the cross-shaped open",
         )
     for a, b in _space_pairs(cfg, max_points=3, max_opens=300):
-        prod = sp.product(a, b)
+        prod = _stream(cfg).product(a, b)
         nu = rand_valuation(rng, cfg, a)
         rho = rand_valuation(rng, cfg, b)
         run.check(
@@ -1824,7 +1898,7 @@ def _suite_p_submonad(cfg: GenConfig, run: _Run):
                 "pushforward preserves normalization",
             )
     for a, b in _space_pairs(cfg, min_points=1, max_points=3, max_opens=300):
-        prod = sp.product(a, b)
+        prod = _stream(cfg).product(a, b)
         p = rand_prob(rng, cfg, a)
         q = rand_prob(rng, cfg, b)
         run.check(
@@ -1892,7 +1966,7 @@ def _suite_p_extension(cfg: GenConfig, run: _Run):
 def _suite_p_product(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 14)
     for a, b in _space_pairs(cfg, min_points=1, max_points=3, max_opens=300):
-        prod = sp.product(a, b)
+        prod = _stream(cfg).product(a, b)
         p = rand_prob(rng, cfg, a)
         q = rand_prob(rng, cfg, b)
         pq = pb.product_measure(p, q, prod).underlying
@@ -2053,7 +2127,7 @@ def _suite_supp_monoidal(cfg: GenConfig, run: _Run):
                 "the measure's support is the support of its restriction",
             )
     for a, b in _space_pairs(cfg, max_points=3, max_opens=300):
-        prod = sp.product(a, b)
+        prod = _stream(cfg).product(a, b)
         nu = rand_valuation(rng, cfg, a)
         rho = rand_valuation(rng, cfg, b)
         run.check(
@@ -2151,7 +2225,7 @@ def _suite_appendixA_2cells(cfg: GenConfig, run: _Run):
 def _suite_appendixC(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 20)
     for a, b in _space_pairs(cfg, max_points=3, max_opens=300):
-        prod = sp.product(a, b)
+        prod = _stream(cfg).product(a, b)
         nu = rand_valuation(rng, cfg, a)
         rho = rand_valuation(rng, cfg, b)
         run.check(
@@ -2326,13 +2400,18 @@ DETECTING_SUITES = {
 
 @contextlib.contextmanager
 def _patched(holder, attr: str, value):
-    """Set holder.attr to value, restoring the original on exit."""
+    """Set holder.attr to value, restoring the original on exit.
+
+    The shared stream is dropped on entry and on exit, so the spaces,
+    products and hyperspaces a mutated run builds stay within it."""
     original = getattr(holder, attr)
+    _drop_stream()
     setattr(holder, attr, value)
     try:
         yield
     finally:
         setattr(holder, attr, original)
+        _drop_stream()
 
 
 def _mutation(name: str):

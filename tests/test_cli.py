@@ -219,6 +219,18 @@ def test_laws_unknown_suite_exits_5(capsys):
     assert json.loads(err)["error"] == "unknown-suite"
 
 
+def test_laws_negative_size_exits_1(capsys):
+    code, out, err = run_cli(capsys, "laws", "supp-unit", "--max-points", "-1")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "malformed",
+        "type": "InvalidValue",
+        "detail": "max_points must be an int >= 0, not -1",
+    }
+
+
 def test_laws_suite_json_report(capsys):
     code, out, _ = run_cli(
         capsys,

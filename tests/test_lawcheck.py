@@ -268,6 +268,86 @@ def test_lazy_streams_yield_the_eager_sequences(seed):
         for kw in pair_args:
             got = list(lc._space_pairs(cfg, **kw))
             assert got == _eager_space_pairs(cfg, **kw), kw
+        # warm stream: both kinds of iterator advanced in turn over one
+        # shared stream, each reading what the other has drawn
+        for kw_s, kw_p in itertools.product(space_args, pair_args):
+            lc._drop_stream()
+            got_s, got_p = _alternately(
+                lc._spaces(cfg, **kw_s), lc._space_pairs(cfg, **kw_p)
+            )
+            assert got_s == _eager_spaces(cfg, **kw_s), (kw_s, kw_p)
+            assert got_p == _eager_space_pairs(cfg, **kw_p), (kw_s, kw_p)
+
+
+def _alternately(*iterators):
+    """The items of each iterator, taking one from each in turn until all
+    are exhausted."""
+    out = [[] for _ in iterators]
+    live = dict(enumerate(iterators))
+    while live:
+        for i, it in list(live.items()):
+            try:
+                out[i].append(next(it))
+            except StopIteration:
+                del live[i]
+    return out
+
+
+def _verdicts(reports):
+    return [
+        (r.suite, r.instances, [(f.index, f.message) for f in r.failures])
+        for r in reports
+    ]
+
+
+@pytest.mark.parametrize("seed", [42, 7, 10011])
+@pytest.mark.parametrize("max_points", [3, 4])
+@pytest.mark.parametrize("allow_infinity", [True, False])
+def test_sharing_the_stream_changes_no_verdict(seed, max_points, allow_infinity):
+    cfg = lc.GenConfig(
+        seed=seed,
+        max_points=max_points,
+        instance_count=20,
+        allow_infinity=allow_infinity,
+    )
+    shared = _verdicts(lc.run_all(cfg))
+    alone = []
+    for name in sorted(lc.SUITES):
+        lc._drop_stream()
+        alone += _verdicts([lc.run_suite(name, cfg)])
+    assert shared == alone
+    assert all(failures == [] for _, _, failures in shared)
+    for name, suites in lc.DETECTING_SUITES.items():
+        shared = _verdicts(lc.run_with_mutation(name, cfg))
+        alone = [
+            v
+            for suite in suites  # each call draws a stream of its own
+            for v in _verdicts(lc.run_with_mutation(name, cfg, suites=(suite,)))
+        ]
+        assert shared == alone, name
+
+
+def test_a_clean_run_after_a_mutated_one_draws_its_stream_again(monkeypatch):
+    drawn = []
+    original = lc._random_space
+
+    def counting(rng, max_points):
+        drawn.append(max_points)
+        return original(rng, max_points)
+
+    monkeypatch.setattr(lc, "_random_space", counting)
+    cfg = lc.GenConfig(seed=42, max_points=3, instance_count=10)
+    lc._drop_stream()
+    lc.run_suite("h-monad", cfg)
+    assert drawn
+    drawn.clear()
+    lc.run_suite("supp-unit", cfg)  # finds its spaces drawn by h-monad
+    assert drawn == []
+    for mutated in (lc.mutation_detected, lc.run_with_mutation):
+        mutated("support-null-union", cfg)
+        drawn.clear()
+        lc.run_suite("supp-unit", cfg)
+        assert drawn, mutated.__name__
 
 
 def _full_route_detects(name, cfg):

@@ -9,7 +9,8 @@ TopmonadsError: no IndexError, KeyError, bare ValueError or TypeError, no
 endless loop, and no result.  A hit table must be one bool per open, and a
 measure needs a T0 space, where every subset is Borel.  A weight or value
 must be an element of [0, oo]: a negative number, a string outside the
-rational grammar, or None raises a MalformedValue.
+rational grammar, or None raises a MalformedValue.  So does a law-run size,
+GenConfig's max_points, that is not an int >= 0.
 
 Left out, because their inputs are bare bit-masks that no space checks:
 spaces.bits, popcount and upsets_of_up_masks, and hyperspace's
@@ -21,6 +22,7 @@ the right answer, and require_open raises.
 import pytest
 
 from topmonads import hyperspace as hy
+from topmonads import lawcheck as lc
 from topmonads import probability as pb
 from topmonads import spaces as sp
 from topmonads import support as su
@@ -193,6 +195,9 @@ CALLS = {
     "algebra_evaluate object": lambda: su.algebra_evaluate(S, joins, nu_d),
     "induced_V_algebra out": lambda: su.induced_V_algebra(S, (0, OUT, 1)),
     "induced_V_algebra object": lambda: su.induced_V_algebra(S, joins, [xi_d]),
+    # lawcheck
+    "GenConfig max_points negative": lambda: lc.GenConfig(max_points=NEG),
+    "GenConfig max_points float": lambda: lc.GenConfig(max_points=2.5),
 }
 
 
