@@ -75,7 +75,8 @@ class MalformedValue(TopmonadsError):
 
 class InvalidValue(MalformedValue, ValueError):
     """A negative number, a string outside the grammar 'inf', 'p', 'p/q', or
-    a law-run size (GenConfig.max_points) that is not an int >= 0."""
+    a law-run size out of range: a GenConfig.max_points that is not an int
+    >= 0, or an instance_count that is not an int >= 1."""
 
 
 class InvalidValueType(MalformedValue, TypeError):

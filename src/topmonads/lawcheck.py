@@ -34,6 +34,15 @@ the sobriety scan, continuity by preimages and equivalence by preimage
 lattices, live here as oracles, each compared in a named law of the suite
 that owns the operation.
 
+The structural laws that H and V share are written once, over a Monad
+record with the two instances H and V: the unit laws, associativity, the
+naturality of unit and multiplication, the strength diagrams for unit,
+multiplication, unitor and associator, the costrength through the symmetry,
+and the composites of the commutativity square.  A record's fields look up
+the public functions (unit_sigma, mult_union, mult_E, pushforward, ...)
+when a law calls them, not when the record is built, so a mutation patched
+into a module is seen by every law that uses it.
+
 The mutation harness re-runs selected suites with one semantic bug patched in
 (see MUTATIONS) and asserts that at least one suite notices.
 mutation_detected ends at the first failing check, with no report;
@@ -63,6 +72,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 from . import hyperspace as hy
 from . import probability as pb
@@ -95,9 +105,10 @@ class GenConfig:
     allow_infinity: bool = True
 
     def __post_init__(self):
-        size = self.max_points
-        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-            raise InvalidValue(f"max_points must be an int >= 0, not {size!r}")
+        for name, least in (("max_points", 0), ("instance_count", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise InvalidValue(f"{name} must be an int >= {least}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -524,7 +535,7 @@ def _spaces(cfg, limit=None, min_points=0, max_points=None):
         for s in _stream(cfg)
         if s.n >= min_points and (max_points is None or s.n <= max_points)
     )
-    return itertools.islice(fitting, max(limit, 0))
+    return itertools.islice(fitting, limit)
 
 
 def _space_pairs(cfg, limit=None, min_points=0, max_points=None, max_opens=None):
@@ -537,73 +548,169 @@ def _space_pairs(cfg, limit=None, min_points=0, max_points=None, max_opens=None)
         pairs = (
             (a, b) for a, b in pairs if len(a.opens) * len(b.opens) <= max_opens
         )
-    return itertools.islice(pairs, max(limit, 0))
+    return itertools.islice(pairs, limit)
 
 
-# --- H-monad helpers (order-level, no iterated topologies) --------------------
+# --- the structural laws of H and V, each written once ------------------------
 
 
-def h_left_unit(hx: hy.Hyperspace, i: int) -> bool:
-    """U after the unit of HX: the principal down-set of C multiplies to C."""
-    family = hx.space.closure(1 << i)
-    return hy.mult_union(hx, hy.ClosedSet(hx.space, family)).members == hx.members[i]
+@dataclass(frozen=True)
+class Monad:
+    """The structure of H or V that the structural laws are written over.
+
+    one is the scalar one; unit(space, x), push(f, e), strength(prod, x, e)
+    and costrength(prod, e, y) are the monad's own.  mult(where, mixture)
+    multiplies a finite mixture of (scalar, element) pairs through the
+    public multiplication, on where: HX for H, the space for V.  mix(space,
+    mixture) forms the same mixture on any space, where for H no HX is
+    built.  Each field looks the public function up when it runs, so a
+    mutation patched into one is seen."""
+
+    one: object
+    unit: Callable
+    push: Callable
+    mult: Callable
+    mix: Callable
+    strength: Callable
+    costrength: Callable
 
 
-def h_right_unit(hx: hy.Hyperspace, i: int) -> bool:
-    """U after H(sigma): pushing the unit pointwise and multiplying is id."""
-    image = 0
-    for x in sp.bits(hx.members[i]):
-        image |= 1 << hx.point_of(hy.unit_sigma(hx.base, x).members)
-    family = hx.space.closure(image)
-    return hy.mult_union(hx, hy.ClosedSet(hx.space, family)).members == hx.members[i]
+def _h_mult(hx: hy.Hyperspace, mixture) -> hy.ClosedSet:
+    """mult_union on the closed family of HX that the mixture's members
+    generate.  The members are OR-ed, not summed: a closed set may occur
+    twice."""
+    points = 0
+    for members in {e.members for c, e in mixture if c}:
+        points |= 1 << hx.point_of(members)
+    return hy.mult_union(hx, hy.ClosedSet(hx.space, hx.space.closure(points)))
 
 
-def h_associativity(
-    hx: hy.Hyperspace, hhx: list[int], xi_mask: int, inner: dict | None = None
-) -> bool:
-    """Compare U after U_{HX} with U after H(U) on a down-set of down-sets.
-
-    inner maps j to the point of HX that U(hhx[j]) is; it is filled as the
-    members are reached, so a caller checking many xi on one space can
-    pass one dict and multiply each member once."""
-    if inner is None:
-        inner = {}
-    union_members = 0
-    for j in sp.bits(xi_mask):
-        union_members |= hhx[j]
-    left = hy.mult_union(hx, hy.ClosedSet(hx.space, union_members))
-    image = 0
-    for j in sp.bits(xi_mask):
-        if j not in inner:
-            members = hy.mult_union(hx, hy.ClosedSet(hx.space, hhx[j])).members
-            inner[j] = hx.point_of(members)
-        image |= 1 << inner[j]
-    right = hy.mult_union(hx, hy.ClosedSet(hx.space, hx.space.closure(image)))
-    return left == right
-
-
-def h_push_naturality(f: sp.ContinuousMap, hx, hx_target, fam_mask: int) -> bool:
-    """f_sharp after U equals U after (f_sharp)_sharp on a closed family."""
-    left = hy.push_closed(f, hy.mult_union(hx, hy.ClosedSet(hx.space, fam_mask)))
-    image = 0
-    for i in sp.bits(fam_mask):
-        image |= 1 << hx_target.point_of(hy.push_closed(f, hx.closed_of(i)).members)
-    right = hy.mult_union(
-        hx_target, hy.ClosedSet(hx_target.space, hx_target.space.closure(image))
-    )
-    return left == right
-
-
-def h_strength_mult(prod: sp.Product, x: int, hx_right, fam_mask: int) -> bool:
-    """Strength after multiplication equals multiplication after double
-    strength; the push step only adds subsets, absorbed by the union."""
-    inner = hy.mult_union(hx_right, hy.ClosedSet(hx_right.space, fam_mask))
-    left = hy.strength_H(prod, x, inner)
+def _h_mix(space: sp.FiniteSpace, mixture) -> hy.ClosedSet:
+    """The closure of the union of the members."""
     union = 0
-    for j in sp.bits(fam_mask):
-        union |= hy.strength_H(prod, x, hx_right.closed_of(j)).members
-    right = hy.ClosedSet(prod.space, prod.space.closure(union))
-    return left == right
+    for c, e in mixture:
+        if c:
+            union |= e.members
+    return hy.ClosedSet(space, space.closure(union))
+
+
+def _v_mult(space: sp.FiniteSpace, mixture) -> va.Valuation:
+    return va.mult_E(va.SimpleSecondOrder(space, tuple(mixture)))
+
+
+H = Monad(
+    True,
+    lambda space, x: hy.unit_sigma(space, x),
+    lambda f, c: hy.push_closed(f, c),
+    _h_mult,
+    _h_mix,
+    lambda prod, x, c: hy.strength_H(prod, x, c),
+    lambda prod, c, y: hy.costrength_H(prod, c, y),
+)
+V = Monad(
+    ONE,
+    lambda space, x: va.unit_delta(space, x),
+    lambda f, nu: va.pushforward(f, nu),
+    _v_mult,
+    _v_mult,
+    lambda prod, x, nu: va.strength_V(prod, x, nu),
+    lambda prod, nu, y: va.costrength_V(prod, nu, y),
+)
+
+
+def family_mixture(hx: hy.Hyperspace, family: int) -> list:
+    """A closed family of HX, given by its mask of HX points, as the H
+    mixture of its members."""
+    return [(True, hx.closed_of(i)) for i in sp.bits(family)]
+
+
+def h_tower(hx: hy.Hyperspace, hhx, xi: int):
+    """A down-set xi of the closed families hhx of HX, an element of HHHX,
+    as the inner mixtures and the tower that associativity takes."""
+    return (lambda j: family_mixture(hx, hhx[j])), [(True, j) for j in sp.bits(xi)]
+
+
+def left_unit(M: Monad, where, e) -> bool:
+    """mult after the unit of MX is the identity."""
+    return M.mult(where, [(M.one, e)]) == e
+
+
+def right_unit(M: Monad, where, e) -> bool:
+    """mult after M(unit) is the identity: e is the mixture of the units
+    of its points, weighted by its weights."""
+    units = [(w, M.unit(e.space, x)) for x, w in enumerate(e.weights) if w]
+    return M.mult(where, units) == e
+
+
+def associativity(M: Monad, where, inner, tower, memo: dict) -> bool:
+    """mult after mult_{MX} equals mult after M(mult) on the element
+    sum_j w_j delta(inner(j)) of MMMX, given by its (w_j, j) pairs: the
+    flattened tower multiplies to the mixture of the multiplied inner
+    mixtures.  memo maps j to inner(j) and its multiplication, so the
+    towers over one family of inner mixtures build and multiply each once.
+    For H the scalars are bools, and w * c is their conjunction."""
+    for _, j in tower:
+        if j not in memo:
+            mixture = inner(j)
+            memo[j] = (mixture, M.mult(where, mixture))
+    flat = M.mult(where, ((w * c, e) for w, j in tower for c, e in memo[j][0]))
+    return flat == M.mult(where, [(w, memo[j][1]) for w, j in tower])
+
+
+def unit_naturality(M: Monad, f: sp.ContinuousMap, x: int) -> bool:
+    """M(f) after the unit is the unit after f."""
+    return M.push(f, M.unit(f.source, x)) == M.unit(f.target, f(x))
+
+
+def mult_naturality(M: Monad, f: sp.ContinuousMap, where_f, where_g, mixture) -> bool:
+    """M(f) after mult equals mult after MM(f), on a mixture over f's
+    source; where_f and where_g are where mult runs on its source and target."""
+    left = M.push(f, M.mult(where_f, mixture))
+    return left == M.mult(where_g, [(c, M.push(f, e)) for c, e in mixture])
+
+
+def strength_unit(M: Monad, prod: sp.Product, x: int, y: int) -> bool:
+    """The strength of a unit is the unit of the pair."""
+    unit = M.unit(prod.space, prod.pair(x, y))
+    return M.strength(prod, x, M.unit(prod.right, y)) == unit
+
+
+def strength_mult(M: Monad, prod: sp.Product, x: int, where, mixture) -> bool:
+    """Strength after multiplication equals multiplication after the
+    strengths of the members."""
+    left = M.strength(prod, x, M.mult(where, mixture))
+    return left == M.mix(prod.space, [(c, M.strength(prod, x, e)) for c, e in mixture])
+
+
+def strength_unitor(M: Monad, prod: sp.Product, x: int, e) -> bool:
+    """X x M1 -> M(X x 1) -> MX sends (x, e) to e pushed along x: 1 -> X."""
+    along_x = sp.constant_map(prod.right, prod.left, x)
+    return M.push(prod.proj1, M.strength(prod, x, e)) == M.push(along_x, e)
+
+
+def strength_associator(M: Monad, associator, x: int, y: int, e) -> bool:
+    """The strength of a pair is the strength of x after that of y, through
+    the associator; associator is what _associator returns."""
+    pxy, pyz, pxy_z, px_yz, assoc = associator
+    return M.push(assoc, M.strength(pxy_z, pxy.pair(x, y), e)) == M.strength(
+        px_yz, x, M.strength(pyz, y, e)
+    )
+
+
+def costrength_symmetry(M: Monad, prod: sp.Product, prod_ba: sp.Product, x, e) -> bool:
+    """t(e, x) on Y x X is s(x, e) on X x Y pushed through the symmetry."""
+    swap = _swap_map(prod_ba, prod)
+    return M.costrength(prod_ba, e, x) == M.push(swap, M.strength(prod, x, e))
+
+
+def commutativity(M: Monad, prod: sp.Product, a, b, product) -> bool:
+    """Both diagonal composites of the commutativity square, from the
+    strengths and the multiplication, equal product: the mixture of the
+    costrengths t(a, y) weighted by b, and that of the strengths s(x, b)
+    weighted by a."""
+    costrengths = [(w, M.costrength(prod, a, y)) for y, w in enumerate(b.weights) if w]
+    strengths = [(w, M.strength(prod, x, b)) for x, w in enumerate(a.weights) if w]
+    return product == M.mix(prod.space, costrengths) == M.mix(prod.space, strengths)
 
 
 def _associator():
@@ -822,12 +929,14 @@ def h_push_hits(f: sp.ContinuousMap, c: hy.ClosedSet) -> bool:
     return all(hy.hit(pushed, u) == hy.hit(c, f.preimage(u)) for u in f.target.opens)
 
 
-def h_union_hits(hx: hy.Hyperspace, fam_mask: int) -> bool:
-    """The union of a closed family hits U iff some member does."""
-    union = hy.mult_union(hx, hy.ClosedSet(hx.space, fam_mask))
-    return all(
-        hy.hit(union, u) == bool(fam_mask & hx.hit_mask(u)) for u in hx.base.opens
-    )
+def h_union_hits(hx: hy.Hyperspace, families) -> bool:
+    """The union of each closed family hits U iff some member does."""
+    hit_masks = [(u, hx.hit_mask(u)) for u in hx.base.opens]
+    for family in families:
+        union = hy.mult_union(hx, hy.ClosedSet(hx.space, family))
+        if not all(hy.hit(union, u) == bool(family & hits) for u, hits in hit_masks):
+            return False
+    return True
 
 
 def h_rectangle_hits(prod: sp.Product, e: hy.ClosedSet, c, d) -> bool:
@@ -838,26 +947,6 @@ def h_rectangle_hits(prod: sp.Product, e: hy.ClosedSet, c, d) -> bool:
         hy.hit(e, prod.rectangle(u, v)) == (hy.hit(c, u) and hy.hit(d, v))
         for u in prod.left.opens
         for v in prod.right.opens
-    )
-
-
-def h_product_composites(
-    prod: sp.Product, c: hy.ClosedSet, d: hy.ClosedSet
-) -> tuple[hy.ClosedSet, hy.ClosedSet]:
-    """Both diagonal composites of the commutativity square of H, from the
-    strengths and the multiplication (the closure of a union): the union of
-    the costrengths t(C, y) over y in D, and of the strengths s(x, D) over
-    x in C."""
-
-    def mult(closed_sets) -> hy.ClosedSet:
-        union = 0
-        for e in closed_sets:
-            union |= e.members
-        return hy.ClosedSet(prod.space, prod.space.closure(union))
-
-    return (
-        mult(hy.costrength_H(prod, c, y) for y in sp.bits(d.members)),
-        mult(hy.strength_H(prod, x, d) for x in sp.bits(c.members)),
     )
 
 
@@ -1023,32 +1112,13 @@ def open_iterated_integrals(prod: sp.Product, nu, rho):
         )
 
 
-def v_product_composites(
-    prod: sp.Product, nu: va.Valuation, rho: va.Valuation
-) -> tuple[va.Valuation, va.Valuation]:
-    """Both diagonal composites of the Fubini square, from the strengths and
-    the multiplication: with rho = sum_y w_y delta_y the first multiplies
-    out to the mixture sum_y w_y t(nu, y), and symmetrically the second to
-    sum_x w_x s(x, rho)."""
-
-    def mult(weights, strength) -> va.Valuation:
-        atoms = tuple((w, strength(z)) for z, w in enumerate(weights) if sgn(w))
-        return va.mult_E(va.SimpleSecondOrder(prod.space, atoms))
-
-    return (
-        mult(rho.weights, lambda y: va.costrength_V(prod, nu, y)),
-        mult(nu.weights, lambda x: va.strength_V(prod, x, rho)),
-    )
-
-
 def fubini_square(prod: sp.Product, nu: va.Valuation, rho: va.Valuation) -> bool:
     """The product valuation equals both molecular composites and the
     inclusion-exclusion table, and on every open W both iterated integrals
     of the indicator of W."""
     pv = va.product_valuation(nu, rho, prod)
-    route1, route2 = v_product_composites(prod, nu, rho)
     return (
-        pv == route1 == route2
+        commutativity(V, prod, nu, rho, pv)
         and pv.table == inclusion_exclusion_product(prod, nu, rho)
         and all(
             pair == (value, value)
@@ -1222,8 +1292,12 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
             "HX specialization is inclusion",
         )
         for i in range(len(hx.members)):
-            run.check(lambda h=hx, k=i: h_left_unit(h, k), "left unit law")
-            run.check(lambda h=hx, k=i: h_right_unit(h, k), "right unit law")
+            run.check(
+                lambda h=hx, k=i: left_unit(H, h, h.closed_of(k)), "left unit law"
+            )
+            run.check(
+                lambda h=hx, k=i: right_unit(H, h, h.closed_of(k)), "right unit law"
+            )
         for u in space.opens:
             run.check(
                 lambda s=space, w=u: sum(
@@ -1244,17 +1318,19 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
             )
         hhx = hy.inclusion_downsets(hx.members)
         run.check(
-            lambda h=hx, d=hhx: all(h_union_hits(h, m) for m in d),
+            lambda h=hx, d=hhx: h_union_hits(h, d),
             "the union of a closed family hits U iff a member does",
         )
         if len(hhx) <= 8:
             xi_masks = hy.inclusion_downsets(hhx)
         else:
             xi_masks = [_rand_downset(rng, hhx) for _ in range(cfg.instance_count)]
-        inner: dict[int, int] = {}
+        memo: dict = {}
         for xi in xi_masks:
             run.check(
-                lambda h=hx, d=hhx, m=xi, c=inner: h_associativity(h, d, m, c),
+                lambda h=hx, d=hhx, m=xi, c=memo: associativity(
+                    H, h, *h_tower(h, d, m), c
+                ),
                 "associativity law",
             )
     for a, b in _space_pairs(cfg, max_points=min(cfg.max_points, 3)):
@@ -1263,14 +1339,12 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
             continue
         hxa, hxb = stream.hyperspace(a), stream.hyperspace(b)
         for x in range(a.n):
-            run.check(
-                lambda g=f, s=a, t=b, p=x: hy.push_closed(g, hy.unit_sigma(s, p))
-                == hy.unit_sigma(t, g(p)),
-                "unit naturality",
-            )
+            run.check(lambda g=f, p=x: unit_naturality(H, g, p), "unit naturality")
         fam = hxa.space.closure(_rand_downset(rng, hxa.members) or 0)
         run.check(
-            lambda g=f, h=hxa, ht=hxb, m=fam: h_push_naturality(g, h, ht, m),
+            lambda g=f, h=hxa, ht=hxb, m=fam: mult_naturality(
+                H, g, h, ht, family_mixture(h, m)
+            ),
             "multiplication naturality",
         )
         g2 = rand_map(rng, b, b)
@@ -1308,15 +1382,14 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
             if b.n:
                 y = rng.randrange(b.n)
                 run.check(
-                    lambda p=prod, px=x, py=y, s=b: hy.strength_H(
-                        p, px, hy.unit_sigma(s, py)
-                    )
-                    == hy.unit_sigma(p.space, p.pair(px, py)),
+                    lambda p=prod, px=x, py=y: strength_unit(H, p, px, py),
                     "strength unit diagram",
                 )
             fam = hxb.space.closure(_rand_downset(rng, hxb.members))
             run.check(
-                lambda p=prod, px=x, h=hxb, m=fam: h_strength_mult(p, px, h, m),
+                lambda p=prod, px=x, h=hxb, m=fam: strength_mult(
+                    H, p, px, h, family_mixture(h, m)
+                ),
                 "strength multiplication diagram",
             )
         # unitor: X x H1 -> H(X x 1) -> HX
@@ -1325,23 +1398,20 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
             x = rng.randrange(a.n)
             for c_members in (0, 1):
                 run.check(
-                    lambda p=prod1, px=x, m=c_members, s=a: hy.push_closed(
-                        p.proj1, hy.strength_H(p, px, hy.ClosedSet(one, m))
-                    ).members
-                    == (s.closure(1 << px) if m else 0),
+                    lambda p=prod1, px=x, m=c_members: strength_unitor(
+                        H, p, px, hy.ClosedSet(one, m)
+                    ),
                     "strength unitor diagram",
                 )
         # costrength is the swap of strength
         prod_ba = stream.product(b, a)
-        swap = _swap_map(prod_ba, prod)
         if a.n and b.n:
             x = rng.randrange(a.n)
             d = rand_closed(rng, b)
             run.check(
-                lambda p=prod, q=prod_ba, sw=swap, px=x, cc=d: hy.costrength_H(
-                    q, cc, px
-                )
-                == hy.push_closed(sw, hy.strength_H(p, px, cc)),
+                lambda p=prod, q=prod_ba, px=x, cc=d: costrength_symmetry(
+                    H, p, q, px, cc
+                ),
                 "costrength is strength through the symmetry",
             )
             run.check(
@@ -1354,11 +1424,8 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
         c = rand_closed(rng, a)
         d = rand_closed(rng, b)
         run.check(
-            lambda p=prod, cc=c, dd=d: (
-                lambda direct, routes: direct == routes[0] == routes[1]
-            )(
-                hy.product_closed(p, cc, dd),
-                h_product_composites(p, cc, dd),
+            lambda p=prod, cc=c, dd=d: commutativity(
+                H, p, cc, dd, hy.product_closed(p, cc, dd)
             ),
             "commutativity square for closed products",
         )
@@ -1382,16 +1449,14 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
         )
     # associator diagram on a small fixed triple
     if cfg.max_points >= 2:
-        pxy, pyz, pxy_z, px_yz, assoc = _associator()
+        associator = _associator()
+        pxy, pyz = associator[:2]
         for _ in range(4):
             c = rand_closed(rng, pyz.right)
             x = rng.randrange(pxy.left.n)
             y = rng.randrange(pxy.right.n)
             run.check(
-                lambda cc=c, px=x, py=y: hy.push_closed(
-                    assoc, hy.strength_H(pxy_z, pxy.pair(px, py), cc)
-                )
-                == hy.strength_H(px_yz, px, hy.strength_H(pyz, py, cc)),
+                lambda cc=c, px=x, py=y: strength_associator(H, associator, px, py, cc),
                 "strength associator diagram",
             )
 
@@ -1459,16 +1524,7 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
         half = ext("1/2")
         nu = va.valuation_from_weights(s2, (half, half))
         run.check(
-            lambda: va.mult_E(
-                va.SimpleSecondOrder(
-                    s2,
-                    tuple(
-                        (nu.weights[x], va.unit_delta(s2, x)) for x in range(2)
-                    ),
-                )
-            )
-            == nu,
-            "right unit on the half-half valuation",
+            lambda: right_unit(V, s2, nu), "right unit on the half-half valuation"
         )
         run.check(
             lambda: va.integrate(nu, va.indicator(s2, s2.mask_of(["1"]))) == half,
@@ -1476,29 +1532,8 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
         )
     for space in _spaces(cfg):
         nu = rand_valuation(rng, cfg, space)
-        run.check(
-            lambda s=space, v=nu: va.mult_E(
-                va.SimpleSecondOrder(s, ((ONE, v),))
-            )
-            == v,
-            "left unit law",
-        )
-        run.check(
-            lambda s=space, v=nu: va.mult_E(
-                va.SimpleSecondOrder(
-                    s,
-                    tuple(
-                        (v.weights[x], va.unit_delta(s, x))
-                        for x in range(s.n)
-                        if sgn(v.weights[x])
-                    ),
-                )
-            )
-            == v
-            if any(sgn(w) for w in v.weights)
-            else va.zero_valuation(s) == v,
-            "right unit law",
-        )
+        run.check(lambda s=space, v=nu: left_unit(V, s, v), "left unit law")
+        run.check(lambda s=space, v=nu: right_unit(V, s, v), "right unit law")
         for u in space.opens:
             run.check(
                 lambda s=space, v=nu, w=u: va.integrate(v, va.indicator(s, w))
@@ -1512,20 +1547,8 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
             for _ in inner
         ]
         run.check(
-            lambda s=space, xs=inner, ws=outer_weights: va.mult_E(
-                va.SimpleSecondOrder(
-                    s,
-                    tuple(
-                        (w * c, v)
-                        for w, xi in zip(ws, xs)
-                        for c, v in xi.atoms
-                    ),
-                )
-            )
-            == va.mult_E(
-                va.SimpleSecondOrder(
-                    s, tuple((w, va.mult_E(xi)) for w, xi in zip(ws, xs))
-                )
+            lambda s=space, xs=inner, ws=outer_weights: associativity(
+                V, s, lambda j: xs[j].atoms, [(w, j) for j, w in enumerate(ws)], {}
             ),
             "associativity on molecular towers",
         )
@@ -1555,38 +1578,31 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
             == f.upper_level(rr),
             "Dirac preimage of a subbasic open is a level set",
         )
+    # maps and kernels from streams of their own, so no other draw moves
+    map_rng = random.Random(cfg.seed + 6)
     for a, b in _space_pairs(cfg):
-        f = rand_map(random.Random(cfg.seed + 6), a, b)
+        f = rand_map(map_rng, a, b)
         if f is None or a.n == 0:
             continue
         nu = rand_valuation(rng, cfg, a)
         x = rng.randrange(a.n)
-        run.check(
-            lambda g=f, s=a, t=b, p=x: va.pushforward(g, va.unit_delta(s, p))
-            == va.unit_delta(t, g(p)),
-            "unit naturality",
-        )
+        run.check(lambda g=f, p=x: unit_naturality(V, g, p), "unit naturality")
         run.check(
             lambda g=f, v=nu: pushforward_integral_identity(g, v),
             "pushforward integral identity",
         )
         xi = rand_sso(rng, cfg, a)
         run.check(
-            lambda g=f, x2=xi, t=b: va.pushforward(g, va.mult_E(x2))
-            == va.mult_E(
-                va.SimpleSecondOrder(
-                    t, tuple((c, va.pushforward(g, v)) for c, v in x2.atoms)
-                )
-            ),
+            lambda g=f, x2=xi, s=a, t=b: mult_naturality(V, g, s, t, x2.atoms),
             "multiplication naturality",
         )
     # Kleisli composition: units, associativity, and the molecular route
+    kernel_rng = random.Random(cfg.seed + 7)
     triples = _space_pairs(cfg, min_points=1)
     for a, b in itertools.islice(triples, max(4, cfg.instance_count // 4)):
-        rngk = random.Random(cfg.seed + 7 + a.n + b.n)
-        h = rand_kernel(rngk, cfg, a, b)
-        k = rand_kernel(rngk, cfg, b, a)
-        m = rand_kernel(rngk, cfg, a, a)
+        h = rand_kernel(kernel_rng, cfg, a, b)
+        k = rand_kernel(kernel_rng, cfg, b, a)
+        m = rand_kernel(kernel_rng, cfg, a, a)
         run.check(
             lambda hh=h, s=b: va.kleisli_compose(va.delta_kernel(s), hh).table
             == hh.table,
@@ -1607,19 +1623,10 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
         run.check(
             lambda f=h, g=k: all(
                 va.kleisli_compose(g, f).table[x]
-                == va.mult_E(
-                    va.SimpleSecondOrder(
-                        g.target,
-                        tuple(
-                            (f.table[x].weights[y], g.table[y])
-                            for y in range(f.target.n)
-                            if sgn(f.table[x].weights[y])
-                        ),
-                    )
+                == V.mult(
+                    g.target,
+                    [(w, g.table[y]) for y, w in enumerate(f.table[x].weights) if w],
                 )
-                if any(sgn(f.table[x].weights[y]) for y in range(f.target.n))
-                else va.kleisli_compose(g, f).table[x]
-                == va.zero_valuation(g.target)
                 for x in range(f.source.n)
             ),
             "Kleisli route agrees with the molecular multiplication route",
@@ -1636,41 +1643,25 @@ def _suite_v_strength(cfg: GenConfig, run: _Run):
         y = rng.randrange(b.n)
         nu = rand_valuation(rng, cfg, b)
         run.check(
-            lambda p=prod, px=x, py=y, s=b: va.strength_V(
-                p, px, va.unit_delta(s, py)
-            )
-            == va.unit_delta(p.space, p.pair(px, py)),
+            lambda p=prod, px=x, py=y: strength_unit(V, p, px, py),
             "strength unit diagram",
         )
         xi = rand_sso(rng, cfg, b)
         run.check(
-            lambda p=prod, px=x, x2=xi: va.strength_V(p, px, va.mult_E(x2))
-            == va.mult_E(
-                va.SimpleSecondOrder(
-                    p.space,
-                    tuple((c, va.strength_V(p, px, v)) for c, v in x2.atoms),
-                )
-            ),
+            lambda p=prod, px=x, s=b, x2=xi: strength_mult(V, p, px, s, x2.atoms),
             "strength multiplication diagram",
         )
         prod1 = sp.product(a, one)
         mass = _rand_extrat(rng, cfg)
         run.check(
-            lambda p=prod1, px=x, m=mass, s=a: va.pushforward(
-                p.proj1, va.strength_V(p, px, va.valuation_from_weights(one, (m,)))
-            )
-            == va.valuation_from_weights(
-                s, tuple(m if q == px else ZERO for q in range(s.n))
+            lambda p=prod1, px=x, m=mass: strength_unitor(
+                V, p, px, va.valuation_from_weights(one, (m,))
             ),
             "strength unitor diagram",
         )
         prod_ba = stream.product(b, a)
-        swap = _swap_map(prod_ba, prod)
         run.check(
-            lambda p=prod, q=prod_ba, sw=swap, px=x, v=nu: va.costrength_V(
-                q, v, px
-            )
-            == va.pushforward(sw, va.strength_V(p, px, v)),
+            lambda p=prod, q=prod_ba, px=x, v=nu: costrength_symmetry(V, p, q, px, v),
             "costrength is strength through the symmetry",
         )
         for u in a.opens:
@@ -1684,16 +1675,14 @@ def _suite_v_strength(cfg: GenConfig, run: _Run):
                 )
     # associator diagram on a small fixed triple
     if cfg.max_points >= 2:
-        pxy, pyz, pxy_z, px_yz, assoc = _associator()
+        associator = _associator()
+        pxy, pyz = associator[:2]
         for _ in range(4):
             nu = rand_valuation(rng, cfg, pyz.right)
             x = rng.randrange(pxy.left.n)
             y = rng.randrange(pxy.right.n)
             run.check(
-                lambda v=nu, px=x, py=y: va.pushforward(
-                    assoc, va.strength_V(pxy_z, pxy.pair(px, py), v)
-                )
-                == va.strength_V(px_yz, px, va.strength_V(pyz, py, v)),
+                lambda v=nu, px=x, py=y: strength_associator(V, associator, px, py, v),
                 "strength associator diagram",
             )
 

@@ -18,18 +18,19 @@ from topmonads import support as su
 from topmonads import valuations as va
 from topmonads.extrat import ONE, ZERO, ExtRat, ext, sgn
 from topmonads.lawcheck import (
+    H,
     GenConfig,
     _rand_downset,
     all_topologies,
+    associativity,
+    commutativity,
     count_valid_functional_tables,
+    family_mixture,
     fubini_square,
     generate_space,
-    h_associativity,
-    h_product_composites,
-    h_left_unit,
-    h_right_unit,
     h_specialization_is_inclusion,
-    h_strength_mult,
+    h_tower,
+    left_unit,
     mixture_of_measures_agrees,
     rand_closed,
     rand_kernel,
@@ -38,6 +39,8 @@ from topmonads.lawcheck import (
     rand_prob,
     rand_sso,
     rand_valuation,
+    right_unit,
+    strength_mult,
 )
 
 from test_valuations import oracle_integral
@@ -60,6 +63,18 @@ def spaces_up_to(max_points, count, seed=42):
     return list(itertools.islice(generate_space(cfg), count))
 
 
+def h_unit_laws(hx):
+    """Both unit laws of H at every point of HX."""
+    return all(
+        left_unit(H, hx, hx.closed_of(i)) and right_unit(H, hx, hx.closed_of(i))
+        for i in range(len(hx.members))
+    )
+
+
+def h_associativity(hx, hhx, xi):
+    return associativity(H, hx, *h_tower(hx, hhx, xi), {})
+
+
 def test_criterion_01_h_monad_laws():
     def body():
         start = time.monotonic()
@@ -71,8 +86,7 @@ def test_criterion_01_h_monad_laws():
         for space in two:
             hx = hy.build_hyperspace(space)
             hhx = hy.inclusion_downsets(hx.members)
-            ok = ok and all(h_left_unit(hx, i) for i in range(len(hx.members)))
-            ok = ok and all(h_right_unit(hx, i) for i in range(len(hx.members)))
+            ok = ok and h_unit_laws(hx)
             for xi in hy.inclusion_downsets(hhx):
                 ok = ok and h_associativity(hx, hhx, xi)
         # all 29 labeled 3-point topologies: exhaustive units, sampled HHHX
@@ -81,8 +95,7 @@ def test_criterion_01_h_monad_laws():
         for space in three:
             hx = hy.build_hyperspace(space)
             hhx = hy.inclusion_downsets(hx.members)
-            ok = ok and all(h_left_unit(hx, i) for i in range(len(hx.members)))
-            ok = ok and all(h_right_unit(hx, i) for i in range(len(hx.members)))
+            ok = ok and h_unit_laws(hx)
             for _ in range(100):
                 ok = ok and h_associativity(hx, hhx, _rand_downset(rng, hhx))
         elapsed = time.monotonic() - start
@@ -280,8 +293,8 @@ def test_criterion_06_strength_and_fubini():
                     a.closure(1 << x) if members else 0
                 )
             # H strength: multiplication diagram
-            ok = ok and h_strength_mult(
-                prod, x, hxb, _rand_downset(rng, hxb.members)
+            ok = ok and strength_mult(
+                H, prod, x, hxb, family_mixture(hxb, _rand_downset(rng, hxb.members))
             )
             # H strength: associator diagram
             pbc = sp.product(b, one)
@@ -326,9 +339,7 @@ def test_criterion_06_strength_and_fubini():
             ) == va.strength_V(pa_bc, x, va.strength_V(pbc, y, rho1))
             # commutativity square for closed sets
             ca = rand_closed(rng, a)
-            direct = hy.product_closed(prod, ca, c)
-            r1, r2 = h_product_composites(prod, ca, c)
-            ok = ok and direct == r1 == r2
+            ok = ok and commutativity(H, prod, ca, c, hy.product_closed(prod, ca, c))
             # commutativity (Fubini) square for valuations, against the
             # weight-product and iterated-integral oracles too
             mu = rand_valuation(rng, cfg, a)

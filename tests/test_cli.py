@@ -231,6 +231,18 @@ def test_laws_negative_size_exits_1(capsys):
     }
 
 
+def test_laws_count_below_one_exits_1(capsys):
+    # a run that checks nothing is malformed, not a pass
+    for count in ("0", "-1"):
+        code, out, err = run_cli(capsys, "laws", "all", "--count", count)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "malformed",
+            "type": "InvalidValue",
+            "detail": f"instance_count must be an int >= 1, not {count}",
+        }
+
+
 def test_laws_suite_json_report(capsys):
     code, out, _ = run_cli(
         capsys,

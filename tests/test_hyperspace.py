@@ -12,12 +12,14 @@ from topmonads.errors import (
     ShapeMismatch,
 )
 from topmonads.lawcheck import (
+    H,
     all_topologies,
+    associativity,
+    commutativity,
     count_valid_functional_tables,
-    h_associativity,
-    h_left_unit,
-    h_product_composites,
-    h_right_unit,
+    h_tower,
+    left_unit,
+    right_unit,
 )
 
 
@@ -194,8 +196,8 @@ def test_unit_laws_exhaustive_small():
     for space in (sp.sierpinski(), sp.discrete(2), sp.w_lattice(), sp.chain(3)):
         hx = hy.build_hyperspace(space)
         for i in range(len(hx.members)):
-            assert h_left_unit(hx, i)
-            assert h_right_unit(hx, i)
+            assert left_unit(H, hx, hx.closed_of(i))
+            assert right_unit(H, hx, hx.closed_of(i))
 
 
 def test_associativity_exhaustive_two_points():
@@ -203,7 +205,7 @@ def test_associativity_exhaustive_two_points():
         hx = hy.build_hyperspace(space)
         hhx = hy.inclusion_downsets(hx.members)
         for xi in hy.inclusion_downsets(hhx):
-            assert h_associativity(hx, hhx, xi)
+            assert associativity(H, hx, *h_tower(hx, hhx, xi), {})
 
 
 def test_unit_closure_membership():
@@ -239,8 +241,7 @@ def test_product_closed_and_marginals():
     c = hy.ClosedSet(s, 1)
     d = hy.ClosedSet(s, 3)
     pc = hy.product_closed(prod, c, d)
-    route1, route2 = h_product_composites(prod, c, d)
-    assert pc == route1 == route2
+    assert commutativity(H, prod, c, d, pc)
     assert hy.marginals(prod, pc) == (c, d)
 
 

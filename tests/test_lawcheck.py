@@ -261,7 +261,7 @@ def test_lazy_streams_yield_the_eager_sequences(seed):
         {"limit": 0},
         {"limit": 7, "max_opens": 40},
     ]
-    for max_points, count in ((3, 60), (4, 60), (4, 9), (3, -1)):
+    for max_points, count in ((3, 60), (4, 60), (4, 9), (3, 1)):
         cfg = lc.GenConfig(seed=seed, max_points=max_points, instance_count=count)
         for kw in space_args:
             assert list(lc._spaces(cfg, **kw)) == _eager_spaces(cfg, **kw), kw
@@ -494,7 +494,9 @@ def _associativity_verdicts(shared: bool) -> list:
         inner: dict = {}
         for xi in xi_masks:
             memo = inner if shared else {}
-            verdicts.append(_outcome(lambda: lc.h_associativity(hx, hhx, xi, memo)))
+            verdicts.append(
+                _outcome(lambda: lc.associativity(lc.H, hx, *lc.h_tower(hx, hhx, xi), memo))
+            )
     return verdicts
 
 
@@ -508,3 +510,111 @@ def test_associativity_with_one_memo_per_space_gives_the_fresh_verdicts(monkeypa
     verdicts = _associativity_verdicts(shared=True)
     assert verdicts == _associativity_verdicts(shared=False)
     assert any(v is not True for v in verdicts)
+
+
+# --- the structural laws shared by H and V --------------------------------------
+
+
+def _canned(M, space):
+    """Elements of M on space, and two scalars for mixtures: every closed
+    set for H; for V the zero valuation, the Diracs and a valuation with
+    weights 0, 1/2, 1 and oo in turn."""
+    if M is lc.H:
+        return [hy.ClosedSet(space, c) for c in space.closed_sets()], (True, True)
+    kinds = (ZERO, ext("1/2"), ONE, INF)
+    mixed = va.valuation_from_weights(space, [kinds[x % 4] for x in range(space.n)])
+    diracs = [va.unit_delta(space, x) for x in range(space.n)]
+    return [va.zero_valuation(space), *diracs, mixed], (ext("1/2"), ext(2))
+
+
+def _shared_law_verdicts(M) -> dict:
+    """The verdict of each shared law, by name, on canned instances over
+    Sierpinski space and the diamond lattice."""
+    verdicts = {}
+
+    def record(name, law, *args):
+        verdicts.setdefault(name, []).append(_outcome(lambda: law(M, *args)))
+
+    def where(space):
+        return hy.build_hyperspace(space) if M is lc.H else space
+
+    s2, w = sp.sierpinski(), sp.w_lattice()
+    for space in (s2, w):
+        es, (c, d) = _canned(M, space)
+        for e in es:
+            record("left unit", lc.left_unit, where(space), e)
+            record("right unit", lc.right_unit, where(space), e)
+        inners = [[(c, es[-1]), (d, es[1])], [(d, es[0]), (c, es[-1])]]
+        record("associativity", lc.associativity, where(space), inners.__getitem__, [(d, 0), (c, 1)], {})
+    one = sp.one_point()
+    for a, b in ((s2, w), (w, s2)):
+        es_a, (c, d) = _canned(M, a)
+        es_b, _ = _canned(M, b)
+        f = lc.rand_map(random.Random(3), a, b)
+        prod, prod_ba, prod1 = sp.product(a, b), sp.product(b, a), sp.product(a, one)
+        record("multiplication naturality", lc.mult_naturality, f, where(a), where(b), [(c, es_a[-1]), (d, es_a[1])])
+        for x in range(a.n):
+            record("unit naturality", lc.unit_naturality, f, x)
+            record("strength multiplication", lc.strength_mult, prod, x, where(b), [(c, es_b[-1]), (d, es_b[1])])
+            for y in range(b.n):
+                record("strength unit", lc.strength_unit, prod, x, y)
+            for e in _canned(M, one)[0]:
+                record("strength unitor", lc.strength_unitor, prod1, x, e)
+            for e in es_b:
+                record("costrength through the symmetry", lc.costrength_symmetry, prod, prod_ba, x, e)
+        for ea, eb in itertools.product(es_a, es_b):
+            product = hy.product_closed(prod, ea, eb) if M is lc.H else va.product_valuation(ea, eb, prod)
+            record("commutativity square", lc.commutativity, prod, ea, eb, product)
+    associator = lc._associator()
+    pxy, pyz = associator[:2]
+    for x, y in itertools.product(range(pxy.left.n), range(pxy.right.n)):
+        for e in _canned(M, pyz.right)[0]:
+            record("strength associator", lc.strength_associator, associator, x, y, e)
+    return verdicts
+
+
+def test_shared_laws_hold_for_H_and_V_and_see_mutations(monkeypatch):
+    for M in (lc.H, lc.V):
+        verdicts = _shared_law_verdicts(M)
+        assert len(verdicts) == 11
+        assert {name: all(v is True for v in vs) for name, vs in verdicts.items()} == dict.fromkeys(verdicts, True)
+    # the records call the public functions when they run, so patched
+    # mutations are seen: a unit that is no closed set, a multiplication
+    # that drops the weights
+    with monkeypatch.context() as patch:
+        _, attr, mutant = lc.MUTATIONS["sigma-no-closure"]
+        patch.setattr(hy, attr, mutant)
+        assert not all(v is True for v in _shared_law_verdicts(lc.H)["right unit"])
+    _, attr, mutant = lc.MUTATIONS["mult-E-ignores-weights"]
+    monkeypatch.setattr(va, attr, mutant)
+    verdicts = _shared_law_verdicts(lc.V)
+    assert not all(v is True for v in verdicts["right unit"])
+    assert not all(v is True for v in verdicts["commutativity square"])
+
+
+def test_v_monad_maps_and_kernels_come_from_streams_of_their_own(monkeypatch):
+    # two pairs of the same spaces can draw different maps, and different
+    # first kernels, where a generator reseeded per pair would repeat them
+    maps, kernels = {}, []
+    rand_map, rand_kernel = lc.rand_map, lc.rand_kernel
+
+    def spy_map(rng, a, b):
+        f = rand_map(rng, a, b)
+        maps.setdefault((a, b), set()).add(f and f.assignment)
+        return f
+
+    def spy_kernel(rng, cfg, a, b):
+        k = rand_kernel(rng, cfg, a, b)
+        kernels.append(((a, b), k.table))
+        return k
+
+    monkeypatch.setattr(lc, "rand_map", spy_map)
+    monkeypatch.setattr(lc, "rand_kernel", spy_kernel)
+    # on at most two points the pairs of spaces repeat often
+    report = lc.run_suite("v-monad", lc.GenConfig(seed=42, max_points=2))
+    assert report.ok
+    assert any(len(drawn) > 1 for drawn in maps.values())
+    first = {}  # each pair draws three kernels, the first on its own spaces
+    for spaces, table in kernels[::3]:
+        first.setdefault(spaces, set()).add(table)
+    assert any(len(drawn) > 1 for drawn in first.values())

@@ -9,8 +9,9 @@ TopmonadsError: no IndexError, KeyError, bare ValueError or TypeError, no
 endless loop, and no result.  A hit table must be one bool per open, and a
 measure needs a T0 space, where every subset is Borel.  A weight or value
 must be an element of [0, oo]: a negative number, a string outside the
-rational grammar, or None raises a MalformedValue.  So does a law-run size,
-GenConfig's max_points, that is not an int >= 0.
+rational grammar, or None raises a MalformedValue.  So does a law-run size
+that is not an int in range: GenConfig's max_points below 0 or its
+instance_count below 1.
 
 Left out, because their inputs are bare bit-masks that no space checks:
 spaces.bits, popcount and upsets_of_up_masks, and hyperspace's
@@ -198,6 +199,9 @@ CALLS = {
     # lawcheck
     "GenConfig max_points negative": lambda: lc.GenConfig(max_points=NEG),
     "GenConfig max_points float": lambda: lc.GenConfig(max_points=2.5),
+    "GenConfig instance_count zero": lambda: lc.GenConfig(instance_count=0),
+    "GenConfig instance_count negative": lambda: lc.GenConfig(instance_count=NEG),
+    "GenConfig instance_count bool": lambda: lc.GenConfig(instance_count=True),
 }
 
 
