@@ -116,11 +116,6 @@ from .probability import (
 # here would shadow the submodule, so it keeps its qualified name
 from .support import (
     InducedAlgebraReport,
-    MorphismVerdict,
-    check_monad_morphism,
-    check_supp_continuity,
-    check_supp_monoidal,
-    check_supp_naturality,
     induced_V_algebra,
     support_of_measure,
     support_test_lsc,

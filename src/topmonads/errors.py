@@ -120,5 +120,5 @@ class NotAFailure(TopmonadsError):
 
 
 class LawViolation(TopmonadsError):
-    """A checked invariant failed: an unsound Portmanteau certificate, or a
-    failing verdict without a counterexample."""
+    """A checked invariant failed: an unsound Portmanteau certificate, or
+    weights read off a valid table that do not reproduce it."""

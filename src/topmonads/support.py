@@ -1,14 +1,15 @@
-"""The support map from valuations to closed sets, and its morphism laws.
+"""The support map from valuations to closed sets, and algebra transfer.
 
 Valuations and closed sets are point weights in [0, oo] and {0, 1}
 (`weighted`); the support is the change of scalars along the semiring
 homomorphism sgn, then the Boolean canonical form, the closure: the closed
 set hitting exactly the opens of positive mass.  The support of a measure
-is the support of its restriction.  The sign route through the duality
-and the scan for the least closed set of full measure are oracles in
-`lawcheck`.  This module verifies that taking supports commutes with
-units, multiplications, pushforwards, strengths, and products, and
-transfers hyperspace algebras to valuation algebras.
+is the support of its restriction.  Along the support, hyperspace algebras
+transfer to valuation algebras.  That taking supports is a morphism of
+monads V -> H (the unit, multiplication, naturality, strength and monoidal
+squares) is checked by laws in `lawcheck`, together with the oracles: the
+sign route through the duality and the scan for the least closed set of
+full measure.
 """
 
 from __future__ import annotations
@@ -16,49 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import weighted as wt
-from .errors import LawViolation, NotAnHAlgebra
+from .errors import NotAnHAlgebra, ShapeMismatch
 from .extrat import ExtRat, ONE, ZERO, ext, sgn
-from .hyperspace import (
-    ClosedSet,
-    build_hyperspace,
-    check_H_algebra,
-    closed_of_weights,
-    hit,
-    mult_union,
-    product_closed,
-    push_closed,
-    strength_H,
-    unit_sigma,
-)
+from .hyperspace import ClosedSet, check_H_algebra, closed_of_weights
 from .probability import FiniteMeasure
-from .spaces import ContinuousMap, FiniteSpace, Product
+from .spaces import FiniteSpace
 from .valuations import (
     LowerSemiFn,
     Valuation,
     integrate,
     mult_E,
-    product_valuation,
-    pushforward,
-    strength_V,
     unit_delta,
     zero_valuation,
 )
-
-
-@dataclass(frozen=True)
-class MorphismVerdict:
-    """Per-diagram results; a failing check carries its counterexample."""
-
-    checks: tuple[tuple[str, bool], ...]
-    counterexample: tuple | None = None
-
-    def __post_init__(self):
-        if not self.ok and self.counterexample is None:
-            raise LawViolation("failing verdict without a counterexample")
-
-    @property
-    def ok(self) -> bool:
-        return all(result for _, result in self.checks)
 
 
 def support(nu: Valuation) -> ClosedSet:
@@ -80,99 +51,20 @@ def support_of_measure(m: FiniteMeasure) -> ClosedSet:
     return support(m.restriction())
 
 
-# --- morphism diagrams ------------------------------------------------------
-
-
-def _verdict(squares) -> MorphismVerdict:
-    """The verdict on (name, cases) squares, each case an (inputs, lhs, rhs)
-    triple: a square holds when every case's two routes agree, and the
-    first case that fails, with both routes, is the counterexample."""
-    checks, witness = [], None
-    for name, cases in squares:
-        bad = next(((*args, lhs, rhs) for args, lhs, rhs in cases if lhs != rhs), None)
-        checks.append((name, bad is None))
-        witness = witness or bad
-    return MorphismVerdict(tuple(checks), witness)
-
-
-def check_supp_continuity(space: FiniteSpace, valuations) -> MorphismVerdict:
-    """Preimage identity supp^{-1}(Hit(U)) = theta(U, 0), extensionally."""
-    pairs = [(nu, support(nu)) for nu in space.require_here(*valuations)]
-    return _verdict(
-        (
-            f"preimage of Hit({space.mask_names(u)})",
-            [((space, nu, u), hit(c, u), sgn(nu.value(u))) for nu, c in pairs],
-        )
-        for u in space.opens
-    )
-
-
-def check_supp_naturality(f: ContinuousMap, nu: Valuation) -> MorphismVerdict:
-    """supp(f_* nu) = f_sharp(supp nu)."""
-    f.source.require_here(nu)
-    lhs, rhs = support(pushforward(f, nu)), push_closed(f, support(nu))
-    return _verdict([("naturality square", [((f, nu), lhs, rhs)])])
-
-
-def check_monad_morphism(space: FiniteSpace, xis) -> MorphismVerdict:
-    """Unit square (exhaustive over points) and multiplication square
-    (over the given molecular second-order valuations).
-
-    The right route composes the diagram through H(VX): the support of a
-    molecular valuation on VX is the closure of its atom set, whose image
-    under H(supp) is the down-closure in HX of the atom supports; the
-    closure step only contributes subsets of the union, so the final
-    union map is evaluated on that down-closure.
-    """
-    xis = space.require_here(*xis)
-    hx = build_hyperspace(space)
-
-    def through_hvx(xi) -> ClosedSet:
-        atom_supports = 0
-        for _, nu in xi.atoms:  # atom weights are positive
-            atom_supports |= 1 << hx.point_of(support(nu).members)
-        return mult_union(hx, ClosedSet(hx.space, hx.space.closure(atom_supports)))
-
-    units = (
-        ((space, x), support(unit_delta(space, x)), unit_sigma(space, x))
-        for x in range(space.n)
-    )
-    mults = (((space, xi), support(mult_E(xi)), through_hvx(xi)) for xi in xis)
-    return _verdict([("unit square", units), ("multiplication square", mults)])
-
-
-def check_supp_monoidal(
-    prod: Product, nu: Valuation, rho: Valuation
-) -> MorphismVerdict:
-    """Strength, product, and marginal compatibility of the support."""
-    prod_val = product_valuation(nu, rho, prod)
-    joint = support(prod_val)
-    strengths = (
-        ((prod, x, rho), support(strength_V(prod, x, rho)), strength_H(prod, x, support(rho)))
-        for x in range(prod.left.n)
-    )
-    monoidal = [((prod, nu, rho), joint, product_closed(prod, support(nu), support(rho)))]
-    marginal = (
-        ((prod, nu, rho, proj), support(pushforward(proj, prod_val)), push_closed(proj, joint))
-        for proj in (prod.proj1, prod.proj2)
-    )
-    return _verdict(
-        [
-            ("strength square", strengths),
-            ("monoidal square", monoidal),
-            ("opmonoidal (marginal) square", marginal),
-        ]
-    )
-
-
 # --- algebra transfer --------------------------------------------------------
 
 
 def algebra_evaluate(a_space: FiniteSpace, a_map, nu: Valuation) -> int:
-    """The induced valuation-algebra map e = a after support; the points of
-    HA are the closed sets of A, sorted."""
+    """The induced valuation-algebra map e = a after support; a_map is a
+    table from the points of HA, the closed sets of A in ascending order,
+    to the points of A."""
     a_space.require_here(nu)
-    return a_map[sorted(a_space.closed_sets()).index(support(nu).members)]
+    closed = a_space.closed_sets()
+    if len(a_map) != len(closed):
+        raise ShapeMismatch("a_map is not a table on the points of HA")
+    for y in a_map:
+        a_space.require_point(y)
+    return a_map[closed.index(support(nu).members)]
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ def _eager_spaces(cfg, limit=None, min_points=0, max_points=None):
     return out
 
 
-def _eager_space_pairs(cfg, limit=None, min_points=0, max_points=None, max_opens=None):
+def _eager_space_pairs(cfg, limit=None, min_points=0, max_points=None):
     spaces = _eager_spaces(
         cfg, (limit or cfg.instance_count) * 2, min_points, max_points
     )
@@ -243,10 +243,7 @@ def _eager_space_pairs(cfg, limit=None, min_points=0, max_points=None, max_opens
     for i in range(len(spaces) - 1):
         if len(pairs) >= limit:
             break
-        a, b = spaces[i], spaces[i + 1]
-        if max_opens is not None and len(a.opens) * len(b.opens) > max_opens:
-            continue
-        pairs.append((a, b))
+        pairs.append((spaces[i], spaces[i + 1]))
     return pairs
 
 
@@ -256,10 +253,10 @@ def test_lazy_streams_yield_the_eager_sequences(seed):
     pair_args = [
         {},
         {"min_points": 1},
-        {"max_points": 3, "max_opens": 256},
-        {"min_points": 1, "max_points": 3, "max_opens": 300},
+        {"max_points": 3},
+        {"min_points": 1, "max_points": 3},
         {"limit": 0},
-        {"limit": 7, "max_opens": 40},
+        {"limit": 7},
     ]
     for max_points, count in ((3, 60), (4, 60), (4, 9), (3, 1)):
         cfg = lc.GenConfig(seed=seed, max_points=max_points, instance_count=count)
@@ -618,3 +615,19 @@ def test_v_monad_maps_and_kernels_come_from_streams_of_their_own(monkeypatch):
     for spaces, table in kernels[::3]:
         first.setdefault(spaces, set()).add(table)
     assert any(len(drawn) > 1 for drawn in first.values())
+
+
+@pytest.mark.parametrize(
+    "mutation, suite",
+    [
+        ("push-closed-no-closure", "supp-natural"),
+        ("sigma-no-closure", "supp-mult"),
+        ("mult-union-intersection", "supp-mult"),
+    ],
+)
+def test_the_support_squares_see_mutations_patched_into_hyperspace(mutation, suite):
+    # the squares reach push_closed, unit_sigma and mult_union through the
+    # H record, which looks them up when a law runs, not at import
+    cfg = lc.GenConfig(seed=42, max_points=3)
+    [report] = lc.run_with_mutation(mutation, cfg, suites=(suite,))
+    assert report.failures

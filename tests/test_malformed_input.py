@@ -189,14 +189,17 @@ CALLS = {
     "a_topology_membership negative": lambda: pb.a_topology_membership(p, NEG, 0),
     # support
     "support_test_lsc object": lambda: su.support_test_lsc(nu, g_d),
-    "check_supp_continuity object": lambda: su.check_supp_continuity(S, [nu_d]),
-    "check_supp_naturality object": lambda: su.check_supp_naturality(f, nu_d),
-    "check_monad_morphism object": lambda: su.check_monad_morphism(S, [xi_d]),
-    "check_supp_monoidal object": lambda: su.check_supp_monoidal(P, nu, nu_d),
     "algebra_evaluate object": lambda: su.algebra_evaluate(S, joins, nu_d),
+    "algebra_evaluate short": lambda: su.algebra_evaluate(S, joins[:1], nu),
+    "algebra_evaluate out": lambda: su.algebra_evaluate(S, (*joins[:2], OUT), nu),
+    "algebra_evaluate negative": lambda: su.algebra_evaluate(S, (*joins[:2], NEG), nu),
+    "algebra_evaluate name": lambda: su.algebra_evaluate(S, (*joins[:2], NAME), nu),
     "induced_V_algebra out": lambda: su.induced_V_algebra(S, (0, OUT, 1)),
     "induced_V_algebra object": lambda: su.induced_V_algebra(S, joins, [xi_d]),
     # lawcheck
+    "supp_naturality object": lambda: lc.supp_naturality(f, nu_d),
+    "supp_mult object": lambda: lc.supp_mult(S, hx, xi_d.atoms),
+    "supp_product_squares object": lambda: lc.supp_product_squares(P, nu, nu_d),
     "GenConfig max_points negative": lambda: lc.GenConfig(max_points=NEG),
     "GenConfig max_points float": lambda: lc.GenConfig(max_points=2.5),
     "GenConfig instance_count zero": lambda: lc.GenConfig(instance_count=0),

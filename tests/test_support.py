@@ -17,6 +17,11 @@ from topmonads.lawcheck import (
     all_topologies,
     rand_sso,
     rand_valuation,
+    supp_hits_positive_mass,
+    supp_mult,
+    supp_naturality,
+    supp_product_squares,
+    supp_unit,
 )
 
 
@@ -90,8 +95,9 @@ def test_monad_morphism_squares():
     cfg = GenConfig(seed=17)
     for space in (sp.sierpinski(), sp.discrete(2), sp.w_lattice(), sp.chain(3)):
         xis = [rand_sso(rng, cfg, space) for _ in range(10)]
-        verdict = su.check_monad_morphism(space, xis)
-        assert verdict.ok
+        hx = hy.build_hyperspace(space)
+        assert all(supp_unit(space, x) for x in range(space.n))
+        assert all(supp_mult(space, hx, xi.atoms) for xi in xis)
 
 
 def test_naturality():
@@ -99,7 +105,7 @@ def test_naturality():
     s = sp.sierpinski()
     f = sp.ContinuousMap(d, s, (s.index("1"), s.index("1")))
     nu = va.valuation_from_weights(d, (ext("1/2"), ZERO))
-    assert su.check_supp_naturality(f, nu).ok
+    assert supp_naturality(f, nu)
 
 
 def test_monoidality():
@@ -110,8 +116,7 @@ def test_monoidality():
     for _ in range(10):
         nu = rand_valuation(rng, cfg, s)
         rho = rand_valuation(rng, cfg, s)
-        verdict = su.check_supp_monoidal(prod, nu, rho)
-        assert verdict.ok
+        assert supp_product_squares(prod, nu, rho) == (True, True)
         # supp(nu x rho) = supp nu x supp rho, stated directly
         assert su.support(va.product_valuation(nu, rho, prod)) == hy.product_closed(
             prod, su.support(nu), su.support(rho)
@@ -123,7 +128,7 @@ def test_supp_continuity():
     cfg = GenConfig(seed=23)
     w = sp.w_lattice()
     vals = [rand_valuation(rng, cfg, w) for _ in range(8)]
-    assert su.check_supp_continuity(w, vals).ok
+    assert all(supp_hits_positive_mass(v) for v in vals)
 
 
 def test_induced_algebra_on_w_lattice():
