@@ -15,7 +15,6 @@ from .errors import (
     MalformedValue,
     NotAFailure,
     NotAKernel,
-    NotAnHAlgebra,
     NotAPreorder,
     NotATopology,
     NotAValidFunctional,
@@ -61,11 +60,9 @@ from .spaces import (
 )
 from .hyperspace import (
     ClosedSet,
-    HAlgebraVerdict,
     HitFunctional,
     Hyperspace,
     build_hyperspace,
-    check_H_algebra,
     closed_of_functional,
     costrength_H,
     functional_of_closed,
@@ -84,7 +81,6 @@ from .valuations import (
     SimpleSecondOrder,
     Valuation,
     big_theta_membership,
-    check_certificate,
     costrength_V,
     delta_kernel,
     indicator,
@@ -106,7 +102,6 @@ from .valuations import (
 from .probability import (
     FiniteMeasure,
     ProbValuation,
-    a_topology_membership,
     extend_to_measure,
     integrate_measure,
     mult_E_measure,
@@ -115,8 +110,6 @@ from .probability import (
 # the star operation lives at topmonads.support.support; re-exporting it
 # here would shadow the submodule, so it keeps its qualified name
 from .support import (
-    InducedAlgebraReport,
-    induced_V_algebra,
     support_of_measure,
     support_test_lsc,
 )

@@ -107,10 +107,6 @@ class PreconditionFailed(TopmonadsError):
     """Stated precondition of an operation does not hold."""
 
 
-class NotAnHAlgebra(TopmonadsError):
-    """Algebra-transfer input failed the hyperspace-algebra checks."""
-
-
 class UnknownSuite(TopmonadsError):
     """Law-suite name is not registered."""
 
@@ -120,5 +116,5 @@ class NotAFailure(TopmonadsError):
 
 
 class LawViolation(TopmonadsError):
-    """A checked invariant failed: an unsound Portmanteau certificate, or
-    weights read off a valid table that do not reproduce it."""
+    """A checked invariant failed: weights read off a valid table do not
+    reproduce it."""

@@ -15,7 +15,10 @@ hyperspaces reuse the same machinery through inclusion orders on
 bit-masks, so HHX and HHHX never materialize a power set.
 
 Both composites of the commutativity square are oracles in `lawcheck`,
-where a named law compares them with the product of closed sets.
+where a named law compares them with the product of closed sets.  So are
+the H-algebra laws: `join_algebra_map` gives the table that `lawcheck`
+checks against the algebra diagrams and the join-semilattice
+characterization.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass, field
 from . import weighted as wt
 from .errors import (
     LawViolation,
-    NotATopology,
     NotAValidFunctional,
     NotClosedFamily,
     ShapeMismatch,
@@ -37,8 +39,6 @@ from .spaces import (
     Product,
     bits,
     cached,
-    check_separation,
-    product,
     upsets_of_up_masks,
 )
 
@@ -131,7 +131,7 @@ def _hyperspace_name(base: FiniteSpace, mask: int) -> str:
 
 def build_hyperspace(x: FiniteSpace) -> Hyperspace:
     """Construct HX as the up-set topology of inclusion on closed sets."""
-    closed = tuple(sorted(x.closed_sets()))
+    closed = tuple(x.closed_sets())
     up_masks = inclusion_up_masks(closed)
     names = tuple(_hyperspace_name(x, c) for c in closed)
     space = FiniteSpace(names, tuple(up_masks))
@@ -214,11 +214,6 @@ def mult_union(hx: Hyperspace, family) -> ClosedSet:
     return closed_of_weights(hx.base, wt.mult(wt.BOOL, hx.base.n, mixture))
 
 
-def sigma_is_embedding(space: FiniteSpace) -> bool:
-    """sigma is a subspace embedding exactly when the space is T0."""
-    return check_separation(space).is_T0
-
-
 def unit_closure_membership(space: FiniteSpace, c: ClosedSet) -> bool:
     """Is c in the closure of the image of sigma inside HX?
 
@@ -264,25 +259,6 @@ def marginals(prod: Product, e: ClosedSet) -> tuple[ClosedSet, ClosedSet]:
 # --- algebras ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HAlgebraVerdict:
-    unit_ok: bool
-    square_ok: bool
-    map_continuous: bool
-    equals_join: bool
-    is_join_semilattice: bool
-    binary_join_continuous: bool
-    closed_join_continuous: bool
-
-    @property
-    def is_algebra(self) -> bool:
-        return self.unit_ok and self.square_ok and self.map_continuous
-
-    @property
-    def characterization(self) -> bool:
-        return self.equals_join and self.is_join_semilattice
-
-
 def join_of_closed(space: FiniteSpace, mask: int) -> int | None:
     """Least upper bound of a closed subset in specialization, if it exists.
 
@@ -297,75 +273,6 @@ def join_of_closed(space: FiniteSpace, mask: int) -> int | None:
 
 def join_algebra_map(space: FiniteSpace) -> list[int] | None:
     """The join-of-closed-sets table on HX points, or None if a join is
-    missing.  HX orders its points as the sorted closed sets."""
-    table = [join_of_closed(space, m) for m in sorted(space.closed_sets())]
+    missing.  HX orders its points as closed_sets() does, ascending."""
+    table = [join_of_closed(space, m) for m in space.closed_sets()]
     return None if None in table else table
-
-
-def _is_continuous(source: FiniteSpace, target: FiniteSpace, table) -> bool:
-    try:
-        ContinuousMap(source, target, tuple(table))
-    except NotATopology:
-        return False
-    return True
-
-
-def check_H_algebra(a_space: FiniteSpace, a_map: Sequence[int]) -> HAlgebraVerdict:
-    """Verify the two algebra diagrams for the table a_map : HA -> A and
-    compare against the join-semilattice characterization."""
-    hx = build_hyperspace(a_space)
-    if len(a_map) != len(hx.members):
-        raise ShapeMismatch("a_map is not a table on the points of HA")
-    a_map = tuple(a_map)
-    map_continuous = _is_continuous(hx.space, a_space, a_map)
-    unit_ok = all(
-        a_map[hx.point_of(unit_sigma(a_space, x).members)] == x
-        for x in range(a_space.n)
-    )
-
-    # a o mult = a o H(a) on every closed family; the table need not be
-    # continuous, so H(a) is the push of the family's weights along it
-    square_ok = True
-    for mask in inclusion_downsets(hx.members):
-        fam = ClosedSet(hx.space, mask)
-        via_mult = a_map[hx.point_of(mult_union(hx, fam).members)]
-        pushed = wt.push(wt.BOOL, a_map, a_space.n, fam.weights)
-        via_push = a_map[hx.point_of(closed_of_weights(a_space, pushed).members)]
-        if via_mult != via_push:
-            square_ok = False
-            break
-
-    joins = join_algebra_map(a_space)
-    complete = joins is not None
-    equals_join = complete and tuple(joins) == a_map
-
-    sep = check_separation(a_space)
-    binary_join_continuous = False
-    closed_join_continuous = False
-    if complete:
-        closed_join_continuous = _is_continuous(hx.space, a_space, joins)
-        # every closed set has a join, so every pair {x, y} does too
-        pair_join = (
-            joins[hx.point_of(a_space.closure(1 << x | 1 << y))]
-            for x in range(a_space.n)
-            for y in range(a_space.n)
-        )
-        binary_join_continuous = _is_continuous(
-            product(a_space, a_space).space, a_space, pair_join
-        )
-    is_tcjs = (
-        sep.is_T0
-        and sep.is_sober
-        and complete
-        and binary_join_continuous
-        and closed_join_continuous
-    )
-    return HAlgebraVerdict(
-        unit_ok,
-        square_ok,
-        map_continuous,
-        equals_join,
-        is_tcjs,
-        binary_join_continuous,
-        closed_join_continuous,
-    )

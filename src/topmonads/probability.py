@@ -28,7 +28,6 @@ from .valuations import (
     mult_E,
     product_valuation,
     pushforward,
-    theta_membership,
 )
 
 
@@ -137,9 +136,3 @@ def product_measure(
     if prod is None:
         prod = product(p.space, q.space)
     return ProbValuation(product_valuation(p.underlying, q.underlying, prod))
-
-
-def a_topology_membership(p: ProbValuation, u: int, r) -> bool:
-    """Membership in the subbasic open O(U, r) of the probability space;
-    the subspace topology makes this the restriction of theta(U, r)."""
-    return theta_membership(p.underlying, u, r)

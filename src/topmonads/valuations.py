@@ -11,15 +11,16 @@ so a `Valuation` is the [0, oo] instance of the weighted core
 the sum of its weights there, and its table, the check of a table, the
 unit, pushforward, multiplication, Kleisli composition, strength, product,
 integral and canonical form are the core's.  The module also provides the
-weak topology subbasis with Portmanteau certificates and order
-comparisons.  The second routes that confirm these operations are laws in
-`lawcheck`.
+weak topology subbasis, the Portmanteau certificates that place a
+valuation in a subbasic open, and order comparisons.  The second routes
+that confirm these operations, the soundness check of a certificate among
+them, are laws in `lawcheck`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     LawViolation,
@@ -396,35 +397,6 @@ def portmanteau_witness(
         drop = min(eps, nu.value(u) / ExtRat(2))
         cert.append((c, u, nu.value(u) - drop))
     return cert
-
-
-def check_certificate(
-    f: LowerSemiFn, r, cert: Sequence[tuple[ExtRat, int, ExtRat]], nu: Valuation | None = None
-) -> bool:
-    """Independent soundness check of a Portmanteau certificate."""
-    r = ext(r)
-    space = f.space
-    if nu is not None:
-        space.require_here(nu)
-    for x in range(space.n):
-        g_x = ZERO
-        for c, u, _ in cert:
-            space.require_open(u)
-            if u >> x & 1:
-                g_x = g_x + ext(c)
-        if g_x > f(x):
-            raise LawViolation("certificate's simple function exceeds f")
-    weighted = ZERO
-    for c, u, ri in cert:
-        ri = ext(ri)
-        if ri < ZERO or ri.is_infinite:
-            raise LawViolation("certificate threshold out of range")
-        if nu is not None and not nu.value(u) > ri:
-            raise LawViolation("certificate threshold not met by the valuation")
-        weighted = weighted + ext(c) * ri
-    if not weighted > r:
-        raise LawViolation("certificate does not clear the target threshold")
-    return True
 
 
 # --- order comparisons --------------------------------------------------------

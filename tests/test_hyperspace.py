@@ -17,7 +17,10 @@ from topmonads.lawcheck import (
     associativity,
     commutativity,
     count_valid_functional_tables,
+    h_algebra,
     h_tower,
+    join_characterization,
+    join_continuity,
     left_unit,
     right_unit,
 )
@@ -93,8 +96,13 @@ def test_sigma_preimage_of_hit_is_the_open():
 
 
 def test_sigma_embedding_iff_t0():
-    assert hy.sigma_is_embedding(sp.sierpinski())
-    assert not hy.sigma_is_embedding(sp.indiscrete(2))
+    # sigma reflects the specialization order, so it is an embedding
+    # exactly when it is injective
+    for space in (t for n in range(4) for t in all_topologies(n)):
+        closures = {hy.unit_sigma(space, x).members for x in range(space.n)}
+        assert (len(closures) == space.n) == sp.check_separation(space).is_T0
+    assert sp.check_separation(sp.sierpinski()).is_T0
+    assert not sp.check_separation(sp.indiscrete(2)).is_T0
 
 
 def test_duality_round_trip_and_order():
@@ -247,11 +255,11 @@ def test_product_closed_and_marginals():
 
 def test_h_algebra_w_lattice():
     w = sp.w_lattice()
-    verdict = hy.check_H_algebra(w, hy.join_algebra_map(w))
-    assert verdict.is_algebra
-    assert verdict.characterization
-    assert verdict.is_join_semilattice
-    assert verdict.equals_join
+    hw, joins = hy.build_hyperspace(w), hy.join_algebra_map(w)
+    assert h_algebra(w, hw, joins)
+    assert join_characterization(w, hw, joins)
+    assert sp.check_separation(w).is_sober
+    assert join_continuity(w, hw) == (True, True)
 
 
 def test_h_algebra_discrete_pair_has_none():
@@ -259,14 +267,19 @@ def test_h_algebra_discrete_pair_has_none():
     assert hy.join_algebra_map(d) is None
     hx = hy.build_hyperspace(d)
     for table in [(0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)]:
-        verdict = hy.check_H_algebra(d, table)
-        assert not verdict.is_algebra
-        assert not verdict.characterization
+        assert not h_algebra(d, hx, table)
+        assert not join_characterization(d, hx, table)
 
 
 def test_h_algebra_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        hy.check_H_algebra(sp.sierpinski(), (0,))
-    # an entry that is not a point of the algebra
-    with pytest.raises(ShapeMismatch):
-        hy.check_H_algebra(sp.sierpinski(), (-1, 0, 1))
+    s = sp.sierpinski()
+    hs = hy.build_hyperspace(s)
+    for law in (h_algebra, join_characterization):
+        with pytest.raises(ShapeMismatch):
+            law(s, hs, (0,))
+        # an entry that is not a point of the algebra
+        with pytest.raises(ShapeMismatch):
+            law(s, hs, (-1, 0, 1))
+        # a hyperspace of another space
+        with pytest.raises(ShapeMismatch):
+            law(s, hy.build_hyperspace(sp.chain(3)), (0, 0, 1))

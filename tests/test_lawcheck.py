@@ -631,3 +631,17 @@ def test_the_support_squares_see_mutations_patched_into_hyperspace(mutation, sui
     cfg = lc.GenConfig(seed=42, max_points=3)
     [report] = lc.run_with_mutation(mutation, cfg, suites=(suite,))
     assert report.failures
+
+
+@pytest.mark.parametrize("mutation", ["mult-union-intersection", "sigma-no-closure"])
+def test_algebra_transfer_checks_every_instance_under_a_mutant(mutation):
+    # no verdict of the code under test gates the run: a mutant unit or
+    # union map fails the check that the join map is an H-algebra, and
+    # the run goes on to check as many instances as the clean one
+    cfg = lc.GenConfig(seed=42, max_points=3)
+    clean = lc.run_suite("algebra-transfer", cfg)
+    [report] = lc.run_with_mutation(mutation, cfg, suites=("algebra-transfer",))
+    assert clean.ok and clean.instances == 42
+    assert report.instances == clean.instances
+    assert report.failures
+    assert not any(f.message.startswith("suite aborted") for f in report.failures)

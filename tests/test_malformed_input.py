@@ -130,9 +130,6 @@ CALLS = {
     "marginals object": lambda: hy.marginals(P, c),
     "join_of_closed out": lambda: hy.join_of_closed(S, 1 << OUT),
     "join_of_closed negative": lambda: hy.join_of_closed(S, NEG),
-    "check_H_algebra out": lambda: hy.check_H_algebra(S, (0, OUT, 1)),
-    "check_H_algebra negative": lambda: hy.check_H_algebra(S, (0, NEG, 1)),
-    "check_H_algebra name": lambda: hy.check_H_algebra(S, (0, NAME, 1)),
     # valuations
     "valuation_from_weights name": lambda: va.valuation_from_weights(S, {NAME: 1}),
     "Valuation negative": lambda: va.Valuation(S, (-1, 1)),
@@ -171,9 +168,6 @@ CALLS = {
     "theta_membership negative": lambda: va.theta_membership(nu, NEG, 0),
     "big_theta_membership object": lambda: va.big_theta_membership(nu, g_d, 0),
     "portmanteau_witness object": lambda: va.portmanteau_witness(nu_d, g, 0),
-    "check_certificate out": lambda: va.check_certificate(g, 0, [(ONE, 1 << OUT, ZERO)]),
-    "check_certificate negative": lambda: va.check_certificate(g, 0, [(ONE, NEG, ZERO)]),
-    "check_certificate object": lambda: va.check_certificate(g, 0, [(ONE, 2, ext("1/4"))], nu_d),
     "order_checks out": lambda: va.order_checks(nu, nu, [(0, 0), (1, 1), (0, OUT)]),
     "order_checks negative": lambda: va.order_checks(nu, nu, [(0, 0), (1, 1), (NEG, 1)]),
     "order_checks name": lambda: va.order_checks(nu, nu, [(0, 0), (1, 1), (NAME, 1)]),
@@ -185,8 +179,6 @@ CALLS = {
     "FiniteMeasure.measure_of negative": lambda: m.measure_of(NEG),
     "integrate_measure object": lambda: pb.integrate_measure(m, g_d),
     "product_measure object": lambda: pb.product_measure(p, pb.ProbValuation(nu_d), P),
-    "a_topology_membership out": lambda: pb.a_topology_membership(p, 1 << OUT, 0),
-    "a_topology_membership negative": lambda: pb.a_topology_membership(p, NEG, 0),
     # support
     "support_test_lsc object": lambda: su.support_test_lsc(nu, g_d),
     "algebra_evaluate object": lambda: su.algebra_evaluate(S, joins, nu_d),
@@ -194,12 +186,26 @@ CALLS = {
     "algebra_evaluate out": lambda: su.algebra_evaluate(S, (*joins[:2], OUT), nu),
     "algebra_evaluate negative": lambda: su.algebra_evaluate(S, (*joins[:2], NEG), nu),
     "algebra_evaluate name": lambda: su.algebra_evaluate(S, (*joins[:2], NAME), nu),
-    "induced_V_algebra out": lambda: su.induced_V_algebra(S, (0, OUT, 1)),
-    "induced_V_algebra object": lambda: su.induced_V_algebra(S, joins, [xi_d]),
     # lawcheck
     "supp_naturality object": lambda: lc.supp_naturality(f, nu_d),
     "supp_mult object": lambda: lc.supp_mult(S, hx, xi_d.atoms),
     "supp_product_squares object": lambda: lc.supp_product_squares(P, nu, nu_d),
+    # the algebra, certificate and subbasis laws keep the labels of the
+    # library checks they replaced: check_H_algebra is h_algebra,
+    # check_certificate certificate_is_sound, a_topology_membership
+    # p_subbasis_restricts and induced_V_algebra transfer_laws
+    "check_H_algebra out": lambda: lc.h_algebra(S, hx, (0, OUT, 1)),
+    "check_H_algebra negative": lambda: lc.h_algebra(S, hx, (0, NEG, 1)),
+    "check_H_algebra name": lambda: lc.h_algebra(S, hx, (0, NAME, 1)),
+    "h_algebra object": lambda: lc.h_algebra(D, hx, joins),
+    "join_characterization object": lambda: lc.join_characterization(D, hx, joins),
+    "check_certificate out": lambda: lc.certificate_is_sound(g, 0, [(ONE, 1 << OUT, ZERO)]),
+    "check_certificate negative": lambda: lc.certificate_is_sound(g, 0, [(ONE, NEG, ZERO)]),
+    "check_certificate object": lambda: lc.certificate_is_sound(g, 0, [(ONE, 2, ext("1/4"))], nu_d),
+    "a_topology_membership out": lambda: lc.p_subbasis_restricts(p, 1 << OUT, 0),
+    "a_topology_membership negative": lambda: lc.p_subbasis_restricts(p, NEG, 0),
+    "induced_V_algebra out": lambda: lc.transfer_laws(S, (0, OUT, 1), ()),
+    "induced_V_algebra object": lambda: lc.transfer_laws(S, joins, [xi_d]),
     "GenConfig max_points negative": lambda: lc.GenConfig(max_points=NEG),
     "GenConfig max_points float": lambda: lc.GenConfig(max_points=2.5),
     "GenConfig instance_count zero": lambda: lc.GenConfig(instance_count=0),

@@ -12,7 +12,7 @@ from topmonads.errors import (
     NotNormalized,
 )
 from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
-from topmonads.lawcheck import GenConfig, rand_prob, rand_valuation
+from topmonads.lawcheck import GenConfig, p_subbasis_restricts, rand_prob, rand_valuation
 
 
 def test_prob_valuation_normalization():
@@ -150,11 +150,20 @@ def test_product_measure_marginals():
 
 
 def test_a_topology_membership():
+    # the subbasic opens of P are those of V, read on the valuation, and
+    # agree with the mass of the measure, on the Kolmogorov quotient when
+    # the space is not T0
     s = sp.sierpinski()
     p = pb.ProbValuation(va.valuation_from_weights(s, (ext("1/2"), ext("1/2"))))
     one = s.mask_of(["1"])
-    assert pb.a_topology_membership(p, one, ext("1/4"))
-    assert not pb.a_topology_membership(p, one, ext("3/4"))
+    assert va.theta_membership(p.underlying, one, ext("1/4"))
+    assert not va.theta_membership(p.underlying, one, ext("3/4"))
+    i = sp.indiscrete(2)
+    q = pb.ProbValuation(va.valuation_from_weights(i, (ext("1/3"), ext("2/3"))))
+    for space, prob in ((s, p), (i, q)):
+        for u in space.opens:
+            for r in (ZERO, ext("1/4"), ext("1/2"), ext("3/4"), ONE):
+                assert p_subbasis_restricts(prob, u, r)
 
 
 def test_finite_measure_basics():

@@ -1,20 +1,22 @@
 """Support as a morphism of monads, and algebra transfer to cones."""
 
+import itertools
 import random
-
-import pytest
 
 from topmonads import hyperspace as hy
 from topmonads import probability as pb
 from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
-from topmonads.errors import NotAnHAlgebra
 from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
 from topmonads.lawcheck import (
     MUTATIONS,
+    SCALAR_GRID,
     GenConfig,
     all_topologies,
+    cone_value,
+    h_algebra,
+    join_characterization,
     rand_sso,
     rand_valuation,
     supp_hits_positive_mass,
@@ -22,6 +24,7 @@ from topmonads.lawcheck import (
     supp_naturality,
     supp_product_squares,
     supp_unit,
+    transfer_laws,
 )
 
 
@@ -51,6 +54,17 @@ def test_support_test_lsc():
     assert su.support_test_lsc(nu, g) is False
     g2 = va.LowerSemiFn(s, (ONE, ONE))
     assert su.support_test_lsc(nu, g2) is True
+
+
+def test_support_test_lsc_reaches_integrate_when_it_runs(monkeypatch):
+    # integrate-strict-levels patches valuations.integrate, which the sign
+    # test looks up through its module, not at import
+    s = sp.sierpinski()
+    nu, g = va.unit_delta(s, 1), va.LowerSemiFn(s, (ZERO, ONE))
+    assert su.support_test_lsc(nu, g) is True
+    _, attr, mutant = MUTATIONS["integrate-strict-levels"]
+    monkeypatch.setattr(va, attr, mutant)
+    assert su.support_test_lsc(nu, g) is False
 
 
 def test_support_of_measure_full_measure():
@@ -136,25 +150,24 @@ def test_induced_algebra_on_w_lattice():
     rng = random.Random(29)
     cfg = GenConfig(seed=29)
     xis = [rand_sso(rng, cfg, w) for _ in range(5)]
-    report = su.induced_V_algebra(w, hy.join_algebra_map(w), xis)
-    assert report.ok
+    joins = hy.join_algebra_map(w)
+    assert transfer_laws(w, joins, xis)
     bottom, x, y, top = (w.index(p) for p in ("0", "x", "y", "t"))
     # addition is join
-    assert report.add_table[x][y] == top
-    assert report.add_table[x][bottom] == x
-    assert report.add_table[x][x] == x
+    assert cone_value(w, joins, [(ONE, x), (ONE, y)]) == top
+    assert cone_value(w, joins, [(ONE, x), (ONE, bottom)]) == x
+    assert cone_value(w, joins, [(ONE, x), (ONE, x)]) == x
     # scalar action: r > 0 acts trivially, 0 collapses to bottom
-    assert report.zero_element == bottom
-    for r_index, r in enumerate(report.smul_grid):
+    assert cone_value(w, joins, []) == bottom
+    for r in SCALAR_GRID:
         for p in range(w.n):
             want = bottom if r == ZERO else p
-            assert report.smul_table[r_index][p] == want
+            assert cone_value(w, joins, [(r, p)]) == want
 
 
 def test_induced_algebra_rejects_non_algebras():
     d = sp.discrete(2)
-    with pytest.raises(NotAnHAlgebra):
-        su.induced_V_algebra(d, (0, 0, 0, 0))
+    assert not h_algebra(d, hy.build_hyperspace(d), (0, 0, 0, 0))
 
 
 def test_algebra_evaluate_is_join_of_support():
@@ -166,8 +179,8 @@ def test_algebra_evaluate_is_join_of_support():
 
 
 def _cone_tables(space, joins):
-    """induced_V_algebra's tables, and the same from algebra_evaluate."""
-    report = su.induced_V_algebra(space, joins)
+    """The cone operations that cone_value reads, and the same from
+    algebra_evaluate on valuations built from their weights."""
 
     def e(pairs):
         weights = [ZERO] * space.n
@@ -177,27 +190,31 @@ def _cone_tables(space, joins):
         return su.algebra_evaluate(space, joins, nu)
 
     points = range(space.n)
-    direct = (
-        tuple(tuple(e([(ONE, x), (ONE, y)]) for y in points) for x in points),
-        tuple(tuple(e([(r, x)]) for x in points) for r in report.smul_grid),
-        e([]),
-    )
-    return (report.add_table, report.smul_table, report.zero_element), direct
+    tables = []
+    for evaluate in (lambda pairs: cone_value(space, joins, pairs), e):
+        tables.append((
+            tuple(tuple(evaluate([(ONE, x), (ONE, y)]) for y in points) for x in points),
+            tuple(tuple(evaluate([(r, x)]) for x in points) for r in SCALAR_GRID),
+            evaluate([]),
+        ))
+    return tables
 
 
 def test_induced_algebra_evaluates_as_algebra_evaluate(monkeypatch):
-    # every join algebra on at most 3 points; the report looks support up
-    # when it runs, so a patched support reaches it
+    # every join algebra on at most 3 points; cone_value and the transfer
+    # laws look support up when they run, through algebra_evaluate, so a
+    # patched support reaches them
     algebras = []
     for space in (t for n in range(4) for t in all_topologies(n)):
         joins = hy.join_algebra_map(space)
-        if joins is not None and hy.check_H_algebra(space, joins).is_algebra:
+        if joins is not None and h_algebra(space, hy.build_hyperspace(space), joins):
             algebras.append((space, joins))
     assert len(algebras) == 9
     pristine = []
     for space, joins in algebras:
         tables, direct = _cone_tables(space, joins)
         assert tables == direct
+        assert transfer_laws(space, joins, ())
         pristine.append(tables)
     _, attr, mutant = MUTATIONS["support-null-union"]
     monkeypatch.setattr(su, attr, mutant)
@@ -207,3 +224,37 @@ def test_induced_algebra_evaluates_as_algebra_evaluate(monkeypatch):
         assert tables == direct
         mutated.append(tables)
     assert mutated != pristine
+    assert not all(transfer_laws(space, joins, ()) for space, joins in algebras)
+
+
+def test_every_join_map_on_at_most_4_points_is_an_algebra_that_transfers():
+    # all 390 topologies on at most 4 points: each join map is an H-algebra
+    # and a topological complete join-semilattice, and it transfers to a
+    # V-algebra and a cone, checked on one canned mixture per space
+    spaces = [t for n in range(5) for t in all_topologies(n)]
+    assert len(spaces) == 390
+    with_joins = 0
+    for space in spaces:
+        joins = hy.join_algebra_map(space)
+        if joins is None:
+            continue
+        with_joins += 1
+        hx = hy.build_hyperspace(space)
+        assert h_algebra(space, hx, joins)
+        assert join_characterization(space, hx, joins)
+        spread = va.Valuation(space, (ONE,) * space.n)
+        xi = va.SimpleSecondOrder(
+            space, ((ext("1/2"), va.unit_delta(space, space.n - 1)), (ExtRat(2), spread))
+        )
+        assert transfer_laws(space, joins, [xi])
+    assert with_joins == 45
+
+
+def test_h_algebra_is_the_join_characterization_on_every_small_table():
+    tables = 0
+    for space in (t for n in range(3) for t in all_topologies(n)):
+        hx = hy.build_hyperspace(space)
+        for table in itertools.product(range(space.n), repeat=len(hx.members)):
+            tables += 1
+            assert h_algebra(space, hx, table) == join_characterization(space, hx, table)
+    assert tables == 37

@@ -9,7 +9,6 @@ import pytest
 from topmonads import spaces as sp
 from topmonads import valuations as va
 from topmonads.errors import (
-    LawViolation,
     NotAKernel,
     NotAPreorder,
     NotLowerSemicontinuous,
@@ -24,6 +23,7 @@ from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
 from topmonads.lawcheck import (
     GenConfig,
     all_topologies,
+    certificate_is_sound,
     integral_order_le,
     rand_lsc,
     rand_valuation,
@@ -303,12 +303,11 @@ def test_theta_and_portmanteau():
     r = ONE
     assert va.big_theta_membership(nu, g, r)
     cert = va.portmanteau_witness(nu, g, r)
-    assert va.check_certificate(g, r, cert, nu)
+    assert certificate_is_sound(g, r, cert, nu)
     # certificates must fail the checker when tampered with
     c0, u0, r0 = cert[0]
     bad = [(c0 + ONE, u0, r0)] + list(cert[1:])
-    with pytest.raises(LawViolation):
-        va.check_certificate(g, r, bad, nu)
+    assert not certificate_is_sound(g, r, bad, nu)
 
 
 def test_portmanteau_witness_requires_membership():
