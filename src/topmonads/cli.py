@@ -177,14 +177,15 @@ def valuation_document(nu: Valuation, name: str | None = None) -> dict:
     return doc
 
 
-def parse_valuation(doc: dict, base_dir: str = ".") -> Valuation:
+def parse_valuation(doc: dict, base_dir: str = ".", space=None) -> Valuation:
     if not isinstance(doc, dict):
         raise MalformedDocument("valuation document must be an object")
     if doc.get("schema") not in (None, SCHEMA_VERSION):
         raise MalformedDocument(f"unsupported schema {doc.get('schema')!r}")
-    if "space" not in doc:
-        raise MalformedDocument("valuation document needs a space reference")
-    space = _resolve_space(doc["space"], base_dir)
+    if space is None:
+        if "space" not in doc:
+            raise MalformedDocument("valuation document needs a space reference")
+        space = _resolve_space(doc["space"], base_dir)
     has_weights = "weights" in doc
     has_table = "table" in doc
     if has_weights == has_table:
@@ -324,9 +325,10 @@ def _cmd_val(args) -> int:
                 weight, val_doc = entry
             except (TypeError, ValueError) as exc:
                 raise MalformedDocument("atom must be a [weight, valuation] pair") from exc
-            if isinstance(val_doc, dict) and "space" not in val_doc:
-                val_doc = dict(val_doc, space=space_document(space))
-            atoms.append((_parse_rational(weight), parse_valuation(val_doc, base_dir)))
+            # an atom without a space of its own lives on the molecule's
+            own = isinstance(val_doc, dict) and "space" in val_doc
+            c = _parse_rational(weight)
+            atoms.append((c, parse_valuation(val_doc, base_dir, None if own else space)))
         xi = SimpleSecondOrder(space, tuple(atoms))
         _emit(valuation_document(valuations.mult_E(xi)))
         return EXIT_OK

@@ -98,12 +98,7 @@ def closed_of_weights(space: FiniteSpace, weights) -> ClosedSet:
 class Hyperspace:
     base: FiniteSpace
     space: FiniteSpace
-    members: tuple[int, ...]  # closed-set mask of the base per HX point
-
-    @cached
-    def _index(self) -> dict[int, int]:
-        """The HX point of each closed-set mask."""
-        return {m: i for i, m in enumerate(self.members)}
+    members: tuple[int, ...]  # base.closed_sets(): the closed-set mask per HX point
 
     @cached
     def _weights(self) -> tuple[tuple[bool, ...], ...]:
@@ -111,9 +106,10 @@ class Hyperspace:
         return tuple(ClosedSet(self.base, m).weights for m in self.members)
 
     def point_of(self, mask: int) -> int:
-        if mask not in self._index:
+        index = self.base.closed_index
+        if mask not in index:
             raise ShapeMismatch(f"{mask!r} is not a closed set of the base")
-        return self._index[mask]
+        return index[mask]
 
     def closed_of(self, idx: int) -> ClosedSet:
         self.space.require_point(idx)

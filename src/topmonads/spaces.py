@@ -213,6 +213,12 @@ class FiniteSpace:
     def closed_sets(self) -> list[int]:
         return sorted(self.full & ~u for u in self.opens)
 
+    @cached
+    def closed_index(self) -> dict[int, int]:
+        """Each closed set's position in closed_sets(), which is its point
+        in the hyperspace HX."""
+        return {c: i for i, c in enumerate(self.closed_sets())}
+
     def is_closed(self, mask: int) -> bool:
         return self.is_open(self.full ^ mask)
 

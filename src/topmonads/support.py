@@ -54,9 +54,9 @@ def algebra_evaluate(a_space: FiniteSpace, a_map, nu: Valuation) -> int:
     table from the points of HA, the closed sets of A in ascending order,
     to the points of A."""
     a_space.require_here(nu)
-    closed = a_space.closed_sets()
-    if len(a_map) != len(closed):
+    index = a_space.closed_index
+    if len(a_map) != len(index):
         raise ShapeMismatch("a_map is not a table on the points of HA")
     for y in a_map:
         a_space.require_point(y)
-    return a_map[closed.index(support(nu).members)]
+    return a_map[index[support(nu).members]]

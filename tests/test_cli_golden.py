@@ -58,6 +58,30 @@ INPUTS = {
         "target": SPACES["sierpinski"],
         "assignment": {"(d0,0)": "0", "(d0,1)": "1", "(d1,0)": "0", "(d1,1)": "1"},
     },
+    # a molecular valuation on chain(3) by file reference: atoms by weights
+    # and by table, one with coefficient oo
+    "xi_c3.json": {
+        "space": "chain3.json",
+        "atoms": [
+            ["1/2", {"weights": {"c0": "1", "c2": "1/3"}}],
+            [
+                "2",
+                {
+                    "table": {"0": "0", "1": "2", "2": "2", "3": "7/3"},
+                    "opens_checksum": SPACES["chain3"]["opens_checksum"],
+                },
+            ],
+            ["inf", {"weights": {"c1": "1/4"}}],
+        ],
+    },
+    # one atom names its own copy of the space
+    "xi_d2xs.json": {
+        "space": SPACES["d2xs"],
+        "atoms": [
+            ["1/3", {"weights": {"(d0,0)": "1", "(d1,1)": "3/4"}}],
+            ["3/2", {"space": SPACES["d2xs"], "weights": {"(d0,1)": "2"}}],
+        ],
+    },
 }
 INPUTS.update({f"{name}.json": doc for name, doc in SPACES.items()})
 
@@ -81,6 +105,8 @@ CASES = {
     "val extend nu_c3": ["val", "extend", "nu_c3.json"],
     "val extend nu_d2xs": ["val", "extend", "nu_d2xs.json"],
     "val extend nu_i2xs": ["val", "extend", "nu_i2xs.json"],
+    "val E xi_c3": ["val", "E", "xi_c3.json"],
+    "val E xi_d2xs": ["val", "E", "xi_d2xs.json"],
 }
 
 

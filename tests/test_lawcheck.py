@@ -509,6 +509,180 @@ def test_associativity_with_one_memo_per_space_gives_the_fresh_verdicts(monkeypa
     assert any(v is not True for v in verdicts)
 
 
+def _inclusion_exclusion_by_subfamilies(prod, nu, rho):
+    """The 2^k form of the product oracle: one signed term nu(U) * rho(V)
+    per nonempty subfamily of the k minimal-neighbourhood rectangles of an
+    open's points, U x V the subfamily's intersection."""
+    nu_of = dict(zip(prod.left.opens, nu.table))
+    rho_of = dict(zip(prod.right.opens, rho.table))
+    table = []
+    for w in prod.space.opens:
+        rects = sorted(
+            {
+                (prod.left.min_nbhd[i], prod.right.min_nbhd[j])
+                for i, j in map(prod.split, sp.bits(w))
+            }
+        )
+        if any((nu_of[u] * rho_of[v]).is_infinite for u, v in rects):
+            table.append(INF)
+            continue
+        terms = []
+        for subset in range(1, 1 << len(rects)):
+            cap_u, cap_v = prod.left.full, prod.right.full
+            for i in sp.bits(subset):
+                cap_u &= rects[i][0]
+                cap_v &= rects[i][1]
+            sign = 1 if sp.popcount(subset) % 2 else -1
+            terms.append((sign, nu_of[cap_u] * rho_of[cap_v]))
+        table.append(lc.signed_sum(terms))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("allow_infinity", [False, True])
+def test_merged_inclusion_exclusion_is_the_subfamily_form(allow_infinity):
+    # every ordered pair of the 35 topologies on at most 3 points
+    rng = random.Random(29 + allow_infinity)
+    weights = (ZERO, ext("1/3"), ONE, ext("5/2"), *((INF,) if allow_infinity else ()))
+    spaces = [t for n in range(4) for t in lc.all_topologies(n)]
+    assert len(spaces) == 35
+    with_inf = 0
+    for a, b in itertools.product(spaces, repeat=2):
+        prod = sp.product(a, b)
+        nu = va.valuation_from_weights(a, [rng.choice(weights) for _ in range(a.n)])
+        rho = va.valuation_from_weights(b, [rng.choice(weights) for _ in range(b.n)])
+        merged = lc.inclusion_exclusion_product(prod, nu, rho)
+        with_inf += INF in merged
+        assert merged == _inclusion_exclusion_by_subfamilies(prod, nu, rho)
+        assert merged == va.product_valuation(nu, rho, prod).table
+    assert (with_inf > 100) == allow_infinity
+
+
+def _order_isomorphism_fresh(space, closed):
+    """The order-isomorphism law building both hit tables for every pair."""
+    return all(
+        (c & ~d == 0)
+        == all(
+            x <= y
+            for x, y in zip(
+                hy.functional_of_closed(hy.ClosedSet(space, c)).table,
+                hy.functional_of_closed(hy.ClosedSet(space, d)).table,
+            )
+        )
+        for c in closed
+        for d in closed
+    )
+
+
+def _order_isomorphism_verdicts(law) -> list:
+    spaces = [t for n in range(4) for t in lc.all_topologies(n)]
+    spaces += [sp.w_lattice(), sp.chain(4), sp.discrete(4)]
+    return [_outcome(lambda: law(s, s.closed_sets())) for s in spaces]
+
+
+def test_order_isomorphism_with_one_table_per_closed_set_gives_the_fresh_verdicts(
+    monkeypatch,
+):
+    shared = _order_isomorphism_verdicts(lc.duality_is_order_isomorphism)
+    assert shared == _order_isomorphism_verdicts(_order_isomorphism_fresh)
+    assert all(v is True for v in shared)
+    # of the ten mutations, only the up-set closure reaches the hit tables
+    holder, attr, mutant = lc.MUTATIONS["closure-up-set"]
+    monkeypatch.setattr(holder, attr, mutant)
+    shared = _order_isomorphism_verdicts(lc.duality_is_order_isomorphism)
+    assert shared == _order_isomorphism_verdicts(_order_isomorphism_fresh)
+    assert any(v is not True for v in shared)
+
+
+def test_open_iterated_integrals_share_repeated_section_values():
+    # weights from {0, 1, oo} on discrete and chain factors: many sections
+    # and many outer integrands repeat, and oo reaches both layers
+    rng = random.Random(41)
+    factors = [sp.discrete(2), sp.discrete(3), sp.chain(3), sp.sierpinski(), sp.w_lattice()]
+    with_inf = 0
+    for a, b in itertools.product(factors, repeat=2):
+        prod = sp.product(a, b)
+        for _ in range(3):
+            nu = va.valuation_from_weights(a, [rng.choice((ZERO, ONE, INF)) for _ in range(a.n)])
+            rho = va.valuation_from_weights(b, [rng.choice((ZERO, ONE, INF)) for _ in range(b.n)])
+            with_inf += INF in nu.weights + rho.weights
+            direct = [
+                lc.iterated_integrals(prod, nu, rho, va.indicator(prod.space, w))
+                for w in prod.space.opens
+            ]
+            assert len(set(direct)) < len(direct)
+            assert list(lc.open_iterated_integrals(prod, nu, rho)) == direct
+    assert with_inf > 50
+
+
+def _transfer_laws_fresh(space, table, xis) -> bool:
+    """transfer_laws with every cone built by cone_value, which builds its
+    own units."""
+    points = range(space.n)
+
+    def e(nu):
+        return su.algebra_evaluate(space, table, nu)
+
+    def cone(*pairs):
+        return lc.cone_value(space, table, pairs)
+
+    if any(e(lc.V.unit(space, x)) != x for x in points):
+        return False
+    for xi in xis:
+        if e(lc.V.mult(space, xi.atoms)) != cone(*((c, e(nu)) for c, nu in xi.atoms)):
+            return False
+    add = [[cone((ONE, x), (ONE, y)) for y in points] for x in points]
+    smul = [[cone((r, x)) for x in points] for r in lc.SCALAR_GRID]
+    zero = cone()
+    pairs = list(itertools.product(points, repeat=2))
+    if any(add[x][zero] != x or add[zero][x] != x for x in points):
+        return False
+    if any(add[x][y] != add[y][x] for x, y in pairs):
+        return False
+    if any(add[add[x][y]][z] != add[x][add[y][z]] for x, y in pairs for z in points):
+        return False
+    for r, r_x in zip(lc.SCALAR_GRID, smul):
+        if r == ZERO and any(r_x[x] != zero for x in points):
+            return False
+        if r == ONE and any(r_x[x] != x for x in points):
+            return False
+        if any(r_x[add[x][y]] != add[r_x[x]][r_x[y]] for x, y in pairs):
+            return False
+        for t, t_x in zip(lc.SCALAR_GRID, smul):
+            if r * t in lc.SCALAR_GRID:
+                rt_x = smul[lc.SCALAR_GRID.index(r * t)]
+                if any(rt_x[x] != r_x[t_x[x]] for x in points):
+                    return False
+            if any(cone((r + t, x)) != add[r_x[x]][t_x[x]] for x in points):
+                return False
+            if r <= t and not all(space.leq(r_x[x], t_x[x]) for x in points):
+                return False
+    return True
+
+
+def _transfer_verdicts(law) -> list:
+    rng = random.Random(37)
+    cfg = lc.GenConfig(seed=37)
+    verdicts = []
+    for space in [*(t for n in range(4) for t in lc.all_topologies(n)), sp.w_lattice()]:
+        joins = hy.join_algebra_map(space)
+        if joins is None:
+            continue
+        xis = [lc.rand_sso(rng, cfg, space) for _ in range(3)] if space.n else []
+        verdicts.append(_outcome(lambda: law(space, joins, xis)))
+    return verdicts
+
+
+@pytest.mark.parametrize("mutation", [None, "support-null-union", "sgn-not-strict"])
+def test_transfer_laws_with_one_unit_per_point_give_the_fresh_verdicts(monkeypatch, mutation):
+    if mutation is not None:
+        _, attr, mutant = lc.MUTATIONS[mutation]
+        monkeypatch.setattr(su, attr, mutant)
+    shared = _transfer_verdicts(lc.transfer_laws)
+    assert len(shared) == 10
+    assert shared == _transfer_verdicts(_transfer_laws_fresh)
+    assert all(v is True for v in shared) == (mutation is None)
+
+
 # --- the structural laws shared by H and V --------------------------------------
 
 
