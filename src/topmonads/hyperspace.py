@@ -39,17 +39,39 @@ from .spaces import (
     Product,
     bits,
     cached,
+    distinct_names,
     upsets_of_up_masks,
 )
 
 
 def inclusion_up_masks(member_masks: Sequence[int]) -> list[int]:
-    """up[i] = indices j with member_masks[i] included in member_masks[j]."""
-    n = len(member_masks)
-    return [
-        sum(1 << j for j in range(n) if member_masks[i] & ~member_masks[j] == 0)
-        for i in range(n)
-    ]
+    """up[i] = indices j with member_masks[i] included in member_masks[j].
+
+    The order is transposed: contains[x] is the mask of the members that
+    hold the point x, and up[i] is the AND of contains[x] over the points x
+    of member i (every member, when member i is empty).  For m members on
+    n points that is O(m * n) steps on m-bit masks, not m ** 2 subset
+    tests.
+    """
+    if not member_masks:
+        return []
+    contains = [0] * max(member_masks).bit_length()
+    for j, mask in enumerate(member_masks):
+        bit = 1 << j
+        while mask:  # step by the lowest set bit
+            low = mask & -mask
+            contains[low.bit_length() - 1] |= bit
+            mask ^= low
+    everything = (1 << len(member_masks)) - 1
+    up = []
+    for mask in member_masks:
+        acc = everything
+        while mask:
+            low = mask & -mask
+            acc &= contains[low.bit_length() - 1]
+            mask ^= low
+        up.append(acc)
+    return up
 
 
 def inclusion_downsets(member_masks: Sequence[int]) -> list[int]:
@@ -126,10 +148,14 @@ def _hyperspace_name(base: FiniteSpace, mask: int) -> str:
 
 
 def build_hyperspace(x: FiniteSpace) -> Hyperspace:
-    """Construct HX as the up-set topology of inclusion on closed sets."""
+    """Construct HX as the up-set topology of inclusion on closed sets.
+
+    A closed set is named by its points' names, joined with "," inside
+    braces, made distinct by `spaces.distinct_names` where two such names
+    coincide."""
     closed = tuple(x.closed_sets())
     up_masks = inclusion_up_masks(closed)
-    names = tuple(_hyperspace_name(x, c) for c in closed)
+    names = distinct_names(_hyperspace_name(x, c) for c in closed)
     space = FiniteSpace(names, tuple(up_masks))
     return Hyperspace(x, space, closed)
 

@@ -50,6 +50,26 @@ def bits(mask: int):
         mask ^= low
 
 
+def distinct_names(names: Iterable[str]) -> tuple[str, ...]:
+    """The names, made distinct: while some name is shared by several
+    points, each of those points gets "#" and its index appended.
+
+    Names that no other point shares stay as they are, and names of which
+    none is shared cost one pass.  Two points renamed in the same or in
+    different rounds end in their own, different, indices, so each round
+    leaves fewer names never renamed, and the rounds stop.
+    """
+    names = tuple(names)
+    while len(set(names)) != len(names):
+        seen: dict[str, int] = {}
+        for name in names:
+            seen[name] = seen.get(name, 0) + 1
+        names = tuple(
+            f"{name}#{i}" if seen[name] > 1 else name for i, name in enumerate(names)
+        )
+    return names
+
+
 def upsets_of_up_masks(
     n: int, up_masks: Sequence[int], limit: int | None = None
 ) -> list[int]:
@@ -184,6 +204,20 @@ class FiniteSpace:
         """Per point x, the least point of its specialization class [x]."""
         return tuple((c & -c).bit_length() - 1 for c in self.classes)
 
+    @cached
+    def order_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The strict specialization pairs (x, y), y in min_nbhd[x] and
+        y != x, ordered by x and then by y: the pairs that a monotonicity
+        check walks, one step each.  Built on first use, in one step per
+        pair and one per point."""
+        pairs = []
+        for x, up in enumerate(self.min_nbhd):
+            up ^= 1 << x
+            while up:  # step by the lowest set bit
+                pairs.append((x, (up & -up).bit_length() - 1))
+                up &= up - 1
+        return tuple(pairs)
+
     def up_mask(self, x: int) -> int:
         """Points above x; equals the smallest open neighborhood of x."""
         return self.min_nbhd[x]
@@ -307,6 +341,13 @@ def from_preorder(
 
 @dataclass(frozen=True)
 class ContinuousMap:
+    """A map of finite spaces, as the target index of each source point.
+
+    Continuity between Alexandrov spaces is monotonicity, checked by one
+    membership test per strict specialization pair of the source.  Only a
+    failing map is scanned again, to name its witness.
+    """
+
     source: FiniteSpace
     target: FiniteSpace
     assignment: tuple[int, ...]  # per-source-point target index
@@ -314,18 +355,26 @@ class ContinuousMap:
     def __post_init__(self):
         if len(self.assignment) != self.source.n:
             raise ShapeMismatch("assignment length differs from source size")
+        n = self.target.n
         for y in self.assignment:
-            self.target.require_point(y)
-        # continuity between Alexandrov spaces is monotonicity
-        for x, fx in enumerate(self.assignment):
-            outside = self.image(self.source.min_nbhd[x]) & ~self.target.min_nbhd[fx]
-            if outside:
-                y = next(bits(outside))
-                raise NotATopology(
-                    f"not continuous: {self.source.points[x]} lies below a point"
-                    f" mapped to {self.target.points[y]}, which is not above"
-                    f" {self.target.points[fx]}"
-                )
+            if type(y) is not int or not 0 <= y < n:
+                self.target.require_point(y)  # raises unless y is a point
+        f, up = self.assignment, self.target.min_nbhd
+        for x, y in self.source.order_pairs:
+            if not up[f[x]] >> f[y] & 1:
+                self._discontinuity(x)
+
+    def _discontinuity(self, x: int):
+        """Raise NotATopology for the first point x whose neighbourhood is
+        not mapped into that of f(x), naming the least target point outside."""
+        fx = self.assignment[x]
+        outside = self.image(self.source.min_nbhd[x]) & ~self.target.min_nbhd[fx]
+        y = (outside & -outside).bit_length() - 1
+        raise NotATopology(
+            f"not continuous: {self.source.points[x]} lies below a point"
+            f" mapped to {self.target.points[y]}, which is not above"
+            f" {self.target.points[fx]}"
+        )
 
     def __call__(self, x: int) -> int:
         return self.assignment[x]
@@ -336,9 +385,13 @@ class ContinuousMap:
         )
 
     def image(self, mask: int) -> int:
+        """The image of a subset, one step per point of it."""
+        f = self.assignment
         out = 0
-        for x in bits(mask):
-            out |= 1 << self.assignment[x]
+        while mask:  # step by the lowest set bit
+            low = mask & -mask
+            out |= 1 << f[low.bit_length() - 1]
+            mask ^= low
         return out
 
 
@@ -379,37 +432,72 @@ class Product:
         return divmod(p, self.right.n)
 
     def rectangle(self, u: int, v: int) -> int:
-        """The mask of U x V in the product space."""
-        mask = 0
-        for i in bits(u):
-            for j in bits(v):
-                mask |= 1 << self.pair(i, j)
-        return mask
+        """The mask of U x V in the product space: the mask of V shifted
+        into the row of each point of U, one shift per point of U.  Both
+        masks are checked first, so an empty U does not excuse a bad V."""
+        for side, mask in ((self.left, u), (self.right, v)):
+            if mask & ~side.full:
+                raise ShapeMismatch(f"mask {mask} has bits outside the point set")
+        return _rows(u, self.right.n) * v
+
+    @cached
+    def _left_sections(self) -> dict[int, ContinuousMap]:
+        return {}
+
+    @cached
+    def _right_sections(self) -> dict[int, ContinuousMap]:
+        return {}
 
     def at_left(self, x: int) -> ContinuousMap:
-        """The section y -> (x, y) = x * |Y| + y of the right factor."""
+        """The section y -> (x, y) = x * |Y| + y of the right factor, built
+        and checked on first use, in one step per point and per order pair
+        of Y, and kept on the product."""
         self.left.require_point(x)
-        m = self.right.n
-        return ContinuousMap(self.right, self.space, tuple(range(x * m, x * m + m)))
+        sections = self._left_sections
+        if x not in sections:
+            m = self.right.n
+            sections[x] = ContinuousMap(self.right, self.space, tuple(range(x * m, x * m + m)))
+        return sections[x]
 
     def at_right(self, y: int) -> ContinuousMap:
-        """The section x -> (x, y) = x * |Y| + y of the left factor."""
+        """The section x -> (x, y) = x * |Y| + y of the left factor, built
+        and checked on first use, in one step per point and per order pair
+        of X, and kept on the product."""
         self.right.require_point(y)
-        m = self.right.n
-        return ContinuousMap(self.left, self.space, tuple(range(y, self.space.n, m)))
+        sections = self._right_sections
+        if y not in sections:
+            sections[y] = ContinuousMap(
+                self.left, self.space, tuple(range(y, self.space.n, self.right.n))
+            )
+        return sections[y]
+
+
+def _rows(u: int, m: int) -> int:
+    """One bit at the start of the row of each point of u, rows m bits
+    wide: times a mask below 2 ** m, it shifts that mask into each row."""
+    rows = 0
+    while u:
+        low = u & -u
+        rows |= 1 << (low.bit_length() - 1) * m
+        u ^= low
+    return rows
 
 
 def product(a: FiniteSpace, b: FiniteSpace) -> Product:
-    """Product space with the rectangle-generated (= product preorder) topology."""
-    names = tuple(f"({p},{q})" for p in a.points for q in b.points)
-    n = a.n * b.n
-    up_masks = [0] * n
-    for i in range(a.n):
-        for j in range(b.n):
-            p = i * b.n + j
-            for k in bits(a.min_nbhd[i]):
-                for m in bits(b.min_nbhd[j]):
-                    up_masks[p] |= 1 << (k * b.n + m)
+    """Product space with the rectangle-generated (= product preorder) topology.
+
+    The point (x, y) is named "(x,y)" from the factors' names, made
+    distinct by `distinct_names` where two such names coincide.  Its
+    smallest neighbourhood is the rectangle of those of x and y: the
+    factor mask of y shifted into the row of each point above x, by one
+    multiplication per product point.
+    """
+    names = distinct_names(f"({p},{q})" for p in a.points for q in b.points)
+    m = b.n
+    up_masks = []
+    for up in a.min_nbhd:
+        rows = _rows(up, m)
+        up_masks += [rows * v for v in b.min_nbhd]
     space = FiniteSpace(names, tuple(up_masks))
     proj1 = ContinuousMap(space, a, tuple(i for i in range(a.n) for _ in range(b.n)))
     proj2 = ContinuousMap(space, b, tuple(j for _ in range(a.n) for j in range(b.n)))
@@ -444,10 +532,12 @@ def check_separation(space: FiniteSpace) -> SeparationReport:
 
 def kolmogorov_quotient(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]:
     """Identify specialization-equivalent points; result is T0.  The
-    classes keep the order of their least points."""
+    classes keep the order of their least points, and each is named by
+    its points' names joined with "|", made distinct by `distinct_names`
+    where two such names coincide."""
     classes = list(dict.fromkeys(space.classes))
     class_of = tuple(classes.index(c) for c in space.classes)
-    names = ["|".join(space.mask_names(c)) for c in classes]
+    names = distinct_names("|".join(space.mask_names(c)) for c in classes)
     rel = {
         (names[class_of[x]], names[class_of[y]])
         for x in range(space.n)

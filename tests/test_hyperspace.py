@@ -49,6 +49,18 @@ def test_discrete_pair_hyperspace_is_the_boolean_square():
     assert not hx.space.leq(a, b)
 
 
+def test_hyperspace_names_stay_distinct():
+    # the closed sets {a, b} and {"a,b"} both join to "{a,b}"
+    names = ("a", "b", "a,b")
+    hx = hy.build_hyperspace(sp.from_preorder(names, [(p, p) for p in names]))
+    assert hx.space.points == (
+        "{}", "{a}", "{b}", "{a,b}#3", "{a,b}#4", "{a,a,b}", "{b,a,b}", "{a,b,a,b}"
+    )
+    assert hx.members[3:5] == (0b011, 0b100)
+    # names that do not collide are the joined names
+    assert hy.build_hyperspace(sp.sierpinski()).space.points == ("{}", "{0}", "{0,1}")
+
+
 def test_discrete_six_hyperspace_without_its_opens():
     # HX has 7,828,354 opens here; building it must not enumerate them
     start = time.monotonic()

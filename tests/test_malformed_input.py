@@ -84,6 +84,7 @@ CALLS = {
     "Product.split negative": lambda: P.split(NEG),
     "Product.rectangle out": lambda: P.rectangle(1 << OUT, 1),
     "Product.rectangle negative": lambda: P.rectangle(1, NEG),
+    "Product.rectangle empty negative": lambda: P.rectangle(0, NEG),
     "Product.at_left out": lambda: P.at_left(OUT),
     "Product.at_left negative": lambda: P.at_left(NEG),
     "Product.at_right out": lambda: P.at_right(OUT),

@@ -2,7 +2,10 @@
 
 import pytest
 
+from topmonads import cli
+from topmonads import probability as pb
 from topmonads import spaces as sp
+from topmonads import valuations as va
 from topmonads.lawcheck import all_topologies, rectangle_topology
 from topmonads.errors import (
     NotAPreorder,
@@ -10,6 +13,7 @@ from topmonads.errors import (
     NotOpen,
     ShapeMismatch,
 )
+from topmonads.extrat import ONE, ext
 
 
 def test_sierpinski_structure():
@@ -272,3 +276,37 @@ def test_empty_and_one_point():
     assert e.n == 0 and e.opens == (0,)
     o = sp.one_point()
     assert o.opens == (0, 1)
+
+
+# --- derived point names ---------------------------------------------------
+
+
+def test_distinct_names_rename_only_what_collides():
+    assert sp.distinct_names(["a", "b", "(a,b)"]) == ("a", "b", "(a,b)")
+    assert sp.distinct_names(["a", "b", "a"]) == ("a#0", "b", "a#2")
+    # a renamed point may meet a name that was unique: a second round
+    assert sp.distinct_names(["a", "a", "a#1"]) == ("a#0", "a#1#1", "a#1#2")
+
+
+def test_product_names_stay_distinct():
+    a = sp.from_preorder(("p", "p,q"), [("p", "p"), ("p,q", "p,q")])
+    b = sp.from_preorder(("q,r", "r"), [("q,r", "q,r"), ("r", "r")])
+    prod = sp.product(a, b)
+    # (p)x(q,r) and (p,q)x(r) both join to "(p,q,r)"
+    assert prod.space.points == ("(p,q,r)#0", "(p,r)", "(p,q,q,r)", "(p,q,r)#3")
+    assert cli.parse_space(cli.space_document(prod.space)) == prod.space
+    # names that do not collide are the joined names
+    s = sp.sierpinski()
+    assert sp.product(s, s).space.points == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+
+
+def test_kolmogorov_quotient_names_stay_distinct():
+    # the class {a, b} and the point "a|b" both join to "a|b"
+    names = ("a", "b", "a|b")
+    space = sp.from_preorder(names, [(p, p) for p in names] + [("a", "b"), ("b", "a")])
+    quotient, qmap = sp.kolmogorov_quotient(space)
+    assert quotient.points == ("a|b#0", "a|b#1")
+    assert qmap.assignment == (0, 0, 1)
+    nu = va.valuation_from_weights(space, (ONE, ONE, ONE))
+    m = pb.extend_to_measure(nu)
+    assert m.space == quotient and m.point_weights == (ext(2), ONE)
