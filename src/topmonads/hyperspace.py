@@ -1,10 +1,11 @@
 """The hyperspace of closed sets with the lower Vietoris topology.
 
-A closed set is the Boolean instance of the weighted core (`weighted`): a
-{0, 1}-weight per point in canonical form, the closure, encoded as the
-bit-mask of its points.  The unit, push, multiplication, strength and
-product are the core's, and so are a closed set's hit table and the check
-of a `HitFunctional`, which reads its closed set back off the table.
+A closed set is the bit-mask of its points, and every operation computes
+on masks with the kernels of `spaces`: the unit, push, multiplication,
+strength, costrength and product each form a mask (a point, an image, the
+OR of a family's members, a section's image, a rectangle) and close it
+once, in `closed_of_mask`.  A `HitFunctional` reads its closed set off its
+table, the complement of the opens valued False, and checks its table.
 
 Points of HX are the closed subsets of X (always including the empty set),
 ordered by inclusion; the lower Vietoris topology generated by the sets
@@ -14,11 +15,12 @@ regenerates the topology from the Hit subbasis as an oracle.  Iterated
 hyperspaces reuse the same machinery through inclusion orders on
 bit-masks, so HHX and HHHX never materialize a power set.
 
-Both composites of the commutativity square are oracles in `lawcheck`,
-where a named law compares them with the product of closed sets.  So are
-the H-algebra laws: `join_algebra_map` gives the table that `lawcheck`
-checks against the algebra diagrams and the join-semilattice
-characterization.
+`lawcheck` writes the structural laws of H and V once, over both, and
+checks the support V -> H there as a monad morphism.  Both composites of
+the commutativity square are oracles there too, compared in a named law
+with the product of closed sets.  So are the H-algebra laws:
+`join_algebra_map` gives the table that `lawcheck` checks against the
+algebra diagrams and the join-semilattice characterization.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from . import weighted as wt
 from .errors import (
     LawViolation,
     NotAValidFunctional,
@@ -38,7 +39,6 @@ from .spaces import (
     FiniteSpace,
     Product,
     bits,
-    cached,
     distinct_names,
     upsets_of_up_masks,
 )
@@ -87,8 +87,8 @@ def inclusion_downsets(member_masks: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ClosedSet:
-    """A closed set: canonical Boolean point weights, as the mask of the
-    points of weight one."""
+    """A closed set, as the mask of its points; built from outside input,
+    it checks that the mask is closed, where `closed_of_mask` closes it."""
 
     space: FiniteSpace
     members: int
@@ -104,16 +104,13 @@ class ClosedSet:
     def names(self) -> list[str]:
         return self.space.mask_names(self.members)
 
-    @cached
-    def weights(self) -> tuple[bool, ...]:
-        """The Boolean point weights: one on the members."""
-        return tuple([self.members >> x & 1 == 1 for x in range(self.space.n)])
 
-
-def closed_of_weights(space: FiniteSpace, weights) -> ClosedSet:
-    """The closed set that Boolean point weights denote: their canonical
-    form, the closure of the points of weight one."""
-    return ClosedSet(space, space.closure(sum([1 << x for x, a in enumerate(weights) if a])))
+def closed_of_mask(space: FiniteSpace, mask: int) -> ClosedSet:
+    """The closure of a mask of points, as a closed set: one closure, and
+    no second one to check it (a ShapeMismatch for bits outside the points)."""
+    c = object.__new__(ClosedSet)
+    c.__dict__.update(space=space, members=space.closure(mask))
+    return c
 
 
 @dataclass(frozen=True)
@@ -121,11 +118,6 @@ class Hyperspace:
     base: FiniteSpace
     space: FiniteSpace
     members: tuple[int, ...]  # base.closed_sets(): the closed-set mask per HX point
-
-    @cached
-    def _weights(self) -> tuple[tuple[bool, ...], ...]:
-        """The Boolean weights of each member."""
-        return tuple(ClosedSet(self.base, m).weights for m in self.members)
 
     def point_of(self, mask: int) -> int:
         index = self.base.closed_index
@@ -182,8 +174,12 @@ class HitFunctional:
         if not isinstance(table, Sequence) or [type(t) for t in table] != [bool] * len(opens):
             raise ShapeMismatch(f"the table needs one bool per open, {len(opens)} in all")
         object.__setattr__(self, "table", tuple(table))
-        weights = wt.validate(wt.BOOL, self.space, self.table)
-        if weights is None:  # scan the pairs for a witness
+        false = 0  # the union of the opens the table misses, itself open
+        for u, t in zip(opens, table):
+            if not t:
+                false |= u
+        closed = self.space.full & ~false
+        if tuple([bool(closed & u) for u in opens]) != self.table:  # scan the pairs
             lookup = dict(zip(opens, table))
             if lookup[0]:
                 raise NotAValidFunctional("not strict", witness=(0,))
@@ -192,19 +188,20 @@ class HitFunctional:
                     if lookup[u | v] != (lookup[u] or lookup[v]):
                         witness = (self.space.mask_names(u), self.space.mask_names(v))
                         raise NotAValidFunctional("not join-preserving", witness=witness)
-            raise LawViolation("the weights read off a valid table do not reproduce it")
-        object.__setattr__(self, "closed", closed_of_weights(self.space, weights))
+            raise LawViolation("the closed set read off a valid table does not reproduce it")
+        object.__setattr__(self, "closed", closed_of_mask(self.space, closed))
 
     def value(self, u: int) -> bool:
         return hit(self.closed, u)
 
 
 def functional_of_closed(c: ClosedSet) -> HitFunctional:
-    return HitFunctional(c.space, wt.table(wt.BOOL, c.space, c.weights))
+    return HitFunctional(c.space, [bool(c.members & u) for u in c.space.opens])
 
 
 def closed_of_functional(phi: HitFunctional) -> ClosedSet:
-    """The closed set whose weights are read off its hit table."""
+    """The closed set read off its hit table: the complement of the opens
+    it misses."""
     return phi.closed
 
 
@@ -214,15 +211,13 @@ def closed_of_functional(phi: HitFunctional) -> ClosedSet:
 def unit_sigma(space: FiniteSpace, x: int) -> ClosedSet:
     """The unit of H: the closure of the singleton {x}."""
     space.require_point(x)
-    return closed_of_weights(space, wt.unit(wt.BOOL, space.n, x))
+    return closed_of_mask(space, 1 << x)
 
 
 def push_closed(f: ContinuousMap, c: ClosedSet) -> ClosedSet:
     """Functorial action: the closure of the image of C under f."""
     f.source.require_here(c)
-    return closed_of_weights(
-        f.target, wt.push(wt.BOOL, f.assignment, f.target.n, c.weights)
-    )
+    return closed_of_mask(f.target, f.image(c.members))
 
 
 def mult_union(hx: Hyperspace, family) -> ClosedSet:
@@ -232,8 +227,12 @@ def mult_union(hx: Hyperspace, family) -> ClosedSet:
         # HX is specialized by inclusion, so its closed sets are the down-sets
         family = ClosedSet(hx.space, family)
     hx.space.require_here(family)
-    mixture = ((True, hx._weights[i]) for i in bits(family.members))
-    return closed_of_weights(hx.base, wt.mult(wt.BOOL, hx.base.n, mixture))
+    members, union, rest = hx.members, 0, family.members
+    while rest:  # step by the lowest set bit
+        low = rest & -rest
+        union |= members[low.bit_length() - 1]
+        rest ^= low
+    return closed_of_mask(hx.base, union)
 
 
 def unit_closure_membership(space: FiniteSpace, c: ClosedSet) -> bool:
@@ -256,20 +255,20 @@ def unit_closure_membership(space: FiniteSpace, c: ClosedSet) -> bool:
 def strength_H(prod: Product, x: int, c: ClosedSet) -> ClosedSet:
     """s(x, C): the push of C along y -> (x, y), the closure of {x} x C."""
     prod.right.require_here(c)
-    return closed_of_weights(prod.space, wt.strength(wt.BOOL, prod, x, c.weights))
+    return closed_of_mask(prod.space, prod.at_left(x).image(c.members))
 
 
 def costrength_H(prod: Product, c: ClosedSet, y: int) -> ClosedSet:
     """t(C, y): the push of C along x -> (x, y), the closure of C x {y}."""
     prod.left.require_here(c)
-    return closed_of_weights(prod.space, wt.costrength(wt.BOOL, prod, c.weights, y))
+    return closed_of_mask(prod.space, prod.at_right(y).image(c.members))
 
 
 def product_closed(prod: Product, c: ClosedSet, d: ClosedSet) -> ClosedSet:
     """The monoidal structure map of H: (C, D) -> C x D."""
     prod.left.require_here(c)
     prod.right.require_here(d)
-    return closed_of_weights(prod.space, wt.product(wt.BOOL, c.weights, d.weights))
+    return closed_of_mask(prod.space, prod.rectangle(c.members, d.members))
 
 
 def marginals(prod: Product, e: ClosedSet) -> tuple[ClosedSet, ClosedSet]:

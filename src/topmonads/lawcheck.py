@@ -567,15 +567,17 @@ def _space_pairs(cfg, limit=None, min_points=0, max_points=None):
 class Monad:
     """The structure of H or V that the structural laws are written over.
 
-    one is the scalar one; unit(space, x), push(f, e), strength(prod, x, e)
-    and costrength(prod, e, y) are the monad's own.  mult(where, mixture)
-    multiplies a finite mixture of (scalar, element) pairs through the
-    public multiplication, on where: HX for H, the space for V.  mix(space,
-    mixture) forms the same mixture on any space, where for H no HX is
-    built.  Each field looks the public function up when it runs, so a
+    one is the scalar one; terms(e) lists the (weight, point) pairs of an
+    element with nonzero weight, by point; unit(space, x), push(f, e),
+    strength(prod, x, e) and costrength(prod, e, y) are the monad's own.
+    mult(where, mixture) multiplies a finite mixture of (scalar, element)
+    pairs through the public multiplication, on where: HX for H, the space
+    for V.  mix(space, mixture) forms the same mixture on any space, where
+    for H no HX is built.  Each field looks the public function up when it runs, so a
     mutation patched into one is seen."""
 
     one: object
+    terms: Callable
     unit: Callable
     push: Callable
     mult: Callable
@@ -586,12 +588,12 @@ class Monad:
 
 def _h_mult(hx: hy.Hyperspace, mixture) -> hy.ClosedSet:
     """mult_union on the closed family of HX that the mixture's members
-    generate.  The members are OR-ed, not summed: a closed set may occur
-    twice."""
+    generate: the mask of their HX points, closed once.  The members are
+    OR-ed, not summed: a closed set may occur twice."""
     points = 0
     for members in {e.members for c, e in mixture if c}:
         points |= 1 << hx.point_of(members)
-    return hy.mult_union(hx, hy.ClosedSet(hx.space, hx.space.closure(points)))
+    return hy.mult_union(hx, hy.closed_of_mask(hx.space, points))
 
 
 def _h_mix(space: sp.FiniteSpace, mixture) -> hy.ClosedSet:
@@ -600,7 +602,7 @@ def _h_mix(space: sp.FiniteSpace, mixture) -> hy.ClosedSet:
     for c, e in mixture:
         if c:
             union |= e.members
-    return hy.ClosedSet(space, space.closure(union))
+    return hy.closed_of_mask(space, union)
 
 
 def _v_mult(space: sp.FiniteSpace, mixture) -> va.Valuation:
@@ -609,6 +611,7 @@ def _v_mult(space: sp.FiniteSpace, mixture) -> va.Valuation:
 
 H = Monad(
     True,
+    lambda c: [(True, x) for x in sp.bits(c.members)],
     lambda space, x: hy.unit_sigma(space, x),
     lambda f, c: hy.push_closed(f, c),
     _h_mult,
@@ -618,6 +621,7 @@ H = Monad(
 )
 V = Monad(
     ONE,
+    lambda nu: [(w, x) for x, w in enumerate(nu.weights) if w],
     lambda space, x: va.unit_delta(space, x),
     lambda f, nu: va.pushforward(f, nu),
     _v_mult,
@@ -647,7 +651,7 @@ def left_unit(M: Monad, where, e) -> bool:
 def right_unit(M: Monad, where, e) -> bool:
     """mult after M(unit) is the identity: e is the mixture of the units
     of its points, weighted by its weights."""
-    units = [(w, M.unit(e.space, x)) for x, w in enumerate(e.weights) if w]
+    units = [(w, M.unit(e.space, x)) for w, x in M.terms(e)]
     return M.mult(where, units) == e
 
 
@@ -717,8 +721,8 @@ def commutativity(M: Monad, prod: sp.Product, a, b, product) -> bool:
     strengths and the multiplication, equal product: the mixture of the
     costrengths t(a, y) weighted by b, and that of the strengths s(x, b)
     weighted by a."""
-    costrengths = [(w, M.costrength(prod, a, y)) for y, w in enumerate(b.weights) if w]
-    strengths = [(w, M.strength(prod, x, b)) for x, w in enumerate(a.weights) if w]
+    costrengths = [(w, M.costrength(prod, a, y)) for w, y in M.terms(b)]
+    strengths = [(w, M.strength(prod, x, b)) for w, x in M.terms(a)]
     return product == M.mix(prod.space, costrengths) == M.mix(prod.space, strengths)
 
 

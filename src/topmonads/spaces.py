@@ -170,7 +170,12 @@ class FiniteSpace:
     def mask_names(self, mask: int) -> list[str]:
         if mask & ~self.full:
             raise ShapeMismatch(f"mask {mask} has bits outside the point set")
-        return [self.points[i] for i in bits(mask)]
+        points, names = self.points, []
+        while mask:  # step by the lowest set bit
+            low = mask & -mask
+            names.append(points[low.bit_length() - 1])
+            mask ^= low
+        return names
 
     # --- order-theoretic structure -------------------------------------
 

@@ -1,12 +1,13 @@
 """The support map from valuations to closed sets, and the valuation
 algebra map it induces.
 
-Valuations and closed sets are point weights in [0, oo] and {0, 1}
-(`weighted`); the support is the change of scalars along the semiring
-homomorphism sgn, then the Boolean canonical form, the closure: the closed
-set hitting exactly the opens of positive mass.  The support of a measure
-is the support of its restriction.  A table a : HA -> A induces
-e = a after support on the valuations of A (`algebra_evaluate`).
+A valuation is a [0, oo]-weight per point (`weighted`) and a closed set
+the mask of its points (`hyperspace`); the support is the change of
+scalars along the semiring homomorphism sgn, each weight sent to its sign,
+then the closure, taken once: the closed set hitting exactly the opens of
+positive mass.  The support of a measure is the support of its
+restriction.  A table a : HA -> A induces e = a after support on the
+valuations of A (`algebra_evaluate`).
 
 The laws about both live in `lawcheck`: the squares that make taking
 supports a morphism of monads V -> H, with the sign route through the
@@ -21,17 +22,21 @@ from __future__ import annotations
 from . import valuations as va
 from .errors import ShapeMismatch
 from .extrat import sgn
-from .hyperspace import ClosedSet, closed_of_weights
+from .hyperspace import ClosedSet, closed_of_mask
 from .probability import FiniteMeasure
 from .spaces import FiniteSpace
 from .valuations import LowerSemiFn, Valuation
 
 
 def support(nu: Valuation) -> ClosedSet:
-    """The change of scalars along sgn, each weight sent to its sign, in
-    canonical form: the closure of the points of positive weight, which
-    hits exactly the opens of positive mass."""
-    return closed_of_weights(nu.space, tuple(map(sgn, nu.weights)))
+    """The change of scalars along sgn, each weight sent to its sign, then
+    the closure: the closure of the points of positive weight, which hits
+    exactly the opens of positive mass."""
+    positive = 0
+    for x, w in enumerate(nu.weights):
+        if sgn(w):
+            positive |= 1 << x
+    return closed_of_mask(nu.space, positive)
 
 
 def support_test_lsc(nu: Valuation, g: LowerSemiFn) -> bool:

@@ -1,21 +1,21 @@
-"""The weighted core that H and V share: point weights in a semiring.
+"""The weighted core of V: point weights in the semiring [0, oo].
 
-On a finite space a closed set is a {0, 1}-weight per point and a
-continuous valuation a [0, oo]-weight per point; H and V are the monad of
-semiring-valued multisets over the two semirings (Coumans and Jacobs,
-"Scalars, monads, and categories", 2013; Kock, TAC 2012).  So each
-operation is written once here, on weight tuples, for a semiring given as
-an object.  The support V -> H is the change of scalars along the semiring
-homomorphism sgn, which is why it is a monad morphism.
+On a finite space a continuous valuation is a [0, oo]-weight per point,
+and V is the monad of semiring-valued multisets over [0, oo] (Coumans and
+Jacobs, "Scalars, monads, and categories", 2013; Kock, TAC 2012).  H has
+the same shape over {0, 1}, where a weight tuple is the mask of a closed
+set; `hyperspace` computes on those masks directly, and the support
+V -> H, the change of scalars along the semiring homomorphism sgn, is
+checked as a monad morphism in `lawcheck`.  Each operation is written here
+on weight tuples, for the semiring given as an object.
 
-Weights fix a closed set or a valuation up to the weights under a top
-weight, which no open sees; `canonical` fills them in.  For the Boolean
-semiring every nonzero weight is top and the fill is the closure, so H
-keeps `FiniteSpace.closure` as its canonical form.
+Weights fix a valuation up to the weights under a top weight, which no
+open sees; `canonical` fills them in, with `FiniteSpace.closure` of the
+top weights.
 
-Values on the opens form a hit functional or a valuation exactly when the
-weights read back off them give them back, so `validate` checks a table
-by one read and one `table`, with no scan of the pairs of opens.
+Values on the opens form a valuation exactly when the weights read back
+off them give them back, so `validate` checks a table by one read and one
+`table`, with no scan of the pairs of opens.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class _Semiring:
     monus: Callable
 
 
-BOOL = _Semiring(False, True, True, operator.or_, operator.and_, lambda a, b: a and not b)
 EXT = _Semiring(ZERO, ONE, INF, operator.add, operator.mul, monus)
 
 

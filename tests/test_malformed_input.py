@@ -28,7 +28,7 @@ from topmonads import probability as pb
 from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
-from topmonads.errors import TopmonadsError
+from topmonads.errors import ShapeMismatch, TopmonadsError
 from topmonads.extrat import ONE, ZERO, ext
 
 S = sp.sierpinski()
@@ -98,7 +98,8 @@ CALLS = {
     "ClosedSet out": lambda: hy.ClosedSet(S, 1 << OUT),
     "ClosedSet negative": lambda: hy.ClosedSet(S, NEG),
     "ClosedSet name": lambda: hy.ClosedSet(S, NAME),
-    "closed_of_weights out": lambda: hy.closed_of_weights(S, (False,) * OUT + (True,)),
+    "closed_of_mask out": lambda: hy.closed_of_mask(S, 1 << OUT),
+    "closed_of_mask negative": lambda: hy.closed_of_mask(S, NEG),
     "Hyperspace.point_of out": lambda: hx.point_of(1 << OUT),
     "Hyperspace.point_of negative": lambda: hx.point_of(NEG),
     "Hyperspace.point_of name": lambda: hx.point_of(NAME),
@@ -218,4 +219,10 @@ CALLS = {
 @pytest.mark.parametrize("call", list(CALLS), ids=list(CALLS))
 def test_malformed_input_raises_a_library_error(call):
     with pytest.raises(TopmonadsError):
+        CALLS[call]()
+
+
+@pytest.mark.parametrize("call", ["closed_of_mask out", "closed_of_mask negative"])
+def test_closed_of_mask_rejects_bits_outside_the_points(call):
+    with pytest.raises(ShapeMismatch):
         CALLS[call]()
