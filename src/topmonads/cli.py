@@ -57,8 +57,8 @@ _PRECONDITION_ERRORS = (
 )
 
 
-class MalformedDocument(Exception):
-    pass
+class MalformedDocument(TopmonadsError):
+    """A document that does not have the shape its schema asks for."""
 
 
 def _names_sorted(space: spaces.FiniteSpace, masks) -> list[list[str]]:
@@ -74,7 +74,7 @@ def _open_names(space: spaces.FiniteSpace) -> list[list[str]]:
 
 
 def _checksum(open_names: list[list[str]]) -> str:
-    blob = json.dumps(open_names, sort_keys=True).encode()
+    blob = json.dumps(open_names).encode()
     return sha256(blob).hexdigest()[:12]
 
 
@@ -122,17 +122,17 @@ def parse_space(doc: dict) -> spaces.FiniteSpace:
             "space document needs exactly one of opens or preorder"
         )
     if has_opens:
-        index = {p: i for i, p in enumerate(points)}
+        bit = {p: 1 << i for i, p in enumerate(points)}
         masks = []
         for u in _array(doc["opens"], "opens"):
+            if not isinstance(u, list):
+                _array(u, "open")
             mask = 0
-            for p in _array(u, "open"):
-                try:
-                    mask |= 1 << index[p]
-                except (KeyError, TypeError) as exc:  # TypeError: unhashable
-                    raise MalformedDocument(
-                        f"open mentions unknown point {p!r}"
-                    ) from exc
+            try:
+                for p in u:
+                    mask |= bit[p]
+            except (KeyError, TypeError) as exc:  # TypeError: unhashable
+                raise MalformedDocument(f"open mentions unknown point {p!r}") from exc
             masks.append(mask)
         space = spaces.from_opens(points, masks)
     else:

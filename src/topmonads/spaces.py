@@ -274,15 +274,38 @@ def _min_nbhds(n: int, opens: Iterable[int]) -> tuple[int, ...]:
     return tuple(result)
 
 
+def _intransitive(up_masks: Sequence[int]) -> tuple[int, int] | None:
+    """None for a transitive relation; otherwise a witness (a, d): a is the
+    least point with a point b above it whose up-mask is not inside a's,
+    and d is the least point above the first such b but not above a."""
+    for a, up in enumerate(up_masks):
+        rest = up
+        while rest:
+            low = rest & -rest
+            missing = up_masks[low.bit_length() - 1] & ~up
+            if missing:
+                return a, (missing & -missing).bit_length() - 1
+            rest ^= low
+    return None
+
+
 def from_opens(points: Sequence[str], opens: Iterable[int]) -> FiniteSpace:
     """Build a space from an explicit open family, validating the axioms.
 
-    The preorder is read off the family: the smallest neighbourhood of x is
-    the intersection of the members containing x.  Every member contains
-    the smallest neighbourhoods of its points, so the family lies inside the
-    up-sets of that preorder, and it is a topology exactly when it is all
-    of them; an up-set missing from the family is the witness.  The
-    up-sets found that way, sorted, are kept as the space's opens.
+    In a topology the smallest neighbourhood of x is the smallest member
+    holding x, and a proper superset is a larger integer, so one pass over
+    the members in ascending order guesses the preorder: each member
+    becomes the least neighbourhood of the points it holds that no earlier
+    member holds, and a point no member holds keeps the full set.  The
+    family is accepted when the guess is a preorder whose up-sets are
+    exactly the members; a family that passes is a topology, and the guess
+    is then the intersection of the members holding each point.  Those
+    up-sets, sorted, are kept as the space's opens.
+
+    Only a family that fails reads the preorder off the intersections:
+    every member holds the intersection for each of its points, so the
+    family lies strictly inside the up-sets of that preorder, and the least
+    up-set missing from the family is the witness.
     """
     points = tuple(points)
     if len(set(points)) != len(points):
@@ -290,22 +313,39 @@ def from_opens(points: Sequence[str], opens: Iterable[int]) -> FiniteSpace:
     n = len(points)
     full = (1 << n) - 1
     family = set(opens)
-    for u in sorted(family):
-        if u & ~full:
-            raise NotATopology(f"open {u:b} has bits outside the point set")
+    members = sorted(family)
+    if members and (members[0] < 0 or members[-1] > full):
+        u = next(u for u in members if u & ~full)
+        raise NotATopology(f"open {u:b} has bits outside the point set")
+    least = [full] * n
+    uncovered = full
+    for u in members:
+        fresh = u & uncovered
+        if fresh:
+            uncovered ^= fresh
+            while fresh:
+                low = fresh & -fresh
+                least[low.bit_length() - 1] = u
+                fresh ^= low
+            if not uncovered:
+                break
+    # the up-set search assumes a preorder; the guess is reflexive
+    if _intransitive(least) is None:
+        upsets = upsets_of_up_masks(n, least, limit=len(family))
+        # as many up-sets as members, all of them members: the search ran
+        # to the end and sorted them
+        if len(upsets) == len(family) and family.issuperset(upsets):
+            space = FiniteSpace(points, tuple(least))
+            space.__dict__["opens"] = tuple(upsets)
+            return space
     space = FiniteSpace(points, _min_nbhds(n, family))
     # more up-sets than members already proves one missing
     upsets = upsets_of_up_masks(n, space.min_nbhd, limit=len(family))
-    missing = [u for u in upsets if u not in family]
-    if missing:
-        names = ",".join(space.mask_names(min(missing)))
-        raise NotATopology(
-            f"not a topology: {{{names}}} is a union of intersections of"
-            " members but not a member"
-        )
-    # no up-set missing, so the search ran to the end and sorted them all
-    space.__dict__["opens"] = tuple(upsets)
-    return space
+    names = ",".join(space.mask_names(min(u for u in upsets if u not in family)))
+    raise NotATopology(
+        f"not a topology: {{{names}}} is a union of intersections of"
+        " members but not a member"
+    )
 
 
 def from_preorder(
@@ -329,14 +369,10 @@ def from_preorder(
     for i in range(n):
         if not up_masks[i] >> i & 1:
             raise NotAPreorder("not reflexive", (points[i], points[i]))
-    # transitive: whatever lies above a point above a lies above a; the
-    # witness is the least a, then the least missing point
-    for a, up in enumerate(up_masks):
-        for b in bits(up):
-            missing = up_masks[b] & ~up
-            if missing:
-                d = (missing & -missing).bit_length() - 1
-                raise NotAPreorder("not transitive", (points[a], points[d]))
+    witness = _intransitive(up_masks)
+    if witness is not None:
+        a, d = witness
+        raise NotAPreorder("not transitive", (points[a], points[d]))
     # in a preorder, up(x) is the smallest up-set containing x
     return FiniteSpace(points, tuple(up_masks))
 

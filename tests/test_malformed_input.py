@@ -11,7 +11,9 @@ measure needs a T0 space, where every subset is Borel.  A weight or value
 must be an element of [0, oo]: a negative number, a string outside the
 rational grammar, or None raises a MalformedValue.  So does a law-run size
 that is not an int in range: GenConfig's max_points below 0 or its
-instance_count below 1.
+instance_count below 1.  The opens form of a space document names the
+malformed part in a fixed message: an opens value or an open that is not a
+list, and a name that is not a point, unhashable ones included.
 
 Left out, because their inputs are bare bit-masks that no space checks:
 spaces.bits, popcount and upsets_of_up_masks, and hyperspace's
@@ -22,12 +24,14 @@ the right answer, and require_open raises.
 
 import pytest
 
+from topmonads import cli
 from topmonads import hyperspace as hy
 from topmonads import lawcheck as lc
 from topmonads import probability as pb
 from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
+from topmonads.cli import MalformedDocument
 from topmonads.errors import ShapeMismatch, TopmonadsError
 from topmonads.extrat import ONE, ZERO, ext
 
@@ -51,6 +55,11 @@ k = va.delta_kernel(S)
 m = pb.extend_to_measure(nu)
 p = pb.ProbValuation(nu)
 joins = hy.join_algebra_map(S)
+
+
+def space_doc(opens):
+    return {"schema": 1, "points": list(S.points), "opens": opens}
+
 
 CALLS = {
     # spaces
@@ -213,6 +222,11 @@ CALLS = {
     "GenConfig instance_count zero": lambda: lc.GenConfig(instance_count=0),
     "GenConfig instance_count negative": lambda: lc.GenConfig(instance_count=NEG),
     "GenConfig instance_count bool": lambda: lc.GenConfig(instance_count=True),
+    # cli
+    "parse_space opens not a list": lambda: cli.parse_space(space_doc("0")),
+    "parse_space open not a list": lambda: cli.parse_space(space_doc([[], "1"])),
+    "parse_space name": lambda: cli.parse_space(space_doc([[], [NAME]])),
+    "parse_space unhashable name": lambda: cli.parse_space(space_doc([[], ["1", ["1"]]])),
 }
 
 
@@ -226,3 +240,22 @@ def test_malformed_input_raises_a_library_error(call):
 def test_closed_of_mask_rejects_bits_outside_the_points(call):
     with pytest.raises(ShapeMismatch):
         CALLS[call]()
+
+
+PARSE_SPACE_MESSAGES = {
+    "parse_space opens not a list": "opens must be a JSON array, got '0'",
+    "parse_space open not a list": "open must be a JSON array, got '1'",
+    "parse_space name": "open mentions unknown point 'zz'",
+    "parse_space unhashable name": "open mentions unknown point ['1']",
+}
+
+
+@pytest.mark.parametrize("call", list(PARSE_SPACE_MESSAGES))
+def test_parse_space_names_the_malformed_open(call):
+    with pytest.raises(MalformedDocument) as info:
+        CALLS[call]()
+    assert str(info.value) == PARSE_SPACE_MESSAGES[call]
+
+
+def test_parse_space_reads_a_name_listed_twice_once():
+    assert cli.parse_space(space_doc([[], ["1", "1"], ["0", "1", "0"]])) == S
