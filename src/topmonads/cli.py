@@ -389,6 +389,7 @@ def _cmd_laws(args) -> int:
                         for f in r.failures
                     ],
                     "wall_time": round(r.wall_time, 3),
+                    "capped": dict(r.capped),
                 }
                 for r in reports
             ]
@@ -396,8 +397,9 @@ def _cmd_laws(args) -> int:
     else:
         for r in reports:
             status = "ok" if r.ok else f"{len(r.failures)} failures"
+            capped = "".join(f", {n} over the {b} budget" for b, n in r.capped)
             print(
-                f"{r.suite}: {r.instances} instances, {status}"
+                f"{r.suite}: {r.instances} instances{capped}, {status}"
                 f" ({r.wall_time:.2f}s)"
             )
             for f in r.failures:

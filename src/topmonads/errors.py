@@ -75,8 +75,9 @@ class MalformedValue(TopmonadsError):
 
 class InvalidValue(MalformedValue, ValueError):
     """A negative number, a string outside the grammar 'inf', 'p', 'p/q', or
-    a law-run size out of range: a GenConfig.max_points that is not an int
-    >= 0, or an instance_count that is not an int >= 1."""
+    a law-run setting out of range: a GenConfig.max_points that is not an
+    int >= 0, an instance_count or weight_denominator_bound that is not an
+    int >= 1, or an allow_infinity that is not a bool."""
 
 
 class InvalidValueType(MalformedValue, TypeError):

@@ -76,7 +76,7 @@ class FiniteMeasure:
         """The measure of any subset: the pairing of the weights with its indicator."""
         if subset & ~self.space.full:
             raise ShapeMismatch("subset has bits outside the point set")
-        return wt.value(wt.EXT, self.point_weights, subset)
+        return wt.value(self.point_weights, subset)
 
     @property
     def total(self) -> ExtRat:

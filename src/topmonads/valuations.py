@@ -6,11 +6,11 @@ monotonely, and modularly; on a finite open lattice every directed family
 contains its supremum, so these three conditions already give Scott
 continuity (a theorem, not a runtime check).  On a finite space every such
 valuation is a finite sum of weighted Diracs (Jones 1990; Heckmann 1996),
-so a `Valuation` is the [0, oo] instance of the weighted core
-(`weighted`), of which H is the Boolean instance: its value on a set is
-the sum of its weights there, and its table, the check of a table, the
-unit, pushforward, multiplication, Kleisli composition, strength, product,
-integral and canonical form are the core's.  The module also provides the
+so a `Valuation` is a weight tuple of the weighted core (`weighted`):
+its value on a set is the sum of its weights there, and its table, the
+check of a table, the unit, pushforward, multiplication, Kleisli
+composition, strength, product, integral and canonical form are the
+core's.  The module also provides the
 weak topology subbasis, the Portmanteau certificates that place a
 valuation in a subbasic open, and order comparisons.  The second routes
 that confirm these operations, the soundness check of a certificate among
@@ -59,12 +59,12 @@ class Valuation:
             raise ShapeMismatch("one weight per point required")
         # push each weight to the least point of its class
         object.__setattr__(
-            self, "weights", wt.push(wt.EXT, self.space.least, self.space.n, weights)
+            self, "weights", wt.push(self.space.least, self.space.n, weights)
         )
 
     @cached
     def _canonical(self) -> tuple[ExtRat, ...]:
-        return wt.canonical(wt.EXT, self.space, self.weights)
+        return wt.canonical(self.space, self.weights)
 
     def __eq__(self, other):
         if not isinstance(other, Valuation):
@@ -77,13 +77,13 @@ class Valuation:
     @cached
     def table(self) -> tuple[ExtRat, ...]:
         """The values on `space.opens`, in order."""
-        return wt.table(wt.EXT, self.space, self.weights)
+        return wt.table(self.space, self.weights)
 
     def value(self, u: int) -> ExtRat:
         """nu(U), the sum of the weights over U: an open holds whole
         specialization classes, so it holds each class's weight whole."""
         self.space.require_open(u)
-        return wt.value(wt.EXT, self.weights, u)
+        return wt.value(self.weights, u)
 
     @cached
     def mass(self) -> ExtRat:
@@ -119,7 +119,7 @@ def validate_valuation(space: FiniteSpace, table) -> Valuation:
         raise ShapeMismatch("table size differs from number of opens")
     if table[0] != ZERO:
         raise NotStrict(f"value on the empty set is {table[0]}")
-    weights = wt.validate(wt.EXT, space, table)
+    weights = wt.validate(space, table)
     if weights is not None:
         return Valuation(space, weights)
     value = dict(zip(space.opens, table))
@@ -141,7 +141,7 @@ def zero_valuation(space: FiniteSpace) -> Valuation:
 def unit_delta(space: FiniteSpace, x: int) -> Valuation:
     """The Dirac valuation: mass 1 on every open containing x."""
     space.require_point(x)
-    return Valuation(space, wt.unit(wt.EXT, space.n, x))
+    return Valuation(space, wt.unit(space.n, x))
 
 
 # --- lower semicontinuous functions ---------------------------------------
@@ -223,7 +223,7 @@ def canonical_lsc_family(space: FiniteSpace, max_value: int | None = None):
 def integrate(nu: Valuation, g: LowerSemiFn) -> ExtRat:
     """The pairing <nu, g> = sum of w_x * g(x), with oo * 0 = 0."""
     nu.space.require_here(g)
-    return wt.pairing(wt.EXT, nu.weights, g.values)
+    return wt.pairing(nu.weights, g.values)
 
 
 # --- functor and monad ------------------------------------------------------
@@ -232,7 +232,7 @@ def integrate(nu: Valuation, g: LowerSemiFn) -> ExtRat:
 def pushforward(f: ContinuousMap, nu: Valuation) -> Valuation:
     """f_* nu, the valuation U -> nu(f^{-1} U): each weight moves to f(x)."""
     f.source.require_here(nu)
-    return Valuation(f.target, wt.push(wt.EXT, f.assignment, f.target.n, nu.weights))
+    return Valuation(f.target, wt.push(f.assignment, f.target.n, nu.weights))
 
 
 @dataclass(frozen=True)
@@ -258,14 +258,12 @@ class SimpleSecondOrder:
 def mult_E(xi: SimpleSecondOrder) -> Valuation:
     """The multiplication of V on molecular input: sum of c_j * nu_j."""
     mixture = [(c, nu.weights) for c, nu in xi.atoms]
-    return Valuation(xi.space, wt.mult(wt.EXT, xi.space.n, mixture))
+    return Valuation(xi.space, wt.mult(xi.space.n, mixture))
 
 
 def pairing_with_evaluation(xi: SimpleSecondOrder, g: LowerSemiFn) -> ExtRat:
     """<xi, nu -> <nu, g>>, the other side of the multiplication identity."""
-    return wt.pairing(
-        wt.EXT, [c for c, _ in xi.atoms], [integrate(nu, g) for _, nu in xi.atoms]
-    )
+    return wt.pairing([c for c, _ in xi.atoms], [integrate(nu, g) for _, nu in xi.atoms])
 
 
 @dataclass(frozen=True)
@@ -327,7 +325,7 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
         raise ShapeMismatch("kernels are not composable")
     rows = [ky.weights for ky in k.table]
     table = tuple(
-        Valuation(k.target, wt.mult(wt.EXT, k.target.n, zip(hx.weights, rows)))
+        Valuation(k.target, wt.mult(k.target.n, zip(hx.weights, rows)))
         for hx in h.table
     )
     return Kernel(h.source, k.target, table)
@@ -339,13 +337,13 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
 def strength_V(prod: Product, x: int, nu: Valuation) -> Valuation:
     """s(x, nu): the pushforward of nu along y -> (x, y); W -> nu(W_x)."""
     prod.right.require_here(nu)
-    return Valuation(prod.space, wt.strength(wt.EXT, prod, x, nu.weights))
+    return Valuation(prod.space, wt.strength(prod, x, nu.weights))
 
 
 def costrength_V(prod: Product, nu: Valuation, y: int) -> Valuation:
     """t(nu, y): the pushforward of nu along x -> (x, y)."""
     prod.left.require_here(nu)
-    return Valuation(prod.space, wt.costrength(wt.EXT, prod, nu.weights, y))
+    return Valuation(prod.space, wt.costrength(prod, nu.weights, y))
 
 
 def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None) -> Valuation:
@@ -355,7 +353,7 @@ def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None
         prod = product(nu.space, rho.space)
     prod.left.require_here(nu)
     prod.right.require_here(rho)
-    return Valuation(prod.space, wt.product(wt.EXT, nu.weights, rho.weights))
+    return Valuation(prod.space, wt.product(nu.weights, rho.weights))
 
 
 # --- the weak topology and Portmanteau certificates -------------------------
@@ -406,7 +404,7 @@ def portmanteau_witness(
                 ri = (r + ONE) / c
             return [(c, u, ri)]
     coeffs = [c for c, _ in layers]
-    slack = wt.pairing(wt.EXT, coeffs, [nu.value(u) for _, u in layers]) - r
+    slack = wt.pairing(coeffs, [nu.value(u) for _, u in layers]) - r
     coeff_sum = sum(coeffs, ZERO)
     eps = slack / (ExtRat(2) * coeff_sum)
     cert = []

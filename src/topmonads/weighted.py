@@ -7,7 +7,8 @@ the same shape over {0, 1}, where a weight tuple is the mask of a closed
 set; `hyperspace` computes on those masks directly, and the support
 V -> H, the change of scalars along the semiring homomorphism sgn, is
 checked as a monad morphism in `lawcheck`.  Each operation is written here
-on weight tuples, for the semiring given as an object.
+on weight tuples, with the weights' own `+` and `*`; a sum starts from its
+first nonzero term.
 
 Weights fix a valuation up to the weights under a top weight, which no
 open sees; `canonical` fills them in, with `FiniteSpace.closure` of the
@@ -15,122 +16,100 @@ top weights.
 
 Values on the opens form a valuation exactly when the weights read back
 off them give them back, so `validate` checks a table by one read and one
-`table`, with no scan of the pairs of opens.
+`table`, with no scan of the pairs of opens.  It reads `monus` from this
+module when it runs.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .extrat import INF, ONE, ZERO, monus
 from .spaces import FiniteSpace, Product
 
 
-@dataclass(frozen=True)
-class _Semiring:
-    """A commutative semiring with an absorbing top and truncated
-    subtraction: monus(a, b) is the least c with a <= b + c."""
-
-    zero: object
-    one: object
-    top: object
-    add: Callable
-    mul: Callable
-    monus: Callable
-
-
-EXT = _Semiring(ZERO, ONE, INF, operator.add, operator.mul, monus)
-
-
-def unit(s: _Semiring, n: int, x: int) -> tuple:
+def unit(n: int, x: int) -> tuple:
     """The Dirac weights: the one-point space's weight one, pushed to x."""
-    return push(s, (x,), n, (s.one,))
+    return push((x,), n, (ONE,))
 
 
-def push(s: _Semiring, assignment: Sequence[int], n: int, w: Sequence) -> tuple:
+def push(assignment: Sequence[int], n: int, w: Sequence) -> tuple:
     """Each weight w_x moves to assignment[x], one of n target points."""
-    zero = s.zero
-    out = [zero] * n
+    out = [ZERO] * n
     for x, a in enumerate(w):
         y = assignment[x]
-        out[y] = a if out[y] is zero else s.add(out[y], a)
+        out[y] = a if out[y] is ZERO else out[y] + a
     return tuple(out)
 
 
-def mult(s: _Semiring, n: int, mixture: Iterable[tuple[object, Sequence]]) -> tuple:
+def mult(n: int, mixture: Iterable[tuple[object, Sequence]]) -> tuple:
     """The multiplication of a finite mixture: the sum of c * w over its
     (c, w) pairs, on n points."""
-    zero, add, mul = s.zero, s.add, s.mul
-    out = [zero] * n
+    out = [ZERO] * n
     for c, w in mixture:
         for x, a in enumerate(w):
             if a:
-                ca = mul(c, a)
-                out[x] = ca if out[x] is zero else add(out[x], ca)
+                ca = c * a
+                out[x] = ca if out[x] is ZERO else out[x] + ca
     return tuple(out)
 
 
-def strength(s: _Semiring, prod: Product, x: int, w: Sequence) -> tuple:
+def strength(prod: Product, x: int, w: Sequence) -> tuple:
     """s(x, w): the push along the section y -> (x, y)."""
-    return push(s, prod.at_left(x).assignment, prod.space.n, w)
+    return push(prod.at_left(x).assignment, prod.space.n, w)
 
 
-def costrength(s: _Semiring, prod: Product, w: Sequence, y: int) -> tuple:
+def costrength(prod: Product, w: Sequence, y: int) -> tuple:
     """t(w, y): the push along the section x -> (x, y)."""
-    return push(s, prod.at_right(y).assignment, prod.space.n, w)
+    return push(prod.at_right(y).assignment, prod.space.n, w)
 
 
-def product(s: _Semiring, w: Sequence, v: Sequence) -> tuple:
+def product(w: Sequence, v: Sequence) -> tuple:
     """The weight of the pair (x, y) is w_x * v_y."""
-    return tuple([s.mul(a, b) for a in w for b in v])
+    return tuple([a * b for a in w for b in v])
 
 
-def pairing(s: _Semiring, w: Sequence, g: Sequence):
+def pairing(w: Sequence, g: Sequence):
     """<w, g>, the sum of w_x * g(x)."""
-    zero, add, mul = s.zero, s.add, s.mul
-    acc = zero
+    acc = ZERO
     for a, b in zip(w, g):
         if a:
-            acc = mul(a, b) if acc is zero else add(acc, mul(a, b))
+            acc = a * b if acc is ZERO else acc + a * b
     return acc
 
 
-def value(s: _Semiring, w: Sequence, subset: int):
+def value(w: Sequence, subset: int):
     """The pairing of w with a subset's indicator: the sum of its weights."""
-    zero, add = s.zero, s.add
-    acc = zero
+    acc = ZERO
     while subset:  # step by the lowest set bit
         a = w[(subset & -subset).bit_length() - 1]
         if a:
-            acc = a if acc is zero else add(acc, a)
+            acc = a if acc is ZERO else acc + a
         subset &= subset - 1
     return acc
 
 
-def table(s: _Semiring, space: FiniteSpace, w: Sequence) -> tuple:
+def table(space: FiniteSpace, w: Sequence) -> tuple:
     """The values on `space.opens`, in order."""
-    return tuple([value(s, w, u) for u in space.opens])
+    return tuple([value(w, u) for u in space.opens])
 
 
-def canonical(s: _Semiring, space: FiniteSpace, w: Sequence) -> tuple:
-    """The weights with top on every point below a top weight, which fixes
+def canonical(space: FiniteSpace, w: Sequence) -> tuple:
+    """The weights with INF on every point below an INF weight, which fixes
     every other weight by the values on the opens."""
-    top = s.top
-    tops = sum([1 << x for x, a in enumerate(w) if a == top])
+    tops = sum([1 << x for x, a in enumerate(w) if a == INF])
     if not tops:
         return tuple(w)
     below = space.closure(tops)
-    return tuple([top if below >> x & 1 else a for x, a in enumerate(w)])
+    return tuple([INF if below >> x & 1 else a for x, a in enumerate(w)])
 
 
-def validate(s: _Semiring, space: FiniteSpace, values: Sequence) -> tuple | None:
+def validate(space: FiniteSpace, values: Sequence) -> tuple | None:
     """Weights w_x = v(up x) - v(up x minus [x]), truncated, on the least point of
     each class and zero elsewhere, read off values v on the opens if they give v back."""
     v = dict(zip(space.opens, values))
     w = tuple([
-        s.monus(v[up], v[up & ~c]) if c & -c == 1 << x else s.zero
+        monus(v[up], v[up & ~c]) if c & -c == 1 << x else ZERO
         for x, (up, c) in enumerate(zip(space.min_nbhd, space.classes))
     ])
-    return w if table(s, space, w) == tuple(values) else None
+    return w if table(space, w) == tuple(values) else None

@@ -261,6 +261,7 @@ def test_laws_suite_json_report(capsys):
     assert report[0]["suite"] == "supp-unit"
     assert report[0]["failures"] == []
     assert report[0]["instances"] > 0
+    assert report[0]["capped"] == {}
 
 
 def test_document_round_trip():

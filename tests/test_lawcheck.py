@@ -86,6 +86,46 @@ def test_all_suites_pass_with_infinite_weights():
     for name in sorted(lc.SUITES):
         report = lc.run_suite(name, cfg)
         assert report.ok, (name, report.failures[:2])
+        assert report.capped == (), name  # no budget is reached at 3 points
+
+
+def test_budgets_bound_the_exhaustive_checks_and_are_counted():
+    # at 8 points, seed 42 draws an instance over each budget; without the
+    # budgets, topology-core and v-fubini each take minutes on this run
+    reports = lc.run_all(lc.GenConfig(seed=42, max_points=8))
+    assert all(r.ok for r in reports), [r.suite for r in reports if not r.ok]
+    capped = {}
+    for r in reports:
+        for budget, count in r.capped:
+            assert count > 0
+            capped.setdefault(budget, set()).add(r.suite)
+    assert capped == {
+        "families of opens": {"topology-core"},
+        "assignments": {"topology-core"},
+        "tables": {"v-duality"},
+        "opens of a hyperspace": {"h-monad"},
+        "opens of a product": {"topology-core", "v-fubini"},
+    }
+
+
+@pytest.mark.parametrize("max_points", [5, 6])
+def test_every_suite_draws_spaces_of_max_points(monkeypatch, max_points):
+    # --max-points bounds the spaces of every suite, and no suite stops
+    # short of it
+    largest = {}
+    original = lc._spaces
+
+    def recording(*args, **kwargs):
+        for space in original(*args, **kwargs):
+            largest[name] = max(largest.get(name, -1), space.n)
+            yield space
+
+    monkeypatch.setattr(lc, "_spaces", recording)
+    cfg = lc.GenConfig(seed=42, max_points=max_points)
+    for name in sorted(lc.SUITES):
+        report = lc.run_suite(name, cfg)
+        assert report.ok, (name, report.failures[:2])
+    assert largest == {name: max_points for name in lc.SUITES}
 
 
 def test_raising_law_does_not_abort_the_suite():
@@ -220,7 +260,7 @@ def test_every_detection_draws_no_random_space(monkeypatch):
     assert drawn
 
 
-def _eager_spaces(cfg, limit=None, min_points=0, max_points=None):
+def _eager_spaces(cfg, limit=None, min_points=0):
     limit = cfg.instance_count if limit is None else limit
     out = []
     for space in lc.generate_space(cfg):
@@ -228,20 +268,15 @@ def _eager_spaces(cfg, limit=None, min_points=0, max_points=None):
             break
         if space.n < min_points:
             continue
-        if max_points is not None and space.n > max_points:
-            continue
         out.append(space)
     return out
 
 
-def _eager_space_pairs(cfg, limit=None, min_points=0, max_points=None):
-    spaces = _eager_spaces(
-        cfg, (limit or cfg.instance_count) * 2, min_points, max_points
-    )
+def _eager_space_pairs(cfg, min_points=0):
+    spaces = _eager_spaces(cfg, cfg.instance_count * 2, min_points)
     pairs = []
-    limit = cfg.instance_count if limit is None else limit
     for i in range(len(spaces) - 1):
-        if len(pairs) >= limit:
+        if len(pairs) >= cfg.instance_count:
             break
         pairs.append((spaces[i], spaces[i + 1]))
     return pairs
@@ -249,15 +284,8 @@ def _eager_space_pairs(cfg, limit=None, min_points=0, max_points=None):
 
 @pytest.mark.parametrize("seed", [42, 7, 10011])
 def test_lazy_streams_yield_the_eager_sequences(seed):
-    space_args = [{}, {"min_points": 1}, {"max_points": 3}, {"limit": 5}]
-    pair_args = [
-        {},
-        {"min_points": 1},
-        {"max_points": 3},
-        {"min_points": 1, "max_points": 3},
-        {"limit": 0},
-        {"limit": 7},
-    ]
+    space_args = [{}, {"min_points": 1}, {"limit": 5}]
+    pair_args = [{}, {"min_points": 1}]
     for max_points, count in ((3, 60), (4, 60), (4, 9), (3, 1)):
         cfg = lc.GenConfig(seed=seed, max_points=max_points, instance_count=count)
         for kw in space_args:

@@ -9,9 +9,10 @@ TopmonadsError: no IndexError, KeyError, bare ValueError or TypeError, no
 endless loop, and no result.  A hit table must be one bool per open, and a
 measure needs a T0 space, where every subset is Borel.  A weight or value
 must be an element of [0, oo]: a negative number, a string outside the
-rational grammar, or None raises a MalformedValue.  So does a law-run size
-that is not an int in range: GenConfig's max_points below 0 or its
-instance_count below 1.  The opens form of a space document names the
+rational grammar, or None raises a MalformedValue.  So does a law-run
+setting out of range: GenConfig's max_points below 0, its instance_count or
+weight_denominator_bound below 1 or not an int, or an allow_infinity that
+is not a bool.  The opens form of a space document names the
 malformed part in a fixed message: an opens value or an open that is not a
 list, and a name that is not a point, unhashable ones included.
 
@@ -222,6 +223,11 @@ CALLS = {
     "GenConfig instance_count zero": lambda: lc.GenConfig(instance_count=0),
     "GenConfig instance_count negative": lambda: lc.GenConfig(instance_count=NEG),
     "GenConfig instance_count bool": lambda: lc.GenConfig(instance_count=True),
+    "GenConfig weight_denominator_bound zero": lambda: lc.GenConfig(weight_denominator_bound=0),
+    "GenConfig weight_denominator_bound negative": lambda: lc.GenConfig(weight_denominator_bound=NEG),
+    "GenConfig weight_denominator_bound float": lambda: lc.GenConfig(weight_denominator_bound=2.5),
+    "GenConfig weight_denominator_bound string": lambda: lc.GenConfig(weight_denominator_bound="8"),
+    "GenConfig allow_infinity string": lambda: lc.GenConfig(allow_infinity="no"),
     # cli
     "parse_space opens not a list": lambda: cli.parse_space(space_doc("0")),
     "parse_space open not a list": lambda: cli.parse_space(space_doc([[], "1"])),

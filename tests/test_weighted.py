@@ -59,7 +59,7 @@ def test_canonical_form_fills_the_weights_below_a_top_weight():
     low, high = (0, 1) if space.leq(0, 1) else (1, 0)
     weights = [ZERO, ZERO]
     weights[high] = INF
-    filled = wt.canonical(wt.EXT, space, weights)
+    filled = wt.canonical(space, weights)
     assert filled[low] == INF and filled[high] == INF
 
 
