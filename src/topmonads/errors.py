@@ -75,9 +75,10 @@ class MalformedValue(TopmonadsError):
 
 class InvalidValue(MalformedValue, ValueError):
     """A negative number, a string outside the grammar 'inf', 'p', 'p/q', or
-    a law-run setting out of range: a GenConfig.max_points that is not an
-    int >= 0, an instance_count or weight_denominator_bound that is not an
-    int >= 1, or an allow_infinity that is not a bool."""
+    a law-run setting out of range: a GenConfig.seed that is not an int, a
+    max_points that is not an int >= 0, an instance_count or
+    weight_denominator_bound that is not an int >= 1, or an allow_infinity
+    that is not a bool."""
 
 
 class InvalidValueType(MalformedValue, TypeError):

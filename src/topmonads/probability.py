@@ -1,120 +1,92 @@
-"""Normalized valuations and their extension to measures on the power set.
+"""P is V at mass one: probability valuations, and their extension to
+measures on the power set.
+
+A `ProbValuation` is a `Valuation` whose weights are finite and sum to 1,
+so the inclusion P -> V is the identity on elements.  P's multiplication
+and product are V's, looked up in `valuations` when they run, with the
+mass of every input checked and the result rebuilt as a `ProbValuation`.
 
 On a finite T0 space the point closures separate points, so the Borel
-sigma-algebra is the full power set.  A valuation is stored as its point
-weights (see `weighted`), so a finite-mass valuation there extends to the
-measure with the same weights, and a `FiniteMeasure` is a view of that
-valuation: the measure of a set is the pairing of the weights with its
-indicator.  Non-T0 spaces route through the Kolmogorov quotient
+sigma-algebra is the full power set, and a finite-mass valuation extends
+to the measure with the same weights: a `FiniteMeasure` is that valuation,
+read on every subset.  Non-T0 spaces route through the Kolmogorov quotient
 (valuations cannot see more), and the result carries the quotient map as
 an explicit marker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import valuations as va
 from . import weighted as wt
 from .errors import InfiniteMass, NotNormalized, PreconditionFailed, ShapeMismatch
-from .extrat import ExtRat, ONE, ZERO
-from .spaces import (
-    ContinuousMap, FiniteSpace, Product, check_separation, kolmogorov_quotient, product
-)
-from .valuations import (
-    LowerSemiFn,
-    SimpleSecondOrder,
-    Valuation,
-    integrate,
-    mult_E,
-    product_valuation,
-    pushforward,
-)
+from .extrat import INF, ExtRat, ONE, ZERO
+from .spaces import ContinuousMap, Product, kolmogorov_quotient
 
 
-@dataclass(frozen=True)
-class ProbValuation:
+def _require_mass_one(nu: va.Valuation) -> None:
+    if nu.mass != ONE:
+        raise NotNormalized(f"total mass is {nu.mass}, not 1")
+
+
+class ProbValuation(va.Valuation):
     """A valuation of total mass one: its weights are finite and sum to 1,
     so every open has a value in [0, 1]."""
 
-    underlying: Valuation
-
     def __post_init__(self):
-        mass = self.underlying.mass
-        if mass != ONE:
-            raise NotNormalized(f"total mass is {mass}, not 1")
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.underlying.space
+        super().__post_init__()
+        _require_mass_one(self)
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
-    """A measure on a T0 space, whose Borel sets are all its subsets: a
-    view of `valuation`, the finite-mass valuation with the same point
-    weights, which is the measure restricted to the opens.
+@dataclass(frozen=True, eq=False)
+class FiniteMeasure(va.Valuation):
+    """A measure on a T0 space, whose Borel sets are all its subsets: the
+    finite-mass valuation with the same point weights, read on every
+    subset.  On the opens it is that valuation, and it equals it.
 
     `quotient_map` is set when the measure was produced from a valuation
     on a non-T0 space: the weights then live on the Kolmogorov quotient.
+    It marks the measure's origin and takes no part in equality.
     """
 
-    space: FiniteSpace
-    point_weights: tuple[ExtRat, ...]
     quotient_map: ContinuousMap | None = None
-    valuation: Valuation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not check_separation(self.space).is_T0:
+        if not self.space.is_T0:
             raise PreconditionFailed("a measure needs a T0 space, where every subset is Borel")
-        nu = Valuation(self.space, self.point_weights)
-        if nu.mass.is_infinite:
+        super().__post_init__()
+        if INF in self.weights:
             raise InfiniteMass("point weights must be finite")
-        object.__setattr__(self, "point_weights", nu.weights)
-        object.__setattr__(self, "valuation", nu)
+
+    @property
+    def point_weights(self) -> tuple[ExtRat, ...]:
+        return self.weights
 
     def measure_of(self, subset: int) -> ExtRat:
         """The measure of any subset: the pairing of the weights with its indicator."""
         if subset & ~self.space.full:
             raise ShapeMismatch("subset has bits outside the point set")
-        return wt.value(self.point_weights, subset)
-
-    @property
-    def total(self) -> ExtRat:
-        return self.valuation.mass
-
-    def restriction(self) -> Valuation:
-        """The measure restricted to the opens: the valuation it views."""
-        return self.valuation
+        return wt.value(self.weights, subset)
 
 
-def _view(nu: Valuation, quotient_map: ContinuousMap | None = None) -> FiniteMeasure:
-    """The measure that views nu, which the caller has checked: its space
-    is T0 and its mass finite.  It skips the checks of `FiniteMeasure(...)`
-    and holds nu itself."""
-    measure = object.__new__(FiniteMeasure)
-    measure.__dict__.update(
-        space=nu.space, point_weights=nu.weights, quotient_map=quotient_map, valuation=nu
-    )
-    return measure
-
-
-def extend_to_measure(nu: Valuation) -> FiniteMeasure:
+def extend_to_measure(nu: va.Valuation) -> FiniteMeasure:
     """Extend a finite-mass valuation to a measure: on a T0 space the
     measure of a point is its weight."""
     if nu.mass.is_infinite:
         raise InfiniteMass("only finite-mass valuations extend to measures")
-    if not check_separation(nu.space).is_T0:
-        quotient, qmap = kolmogorov_quotient(nu.space)
-        return _view(pushforward(qmap, nu), qmap)
-    return _view(nu)
+    if nu.space.is_T0:
+        return FiniteMeasure(nu.space, nu.weights)
+    quotient, qmap = kolmogorov_quotient(nu.space)
+    return FiniteMeasure(quotient, va.pushforward(qmap, nu).weights, qmap)
 
 
-def integrate_measure(m: FiniteMeasure, g: LowerSemiFn) -> ExtRat:
-    """Integral against the measure: the integral against its restriction."""
-    return integrate(m.valuation, g)
+def integrate_measure(m: FiniteMeasure, g: va.LowerSemiFn) -> ExtRat:
+    """Integral against the measure: the integral against the valuation it is."""
+    return va.integrate(m, g)
 
 
-def mult_E_measure(xi: SimpleSecondOrder) -> ProbValuation:
+def mult_E_measure(xi: va.SimpleSecondOrder) -> ProbValuation:
     """Multiplication of P on molecular input: a convex mixture of
     probability valuations, computed by the valuation-level multiplication.
 
@@ -122,17 +94,19 @@ def mult_E_measure(xi: SimpleSecondOrder) -> ProbValuation:
     Borel set.
     """
     for _, nu in xi.atoms:
-        ProbValuation(nu)  # raises unless the atom is normalized
+        _require_mass_one(nu)
     total = sum((c for c, _ in xi.atoms), ZERO)
     if total != ONE:
         raise NotNormalized(f"atom weights sum to {total}, not 1")
-    return ProbValuation(mult_E(xi))
+    mixture = va.mult_E(xi)
+    return ProbValuation(mixture.space, mixture.weights)
 
 
 def product_measure(
-    p: ProbValuation, q: ProbValuation, prod: Product | None = None
+    p: va.Valuation, q: va.Valuation, prod: Product | None = None
 ) -> ProbValuation:
     """Product of probability valuations; its marginals are the factors."""
-    if prod is None:
-        prod = product(p.space, q.space)
-    return ProbValuation(product_valuation(p.underlying, q.underlying, prod))
+    _require_mass_one(p)
+    _require_mass_one(q)
+    pq = va.product_valuation(p, q, prod)
+    return ProbValuation(pq.space, pq.weights)

@@ -205,6 +205,11 @@ class FiniteSpace:
         return tuple(by_nbhd[up] for up in self.min_nbhd)
 
     @cached
+    def is_T0(self) -> bool:
+        """Distinct points have distinct smallest neighbourhoods."""
+        return len(set(self.min_nbhd)) == self.n
+
+    @cached
     def least(self) -> tuple[int, ...]:
         """Per point x, the least point of its specialization class [x]."""
         return tuple((c & -c).bit_length() - 1 for c in self.classes)
@@ -565,7 +570,7 @@ def check_separation(space: FiniteSpace) -> SeparationReport:
     generic point is unique is T0, reported separately.
     """
     return SeparationReport(
-        is_T0=len(set(space.min_nbhd)) == space.n,
+        is_T0=space.is_T0,
         is_T1=all(up == 1 << x for x, up in enumerate(space.min_nbhd)),
         is_sober=True,
     )

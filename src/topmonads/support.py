@@ -5,8 +5,8 @@ A valuation is a [0, oo]-weight per point (`weighted`) and a closed set
 the mask of its points (`hyperspace`); the support is the change of
 scalars along the semiring homomorphism sgn, each weight sent to its sign,
 then the closure, taken once: the closed set hitting exactly the opens of
-positive mass.  The support of a measure is the support of its
-restriction.  A table a : HA -> A induces e = a after support on the
+positive mass.  A measure is a valuation, so its support is the same
+map.  A table a : HA -> A induces e = a after support on the
 valuations of A (`algebra_evaluate`).
 
 The laws about both live in `lawcheck`: the squares that make taking
@@ -46,9 +46,9 @@ def support_test_lsc(nu: Valuation, g: LowerSemiFn) -> bool:
 
 
 def support_of_measure(m: FiniteMeasure) -> ClosedSet:
-    """The least closed set of full measure: the support of the measure's
-    restriction, the closure of the points of positive weight."""
-    return support(m.restriction())
+    """The least closed set of full measure: the support of the valuation
+    the measure is, the closure of the points of positive weight."""
+    return support(m)
 
 
 # --- the induced valuation algebra map ----------------------------------------

@@ -391,8 +391,8 @@ def test_criterion_07_probability():
             pm = pb.product_measure(p, q, prod)
             ok = (
                 ok
-                and va.pushforward(prod.proj1, pm.underlying) == p.underlying
-                and va.pushforward(prod.proj2, pm.underlying) == q.underlying
+                and va.pushforward(prod.proj1, pm) == p
+                and va.pushforward(prod.proj2, pm) == q
             )
             pairs += 1
         return ok, (
@@ -455,8 +455,8 @@ def test_criterion_08_support_morphism():
             nu = rand_valuation(rng, cfg, space)
             m = pb.extend_to_measure(nu)
             supp = su.support_of_measure(m)
-            ok = ok and m.measure_of(supp.members) == m.total
-            ok = ok and supp == su.support(m.restriction())
+            ok = ok and m.measure_of(supp.members) == m.mass
+            ok = ok and supp == su.support(m)
             ok = ok and supp.members == lc.least_closed_of_full_measure(m)
             full += 1
         return ok, (

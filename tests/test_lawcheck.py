@@ -847,3 +847,11 @@ def test_algebra_transfer_checks_every_instance_under_a_mutant(mutation):
     assert report.instances == clean.instances
     assert report.failures
     assert not any(f.message.startswith("suite aborted") for f in report.failures)
+
+
+def test_p_sees_a_mutation_patched_into_v():
+    # P's multiplication is V's, looked up when it runs, so a mixture that
+    # ignores its weights leaves P: the result's mass is not 1
+    cfg = lc.GenConfig(seed=42, max_points=3)
+    [report] = lc.run_with_mutation("mult-E-ignores-weights", cfg, suites=("p-submonad",))
+    assert any("NotNormalized" in f.message for f in report.failures)

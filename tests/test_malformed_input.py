@@ -10,9 +10,10 @@ endless loop, and no result.  A hit table must be one bool per open, and a
 measure needs a T0 space, where every subset is Borel.  A weight or value
 must be an element of [0, oo]: a negative number, a string outside the
 rational grammar, or None raises a MalformedValue.  So does a law-run
-setting out of range: GenConfig's max_points below 0, its instance_count or
-weight_denominator_bound below 1 or not an int, or an allow_infinity that
-is not a bool.  The opens form of a space document names the
+setting out of range: GenConfig's seed not an int, its max_points below 0,
+its instance_count or weight_denominator_bound below 1 or not an int, or an
+allow_infinity that is not a bool.  P's operations take valuations of mass
+one and raise NotNormalized on any other.  The opens form of a space document names the
 malformed part in a fixed message: an opens value or an open that is not a
 list, and a name that is not a point, unhashable ones included.
 
@@ -33,7 +34,7 @@ from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
 from topmonads.cli import MalformedDocument
-from topmonads.errors import ShapeMismatch, TopmonadsError
+from topmonads.errors import NotNormalized, ShapeMismatch, TopmonadsError
 from topmonads.extrat import ONE, ZERO, ext
 
 S = sp.sierpinski()
@@ -54,7 +55,7 @@ xi = va.SimpleSecondOrder(S, ((ONE, nu),))
 xi_d = va.SimpleSecondOrder(D, ((ONE, nu_d),))
 k = va.delta_kernel(S)
 m = pb.extend_to_measure(nu)
-p = pb.ProbValuation(nu)
+p = pb.ProbValuation(S, nu.weights)
 joins = hy.join_algebra_map(S)
 
 
@@ -190,7 +191,8 @@ CALLS = {
     "FiniteMeasure.measure_of out": lambda: m.measure_of(1 << OUT),
     "FiniteMeasure.measure_of negative": lambda: m.measure_of(NEG),
     "integrate_measure object": lambda: pb.integrate_measure(m, g_d),
-    "product_measure object": lambda: pb.product_measure(p, pb.ProbValuation(nu_d), P),
+    "product_measure object": lambda: pb.product_measure(p, pb.ProbValuation(D, nu_d.weights), P),
+    "product_measure mass 2": lambda: pb.product_measure(va.valuation_from_weights(S, (ONE, ONE)), p, P),
     # support
     "support_test_lsc object": lambda: su.support_test_lsc(nu, g_d),
     "algebra_evaluate object": lambda: su.algebra_evaluate(S, joins, nu_d),
@@ -218,6 +220,9 @@ CALLS = {
     "a_topology_membership negative": lambda: lc.p_subbasis_restricts(p, NEG, 0),
     "induced_V_algebra out": lambda: lc.transfer_laws(S, (0, OUT, 1), ()),
     "induced_V_algebra object": lambda: lc.transfer_laws(S, joins, [xi_d]),
+    "GenConfig seed string": lambda: lc.GenConfig(seed="42"),
+    "GenConfig seed float": lambda: lc.GenConfig(seed=2.5),
+    "GenConfig seed bool": lambda: lc.GenConfig(seed=True),
     "GenConfig max_points negative": lambda: lc.GenConfig(max_points=NEG),
     "GenConfig max_points float": lambda: lc.GenConfig(max_points=2.5),
     "GenConfig instance_count zero": lambda: lc.GenConfig(instance_count=0),
@@ -246,6 +251,11 @@ def test_malformed_input_raises_a_library_error(call):
 def test_closed_of_mask_rejects_bits_outside_the_points(call):
     with pytest.raises(ShapeMismatch):
         CALLS[call]()
+
+
+def test_product_measure_of_mass_two_is_not_normalized():
+    with pytest.raises(NotNormalized):
+        CALLS["product_measure mass 2"]()
 
 
 PARSE_SPACE_MESSAGES = {

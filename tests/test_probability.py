@@ -17,11 +17,29 @@ from topmonads.lawcheck import GenConfig, p_subbasis_restricts, rand_prob, rand_
 
 def test_prob_valuation_normalization():
     s = sp.sierpinski()
-    pb.ProbValuation(va.valuation_from_weights(s, (ext("1/2"), ext("1/2"))))
+    pb.ProbValuation(s, (ext("1/2"), ext("1/2")))
     with pytest.raises(NotNormalized):
-        pb.ProbValuation(va.valuation_from_weights(s, (ONE, ONE)))
+        pb.ProbValuation(s, (ONE, ONE))
     with pytest.raises(NotNormalized):
-        pb.ProbValuation(va.zero_valuation(s))
+        pb.ProbValuation(s, (ZERO, ZERO))
+    with pytest.raises(NotNormalized):
+        pb.ProbValuation(s, (INF, ZERO))
+
+
+def test_p_and_measures_are_the_valuations_with_their_weights():
+    """The inclusion P -> V is the identity: a probability valuation and a
+    measure each equal, and hash like, the valuation with their weights."""
+    s = sp.sierpinski()
+    nu = va.valuation_from_weights(s, (ext("2/3"), ext("1/3")))
+    for element in (
+        pb.ProbValuation(s, (ext("2/3"), ext("1/3"))),
+        pb.FiniteMeasure(s, (ext("2/3"), ext("1/3"))),
+        pb.extend_to_measure(nu),
+    ):
+        assert isinstance(element, va.Valuation)
+        assert element == nu and nu == element
+        assert hash(element) == hash(nu)
+    assert pb.ProbValuation(s, nu.weights) == pb.FiniteMeasure(s, nu.weights)
 
 
 def test_extend_sierpinski_example():
@@ -59,25 +77,25 @@ def test_extend_non_t0_routes_through_quotient():
     m = pb.extend_to_measure(nu)
     assert m.quotient_map is not None
     assert m.space.n == 1
-    assert m.total == ONE
+    assert m.mass == ONE
 
 
 def test_extend_is_the_checked_measure_and_views_nu():
     """The extension equals the measure built through the checking
-    constructor, and on a T0 space it holds nu itself."""
+    constructor, and on a T0 space it equals nu itself."""
     rng = random.Random(12)
     cfg = GenConfig(seed=12, allow_infinity=False)
     for space in (sp.sierpinski(), sp.w_lattice(), sp.indiscrete(2), sp.chain(3)):
         nu = rand_valuation(rng, cfg, space)
         m = pb.extend_to_measure(nu)
         if m.quotient_map is None:
-            assert m.valuation is nu
+            assert m == nu and m.weights == nu.weights
             assert m == pb.FiniteMeasure(space, nu.weights)
         else:
             pushed = va.pushforward(m.quotient_map, nu)
             assert m == pb.FiniteMeasure(m.space, pushed.weights, m.quotient_map)
-            assert m.valuation == pushed
-        assert m.total == nu.mass
+            assert m == pushed
+        assert m.mass == nu.mass
 
 
 def test_integrate_measure_matches_valuation():
@@ -96,7 +114,7 @@ def test_mult_E_measure():
     p2 = va.valuation_from_weights(s, (ZERO, ONE))
     xi = va.SimpleSecondOrder(s, ((ext("1/2"), p1), (ext("1/2"), p2)))
     result = pb.mult_E_measure(xi)
-    assert result.underlying == va.valuation_from_weights(
+    assert result == va.valuation_from_weights(
         s, (ext("1/2"), ext("1/2"))
     )
     bad = va.SimpleSecondOrder(s, ((ext("1/3"), p1),))
@@ -118,14 +136,14 @@ def test_mult_E_measure_randomized_agreement():
                 atoms.append(
                     (
                         ExtRat(Fraction(c, total)),
-                        rand_prob(rng, cfg, space).underlying,
+                        rand_prob(rng, cfg, space),
                     )
                 )
             xi = va.SimpleSecondOrder(space, tuple(atoms))
             result = pb.mult_E_measure(xi)
-            assert result.underlying.mass == ONE
+            assert result.mass == ONE
             # the measure route: mix the extended atom measures per subset
-            measure = pb.extend_to_measure(result.underlying)
+            measure = pb.extend_to_measure(result)
             extended = [(c, pb.extend_to_measure(nu)) for c, nu in atoms]
             for subset in range(1 << space.n):
                 mixture = ZERO
@@ -136,16 +154,16 @@ def test_mult_E_measure_randomized_agreement():
 
 def test_product_measure_marginals():
     s = sp.sierpinski()
-    p = pb.ProbValuation(va.valuation_from_weights(s, (ext("1/4"), ext("3/4"))))
-    q = pb.ProbValuation(va.valuation_from_weights(s, (ext("2/5"), ext("3/5"))))
+    p = pb.ProbValuation(s, (ext("1/4"), ext("3/4")))
+    q = pb.ProbValuation(s, (ext("2/5"), ext("3/5")))
     prod = sp.product(s, s)
     pm = pb.product_measure(p, q, prod)
-    assert va.pushforward(prod.proj1, pm.underlying) == p.underlying
-    assert va.pushforward(prod.proj2, pm.underlying) == q.underlying
+    assert va.pushforward(prod.proj1, pm) == p
+    assert va.pushforward(prod.proj2, pm) == q
     # the extension's weights are pointwise products
-    weights = pb.extend_to_measure(pm.underlying).point_weights
-    wp = pb.extend_to_measure(p.underlying).point_weights
-    wq = pb.extend_to_measure(q.underlying).point_weights
+    weights = pb.extend_to_measure(pm).point_weights
+    wp = pb.extend_to_measure(p).point_weights
+    wq = pb.extend_to_measure(q).point_weights
     assert weights == tuple(a * b for a in wp for b in wq)
 
 
@@ -154,12 +172,12 @@ def test_a_topology_membership():
     # agree with the mass of the measure, on the Kolmogorov quotient when
     # the space is not T0
     s = sp.sierpinski()
-    p = pb.ProbValuation(va.valuation_from_weights(s, (ext("1/2"), ext("1/2"))))
+    p = pb.ProbValuation(s, (ext("1/2"), ext("1/2")))
     one = s.mask_of(["1"])
-    assert va.theta_membership(p.underlying, one, ext("1/4"))
-    assert not va.theta_membership(p.underlying, one, ext("3/4"))
+    assert va.theta_membership(p, one, ext("1/4"))
+    assert not va.theta_membership(p, one, ext("3/4"))
     i = sp.indiscrete(2)
-    q = pb.ProbValuation(va.valuation_from_weights(i, (ext("1/3"), ext("2/3"))))
+    q = pb.ProbValuation(i, (ext("1/3"), ext("2/3")))
     for space, prob in ((s, p), (i, q)):
         for u in space.opens:
             for r in (ZERO, ext("1/4"), ext("1/2"), ext("3/4"), ONE):
@@ -169,9 +187,9 @@ def test_a_topology_membership():
 def test_finite_measure_basics():
     s = sp.sierpinski()
     m = pb.FiniteMeasure(s, (ext("1/3"), ext("2/3")))
-    assert m.total == ONE
+    assert m.mass == ONE
     assert m.measure_of(1) == ext("1/3")
-    assert m.restriction().value(s.mask_of(["1"])) == ext("2/3")
-    assert m.restriction() is m.valuation  # a view: no copy of the weights
+    assert m.value(s.mask_of(["1"])) == ext("2/3")  # on the opens, the valuation
+    assert m.point_weights is m.weights  # one copy of the weights
     with pytest.raises(InfiniteMass):
         pb.FiniteMeasure(s, (INF, ZERO))

@@ -72,11 +72,11 @@ def test_support_of_measure_full_measure():
     nu = va.valuation_from_weights(s, (ext("1/2"), ext("1/2")))
     m = pb.extend_to_measure(nu)
     supp = su.support_of_measure(m)
-    assert m.measure_of(supp.members) == m.total
+    assert m.measure_of(supp.members) == m.mass
     # dropping any support point loses mass
     for x in range(s.n):
         if supp.members >> x & 1:
-            assert m.measure_of(supp.members & ~(1 << x)) < m.total
+            assert m.measure_of(supp.members & ~(1 << x)) < m.mass
 
 
 def test_product_of_discrete_fours_without_its_opens():
