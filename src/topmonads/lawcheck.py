@@ -20,10 +20,12 @@ runs several suites on one configuration (run_all):
     mutation in or out drops it, so nothing built under a mutant reaches a
     clean run, or the reverse.
 
-Each mutation is caught before its suites draw a random space: by a
-canned witness (push-closed-no-closure and closure-up-set in h-monad,
-inclusion-exclusion-all-plus in v-duality) or by a check on the canned
-corpus that every stream starts with.  So what a detection costs does not
+Each mutation is caught by a canned witness at the head of its first
+detecting suite, at its first or second check, before any space is drawn
+from the stream, corpus or random: push-closed-no-closure, closure-up-set
+and mult-union-intersection in h-monad; sigma-no-closure, sgn-not-strict
+and support-null-union in supp-unit, on Sierpinski space; the others in
+v-monad, v-duality and p-extension.  So what a detection costs does not
 depend on the seed.
 
 The library computes each operation by one route.  Second routes, such as
@@ -175,21 +177,17 @@ def _random_space(rng: random.Random, max_points: int) -> sp.FiniteSpace:
     Cycles collapse to equivalence classes, so non-T0 spaces occur too.
     """
     n = rng.randint(0, max_points)
-    rel = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < 0.3:
-                rel[i][j] = True
+                up[i] |= 1 << j
+    # Warshall on bit masks: whatever holds k reaches all that k reaches
     for k in range(n):
         for i in range(n):
-            for j in range(n):
-                if rel[i][k] and rel[k][j]:
-                    rel[i][j] = True
-    names = tuple(f"p{i}" for i in range(n))
-    up_masks = [
-        sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)
-    ]
-    return sp.FiniteSpace(names, tuple(up_masks))
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return sp.FiniteSpace(tuple(f"p{i}" for i in range(n)), tuple(up))
 
 
 def generate_space(cfg: GenConfig):
@@ -577,7 +575,9 @@ class _DetectingRun(_Run):
 
 def _spaces(cfg, limit=None, min_points=0):
     """The first limit spaces of the stream with at least min_points
-    points, drawn lazily."""
+    points, drawn lazily; none if no space of the stream has that many."""
+    if min_points > cfg.max_points:
+        return iter(())
     limit = cfg.instance_count if limit is None else limit
     fitting = (s for s in _stream(cfg) if s.n >= min_points)
     return itertools.islice(fitting, limit)
@@ -1587,6 +1587,16 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
             == s2.mask_of(["0", "1"]),
             "pushing a point closure takes the closure of the image",
         )
+
+        def union_of_every_closed_set():
+            hs2 = hy.build_hyperspace(s2)
+            return hy.mult_union(hs2, hs2.space.full).members == s2.full
+
+        # canned multiplication witness: the family of all closed sets
+        run.check(
+            union_of_every_closed_set,
+            "the union of every closed set is the whole space",
+        )
     for space in _spaces(cfg):
         hx = stream.hyperspace(space)
         few = run.opens_within("opens of a hyperspace", hx.space)
@@ -2271,17 +2281,24 @@ def _supp_unit_law(space, valuations):
     return all(supp_unit(space, x) for x in range(space.n))
 
 
+def _check_supp_unit(run: _Run, space: sp.FiniteSpace):
+    run.check_law(
+        Counterexample(space, (), _supp_unit_law, "support unit square"),
+        "support of a Dirac is the point closure",
+    )
+    run.check(
+        lambda: su.support(va.zero_valuation(space)).members == 0,
+        "support of the zero valuation is empty",
+    )
+
+
 def _suite_supp_unit(cfg: GenConfig, run: _Run):
     rng = random.Random(cfg.seed + 21)
+    # canned witness: Sierpinski space has a closed and an open point
+    if cfg.max_points >= 2:
+        _check_supp_unit(run, sp.sierpinski())
     for space in _spaces(cfg):
-        run.check_law(
-            Counterexample(space, (), _supp_unit_law, "support unit square"),
-            "support of a Dirac is the point closure",
-        )
-        run.check(
-            lambda s=space: su.support(va.zero_valuation(s)).members == 0,
-            "support of the zero valuation is empty",
-        )
+        _check_supp_unit(run, space)
         nu = rand_valuation(rng, cfg, space)
         run.check(
             lambda v=nu: supp_hits_positive_mass(v),
@@ -2652,7 +2669,9 @@ MUTATIONS = {
 }
 
 # mutation_detected runs the suites in order and stops at the first failing
-# check, so the suite that catches a mutation earliest comes first.
+# check, so the suite that catches a mutation earliest comes first: each
+# first suite catches its mutations with a canned witness at its head,
+# before it draws any space.
 DETECTING_SUITES = {
     "push-closed-no-closure": ("h-monad",),
     "sigma-no-closure": ("supp-unit", "h-monad"),

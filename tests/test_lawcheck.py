@@ -241,23 +241,90 @@ def test_mutation_patching_is_scoped():
 
 
 def test_every_detection_draws_no_random_space(monkeypatch):
-    # each mutation is caught by a canned witness or on the canned corpus,
-    # so what its detection costs does not depend on the seed's stream
-    drawn = []
-    original = lc._random_space
+    # each mutation is caught by a canned witness at the head of its first
+    # detecting suite, so its detection draws no space of the stream, not
+    # even of the canned corpus, and what it costs does not depend on the seed
+    drawn, checks, caught = [], [], []
+    original_stream, original_check = lc.generate_space, lc._Run.check
 
-    def counting(rng, max_points):
-        drawn.append(max_points)
-        return original(rng, max_points)
+    def counting_stream(cfg):
+        for space in original_stream(cfg):
+            drawn.append(space)
+            yield space
 
-    monkeypatch.setattr(lc, "_random_space", counting)
+    def counting_check(self, *args, **kwargs):
+        checks.append(self.suite)
+        return original_check(self, *args, **kwargs)
+
+    def recording_fail(self, index, message, cex):
+        caught.append(self.suite)
+        raise lc._Detected
+
+    monkeypatch.setattr(lc, "generate_space", counting_stream)
+    monkeypatch.setattr(lc._Run, "check", counting_check)
+    monkeypatch.setattr(lc._DetectingRun, "fail", recording_fail)
     for seed, max_points in itertools.product((42, 7, 10011), (3, 4)):
         cfg = lc.GenConfig(seed=seed, max_points=max_points)
         for name in lc.MUTATIONS:
-            assert lc.mutation_detected(name, cfg)
-            assert drawn == [], (name, seed, max_points)
+            checks.clear()
+            caught.clear()
+            where = (name, seed, max_points)
+            assert lc.mutation_detected(name, cfg), where
+            assert drawn == [], where
+            first = lc.DETECTING_SUITES[name][0]
+            assert caught == [first], where
+            assert 1 <= len(checks) <= 2 and set(checks) == {first}, (where, checks)
     lc.run_suite("h-monad", cfg)  # the full suite does draw
     assert drawn
+
+
+@pytest.mark.parametrize("max_points", [0, 1])
+def test_every_suite_returns_at_zero_and_one_point(monkeypatch, max_points):
+    # at 0 points the stream holds only empty spaces, so a suite that asks
+    # for spaces with a point must get none rather than search forever; the
+    # cap turns such a search into a failure instead of a hang
+    original = lc.generate_space
+
+    def capped(cfg):
+        for drawn, space in enumerate(original(cfg)):
+            if drawn == 1000:
+                raise AssertionError("searched 1000 spaces of the stream")
+            yield space
+
+    monkeypatch.setattr(lc, "generate_space", capped)
+    lc._drop_stream()
+    cfg = lc.GenConfig(seed=42, max_points=max_points, instance_count=5)
+    try:
+        for name in sorted(lc.SUITES):
+            report = lc.run_suite(name, cfg)
+            assert report.ok, (name, report.failures[:2])
+    finally:
+        lc._drop_stream()
+
+
+def _closure_space(rng, max_points):
+    """_random_space by relation matrices and the triple-loop closure."""
+    n = rng.randint(0, max_points)
+    rel = [[i == j for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.3:
+                rel[i][j] = True
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if rel[i][k] and rel[k][j]:
+            rel[i][j] = True
+    ups = tuple(sum(1 << j for j in range(n) if rel[i][j]) for i in range(n))
+    return sp.FiniteSpace(tuple(f"p{i}" for i in range(n)), ups)
+
+
+def test_random_spaces_on_masks_are_the_reachability_closures():
+    for seed, max_points in itertools.product(range(20), (0, 1, 3, 6)):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            got = lc._random_space(mine, max_points)
+            want = _closure_space(theirs, max_points)
+            assert (got.points, got.min_nbhd) == (want.points, want.min_nbhd)
+        assert mine.random() == theirs.random()  # the same draws were taken
 
 
 def _eager_spaces(cfg, limit=None, min_points=0):
