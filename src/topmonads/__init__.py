@@ -32,7 +32,7 @@ from .errors import (
     UnknownSuite,
     ZeroDenominator,
 )
-from .extrat import INF, ONE, ZERO, ExtRat, ext, monus, sgn
+from .extrat import INF, ONE, ZERO, ExtRat, ext, monus, ratio, sgn
 from .spaces import (
     ContinuousMap,
     FiniteSpace,

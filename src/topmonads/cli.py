@@ -1,10 +1,11 @@
 """Command-line front end with stable JSON document formats.
 
 Exit codes: 0 success, 1 malformed input, 2 axiom violation, 3 failed
-precondition, 4 law-suite failures, 5 unknown suite.  Rationals cross the
-boundary as strings ("p/q", "p", or "inf"), never floats; open sets are
-referenced by index into the canonical sorted open list, and documents
-embed a checksum of that list to prevent index drift.
+precondition, 4 law-suite failures or a suite that checked nothing, 5
+unknown suite.  Rationals cross the boundary as strings ("p/q", "p", or
+"inf"), never floats; open sets are referenced by index into the
+canonical sorted open list, and documents embed a checksum of that list
+to prevent index drift.
 
 A rational string is read by the grammar of `extrat`: after whitespace is
 stripped at both ends, it is `inf`, `p` or `p/q`, with p and q in ASCII
@@ -396,7 +397,10 @@ def _cmd_laws(args) -> int:
         )
     else:
         for r in reports:
-            status = "ok" if r.ok else f"{len(r.failures)} failures"
+            if r.failures:
+                status = f"{len(r.failures)} failures"
+            else:
+                status = "ok" if r.instances else "nothing checked"
             capped = "".join(f", {n} over the {b} budget" for b, n in r.capped)
             print(
                 f"{r.suite}: {r.instances} instances{capped}, {status}"
@@ -411,7 +415,9 @@ def _cmd_laws(args) -> int:
                         f"      shrunk: {cex.space.n} points,"
                         f" weights {[list(map(str, w)) for w in cex.weight_lists]}"
                     )
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_SUITE_FAILURES
+    # a suite that checked nothing is not a pass
+    passed = all(r.ok and r.instances for r in reports)
+    return EXIT_OK if passed else EXIT_SUITE_FAILURES
 
 
 def build_parser() -> argparse.ArgumentParser:

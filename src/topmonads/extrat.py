@@ -8,6 +8,7 @@ way `fractions.Fraction` does, and skip the gcd when both denominators are
 The conventions are oo + x = oo, oo * x = oo for x > 0, and oo * 0 = 0 (the
 one needed for positive linear combinations with coefficients in (0, oo]).
 Besides the partial subtraction there is the total, truncated one, `monus`.
+`ratio(p, q)` builds p/q from two ints with no `Fraction` on the way.
 
 Strings are read by one grammar, on plain ints: after whitespace is
 stripped at both ends, a string is `inf`, `p` or `p/q`, where p and q are
@@ -221,6 +222,21 @@ def _reduced(num: int, den: int) -> ExtRat:
     """The ExtRat num/den of any pair with num >= 0 and den > 0."""
     g = gcd(num, den)
     return _finite(num // g, den // g)
+
+
+def ratio(num: int, den: int) -> ExtRat:
+    """The ExtRat num/den of two ints, equal to ExtRat(Fraction(num, den))
+    and raising the same errors, but building no Fraction: InvalidValue
+    for a negative ratio and ZeroDenominator for den == 0."""
+    if type(num) is not int or type(den) is not int:
+        raise InvalidValueType(f"ratio takes two ints, not {num!r} and {den!r}")
+    if den == 0:
+        raise ZeroDenominator(f"rational {num}/{den} has denominator 0")
+    if den < 0:
+        num, den = -num, -den
+    if num < 0:
+        raise InvalidValue(f"negative value {Fraction(num, den)} not in [0, oo]")
+    return _reduced(num, den)
 
 
 INF = ExtRat(_inf=True)

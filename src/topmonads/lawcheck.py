@@ -29,16 +29,16 @@ v-monad, v-duality and p-extension.  So what a detection costs does not
 depend on the seed.
 
 The library computes each operation by one route.  Second routes, such as
-hit identities, integral forms, the layer-cake integral, the
-inclusion-exclusion product, both composites of the commutativity squares
-of H and V built from strength and multiplication, the pairwise validity
-scan of a table, the scan for the least closed set of full measure, the
-rectangle-generated product topology, the lower Vietoris topology
-generated by the Hit sets, the pairwise closure scan of an open family,
-the sobriety scan, continuity by preimages, equivalence by preimage
-lattices and the soundness check of a Portmanteau certificate, live here
-as oracles, each compared in a named law of the suite that owns the
-operation.
+hit identities, integral forms, the layer-cake integral, the product
+table by modularity over the opens, both composites of the commutativity
+squares of H and V built from strength and multiplication, the pairwise
+validity scan of a table, the scan for the least closed set of full
+measure, the rectangle-generated product topology, the lower Vietoris
+topology generated by the Hit sets, the pairwise closure scan of an open
+family, the sobriety scan, continuity by preimages, equivalence by
+preimage lattices and the soundness check of a Portmanteau certificate,
+live here as oracles, each compared in a named law of the suite that owns
+the operation.
 
 The structural laws that H and V share are written once, over a Monad
 record with the two instances H and V: the unit laws, associativity, the
@@ -98,7 +98,6 @@ from . import valuations as va
 from . import weighted as wt
 from .errors import (
     InfiniteMass,
-    InfinityIndeterminate,
     InvalidValue,
     NotAFailure,
     NotATopology,
@@ -109,7 +108,7 @@ from .errors import (
     ShapeMismatch,
     UnknownSuite,
 )
-from .extrat import ExtRat, INF, ONE, ZERO, ext, sgn
+from .extrat import ExtRat, INF, ONE, ZERO, ext, ratio, sgn
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,7 @@ def _rand_extrat(rng, cfg, allow_zero=True, allow_inf=None):
         return INF
     den = rng.randint(1, cfg.weight_denominator_bound)
     num = rng.randint(0 if allow_zero else 1, 2 * den)
-    return ExtRat(Fraction(num, den))
+    return ratio(num, den)
 
 
 def rand_valuation(rng, cfg, space) -> va.Valuation:
@@ -296,7 +295,7 @@ def rand_prob(rng, cfg, space) -> pb.ProbValuation:
     if sum(raw) == 0:
         raw[rng.randrange(space.n)] = 1
     total = sum(raw)
-    weights = tuple(ExtRat(Fraction(w, total)) for w in raw)
+    weights = tuple(ratio(w, total) for w in raw)
     return pb.ProbValuation(space, weights)
 
 
@@ -339,7 +338,7 @@ def rand_sso(rng, cfg, space, prob=False) -> va.SimpleSecondOrder:
         return va.SimpleSecondOrder(
             space,
             tuple(
-                (ExtRat(Fraction(c, total)), rand_prob(rng, cfg, space))
+                (ratio(c, total), rand_prob(rng, cfg, space))
                 for c in raw
             ),
         )
@@ -502,7 +501,7 @@ BUDGETS = {
     "assignments": 1 << 13,  # continuity_is_monotonicity: target.n ** source.n
     "tables": 1 << 15,  # count_valid_functional_tables: 2 ** (opens - 1)
     "opens of a hyperspace": 1 << 10,  # the closed families of h-monad
-    "opens of a product": 1 << 11,  # the rectangle and Fubini oracles
+    "opens of a product": 1 << 13,  # the rectangle and Fubini oracles
 }
 
 
@@ -1224,32 +1223,6 @@ def pushforward_integral_identity(f: sp.ContinuousMap, nu: va.Valuation) -> bool
     )
 
 
-def signed_sum(terms) -> ExtRat:
-    """Sum of (sign, ExtRat) terms: the terms of each sign are summed in
-    [0, oo], and the negative sum is then subtracted from the positive one.
-
-    Raises InfinityIndeterminate if both +oo and -oo terms occur, or if the
-    result would be negative or -oo.
-    """
-    positive = negative = ZERO
-    for sign, value in terms:
-        if sign > 0:
-            positive = positive + value
-        else:
-            negative = negative + value
-    if positive.is_infinite and negative.is_infinite:
-        raise InfinityIndeterminate("both +oo and -oo terms in signed sum")
-    if positive.is_infinite:
-        return INF
-    if negative.is_infinite:
-        raise InfinityIndeterminate("signed sum is -oo but must lie in [0, oo]")
-    if positive < negative:
-        raise InfinityIndeterminate(
-            f"signed sum {positive.frac - negative.frac} is negative"
-        )
-    return positive - negative
-
-
 def layer_cake_integral(nu: va.Valuation, g: va.LowerSemiFn) -> ExtRat:
     """<nu, g> from the table of nu, by layer-cake over g's values.
 
@@ -1271,74 +1244,116 @@ def layer_cake_integral(nu: va.Valuation, g: va.LowerSemiFn) -> ExtRat:
 def inclusion_exclusion_product(
     prod: sp.Product, nu: va.Valuation, rho: va.Valuation
 ) -> tuple[ExtRat, ...]:
-    """The table of the product valuation from the factors' tables alone.
+    """The table of the product valuation from the factors' tables alone,
+    by binary modularity along the opens in ascending order, where every
+    proper subset of an open comes before it.
 
-    Every open of the product is the union of the minimal-neighborhood
-    rectangles of its points; its value is fixed by the n-ary modularity
-    law, i.e. signed inclusion-exclusion over nonempty subfamilies of the
-    rectangles, each valued nu(U) * rho(V).  Subfamilies with one
-    intersection are merged: the rectangles are added one at a time to a
-    map from each distinct intersection U x V to an integer coefficient,
-    adding R puts +1 on R and -c on (U x V) & R for each held (U x V, c),
-    and the value is the sum of c * nu(U) * rho(V).  An intersection of
-    rectangles is a rectangle, so the map has at most |O(X)| * |O(Y)| keys
-    and each open costs O(k * |O(X)| * |O(Y)|) steps for k rectangles,
-    not 2^k.  A rectangle of value oo makes the union oo; otherwise every
-    term is finite.
+    An open W holds a point p with nothing of W strictly below it: a point
+    of the first layer that meets W, the layers grouping the points by the
+    size of their least neighbourhoods, largest first (a point strictly
+    below p has a larger one).  W' = W minus p's class is then open, and W
+    is the union of W' and the least neighbourhood R = U x V of p, so
+        value(W) = value(W') + nu(U) * rho(V) - value(W' & R),
+    or oo when value(W') or the rectangle's value is oo; otherwise every
+    term is finite.  This is the modularity law that inclusion-exclusion
+    applies, one rectangle at a time: an open costs a constant number of
+    lookups and ExtRat steps, after at most one step per layer to find p.
     """
-    nu_of = dict(zip(prod.left.opens, nu.table))
-    rho_of = dict(zip(prod.right.opens, rho.table))
-    table = []
-    for w in prod.space.opens:
-        rects = {
-            (prod.left.min_nbhd[i], prod.right.min_nbhd[j])
-            for i, j in map(prod.split, sp.bits(w))
-        }
-        if any((nu_of[u] * rho_of[v]).is_infinite for u, v in rects):
-            table.append(INF)
-            continue
-        coefficients: dict[tuple[int, int], int] = {}
-        for ru, rv in rects:
-            added = {(ru, rv): 1}
-            for (u, v), c in coefficients.items():
-                key = (u & ru, v & rv)
-                added[key] = added.get(key, 0) - c
-            for key, c in added.items():
-                coefficients[key] = coefficients.get(key, 0) + c
-        table.append(
-            signed_sum(
-                (c, ExtRat(abs(c)) * nu_of[u] * rho_of[v])
-                for (u, v), c in coefficients.items()
-                if c
-            )
-        )
-    return tuple(table)
+    left, right, space = prod.left, prod.right, prod.space
+    nu_of = dict(zip(left.opens, nu.table))
+    rho_of = dict(zip(right.opens, rho.table))
+    rectangle = [nu_of[u] * rho_of[v] for u in left.min_nbhd for v in right.min_nbhd]
+    by_size: dict[int, int] = {}
+    for p, up in enumerate(space.min_nbhd):
+        size = sp.popcount(up)
+        by_size[size] = by_size.get(size, 0) | 1 << p
+    layers = [by_size[size] for size in sorted(by_size, reverse=True)]
+    value = {0: ZERO}
+    for w in space.opens[1:]:  # opens[0] is the empty set
+        for layer in layers:
+            lowest = w & layer  # the points of W in the lowest layer it meets
+            if lowest:
+                break
+        p = (lowest & -lowest).bit_length() - 1
+        rest = w & ~space.classes[p]
+        if value[rest].is_infinite or rectangle[p].is_infinite:
+            value[w] = INF
+        else:
+            value[w] = value[rest] + rectangle[p] - value[rest & space.min_nbhd[p]]
+    return tuple([value[w] for w in space.opens])
+
+
+def _layer_cake(value, ids, scale) -> ExtRat:
+    """<nu, g> by layer-cake, for g(x) = scale[ids[x]] with scale
+    ascending and value = nu.value: the sum of (v_i - v_{i-1}) *
+    nu({g >= v_i}) over the distinct finite nonzero values v_1 < v_2 < ...
+    of g (v_0 = 0), plus oo * nu({g = oo}) if g takes the value oo.  Each
+    level is read through value, which checks that it is open."""
+    by_id: dict[int, int] = {}
+    for x, i in enumerate(ids):
+        by_id[i] = by_id.get(i, 0) | 1 << x
+    total = prev = ZERO
+    below = 0  # {g < v}
+    everything = (1 << len(ids)) - 1
+    for i in sorted(by_id):
+        v = scale[i]
+        if v.is_infinite:
+            return total + INF * value(by_id[i])
+        if v:
+            total = total + (v - prev) * value(everything & ~below)
+            prev = v
+        below |= by_id[i]
+    return total
+
+
+def _ranked(values) -> tuple[tuple[int, ...], list[ExtRat]]:
+    """The values as (ids, scale) for _layer_cake: scale lists the
+    distinct values ascending, and values[x] == scale[ids[x]]."""
+    scale = sorted(set(values))
+    rank = {v: i for i, v in enumerate(scale)}
+    return tuple(rank[v] for v in values), scale
 
 
 def iterated_integrals(prod: sp.Product, nu, rho, f) -> tuple[ExtRat, ExtRat]:
     """<nu, x -> <rho, f(x, -)>> and <rho, y -> <nu, f(-, y)>> for a
-    function f on the points of the product, each by layer-cake."""
-    left, right = prod.left, prod.right
-
-    def lsc(space, values):
-        return va.LowerSemiFn(space, tuple(values))
-
-    inner_x = (
-        layer_cake_integral(
-            rho, lsc(right, (f(prod.pair(x, y)) for y in range(right.n)))
-        )
-        for x in range(left.n)
-    )
-    inner_y = (
-        layer_cake_integral(
-            nu, lsc(left, (f(prod.pair(x, y)) for x in range(left.n)))
-        )
-        for y in range(right.n)
-    )
+    function f on the points of the product, each by layer-cake on the
+    tuples of values of the sections and of the inner integrals."""
+    m = prod.right.n
+    values = [f(p) for p in range(prod.space.n)]
+    inner_x = [
+        _layer_cake(rho.value, *_ranked(values[x * m:x * m + m]))
+        for x in range(prod.left.n)
+    ]
+    inner_y = [_layer_cake(nu.value, *_ranked(values[y::m])) for y in range(m)]
     return (
-        layer_cake_integral(nu, lsc(left, inner_x)),
-        layer_cake_integral(rho, lsc(right, inner_y)),
+        _layer_cake(nu.value, *_ranked(inner_x)),
+        _layer_cake(rho.value, *_ranked(inner_y)),
     )
+
+
+def _read_once(valuation: va.Valuation):
+    """valuation.value, reading each distinct level once: each is checked
+    open on its first read."""
+    values: dict[int, ExtRat] = {}
+
+    def value(level: int) -> ExtRat:
+        if level not in values:
+            values[level] = valuation.value(level)
+        return values[level]
+
+    return value
+
+
+def _section_ids(value, space: sp.FiniteSpace):
+    """Per open U of space, the id of the integral of its indicator, by
+    layer-cake, among the distinct such integrals ascending; and those
+    integrals, the scale of the ids."""
+    integrals = [
+        _layer_cake(value, tuple(u >> x & 1 for x in range(space.n)), (ZERO, ONE))
+        for u in space.opens
+    ]
+    ids, scale = _ranked(integrals)
+    return dict(zip(space.opens, ids)), scale
 
 
 def open_iterated_integrals(prod: sp.Product, nu, rho):
@@ -1347,45 +1362,37 @@ def open_iterated_integrals(prod: sp.Product, nu, rho):
 
     At x the inner integrand is the indicator of the section
     W_x = {y : (x, y) in W}, an open of the right factor, and at y that of
-    W^y = {x : (x, y) in W}, an open of the left one.  Each distinct
-    section's inner layer-cake integral, and each distinct outer integrand
-    (the tuple of section integrals on one side), is integrated once per
-    call."""
+    W^y = {x : (x, y) in W}, an open of the left one.  Each open of a
+    factor has its inner integral taken once, by layer-cake, and an id
+    among the distinct values of those integrals in ascending order, so an
+    outer integrand is the tuple of its sections' ids; each distinct one is
+    integrated once per call, by layer-cake on those ids.  The levels of
+    every integral on a side are opens of its factor, each read once."""
     left, right = prod.left, prod.right
-    row = right.full
-    inner: dict[tuple[str, int], ExtRat] = {}
-    outer: dict[tuple[str, tuple[ExtRat, ...]], ExtRat] = {}
-
-    def section_integral(side, valuation, space, mask):
-        key = (side, mask)
-        if key not in inner:
-            inner[key] = layer_cake_integral(valuation, va.indicator(space, mask))
-        return inner[key]
-
-    def outer_integral(side, valuation, space, values):
-        key = (side, values)
-        if key not in outer:
-            outer[key] = layer_cake_integral(valuation, va.LowerSemiFn(space, values))
-        return outer[key]
-
+    m, row = right.n, right.full
+    nu_value, rho_value = _read_once(nu), _read_once(rho)
+    right_ids, right_scale = _section_ids(rho_value, right)
+    left_ids, left_scale = _section_ids(nu_value, left)
+    # the section W^y is w >> y & column, the bit of (x, y) moved to the
+    # start of row x, so the left opens are keyed in that spread form
+    column = sum(1 << x * m for x in range(left.n))
+    left_ids = {sum(1 << x * m for x in sp.bits(u)): i for u, i in left_ids.items()}
+    outer_left: dict[tuple[int, ...], ExtRat] = {}
+    outer_right: dict[tuple[int, ...], ExtRat] = {}
     for w in prod.space.opens:
-        rows = [w >> x * right.n & row for x in range(left.n)]
-        columns = [
-            sum((r >> y & 1) << x for x, r in enumerate(rows))
-            for y in range(right.n)
-        ]
-        inner_x = tuple(section_integral("right", rho, right, r) for r in rows)
-        inner_y = tuple(section_integral("left", nu, left, c) for c in columns)
-        yield (
-            outer_integral("left", nu, left, inner_x),
-            outer_integral("right", rho, right, inner_y),
-        )
+        inner_x = tuple([right_ids[w >> x * m & row] for x in range(left.n)])
+        inner_y = tuple([left_ids[w >> y & column] for y in range(m)])
+        if inner_x not in outer_left:
+            outer_left[inner_x] = _layer_cake(nu_value, inner_x, right_scale)
+        if inner_y not in outer_right:
+            outer_right[inner_y] = _layer_cake(rho_value, inner_y, left_scale)
+        yield outer_left[inner_x], outer_right[inner_y]
 
 
 def fubini_square(prod: sp.Product, nu: va.Valuation, rho: va.Valuation) -> bool:
     """The product valuation equals both molecular composites and the
-    inclusion-exclusion table, and on every open W both iterated integrals
-    of the indicator of W."""
+    table by modularity from the factors' tables, and on every open W both
+    iterated integrals of the indicator of W."""
     pv = va.product_valuation(nu, rho, prod)
     return (
         commutativity(V, prod, nu, rho, pv)
@@ -2178,7 +2185,7 @@ def _suite_p_submonad(cfg: GenConfig, run: _Run):
         )
         p = rand_prob(rng, cfg, space)
         u = rng.choice(space.opens)
-        r = ext(Fraction(rng.randint(0, 4), 5))
+        r = ratio(rng.randint(0, 4), 5)
         run.check(
             lambda q=p, w=u, rr=r: p_subbasis_restricts(q, w, rr),
             "probability subbasic opens restrict the valuation subbasis",

@@ -39,6 +39,16 @@ class ProbValuation(va.Valuation):
         _require_mass_one(self)
 
 
+def _as_prob(nu: va.Valuation) -> ProbValuation:
+    """nu as a ProbValuation, once its mass is checked: its fields, and
+    what it has cached, are taken over as they are, so its weights are not
+    converted and pushed to least points a second time."""
+    _require_mass_one(nu)
+    prob = object.__new__(ProbValuation)
+    prob.__dict__.update(nu.__dict__)
+    return prob
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMeasure(va.Valuation):
     """A measure on a T0 space, whose Borel sets are all its subsets: the
@@ -98,8 +108,7 @@ def mult_E_measure(xi: va.SimpleSecondOrder) -> ProbValuation:
     total = sum((c for c, _ in xi.atoms), ZERO)
     if total != ONE:
         raise NotNormalized(f"atom weights sum to {total}, not 1")
-    mixture = va.mult_E(xi)
-    return ProbValuation(mixture.space, mixture.weights)
+    return _as_prob(va.mult_E(xi))
 
 
 def product_measure(
@@ -108,5 +117,4 @@ def product_measure(
     """Product of probability valuations; its marginals are the factors."""
     _require_mass_one(p)
     _require_mass_one(q)
-    pq = va.product_valuation(p, q, prod)
-    return ProbValuation(pq.space, pq.weights)
+    return _as_prob(va.product_valuation(p, q, prod))

@@ -243,6 +243,23 @@ def test_laws_count_below_one_exits_1(capsys):
         }
 
 
+def test_laws_suite_that_checks_nothing_exits_4(capsys):
+    # at 0 points five suites find no space they can use: each says so,
+    # and the run is not a pass
+    code, out, _ = run_cli(capsys, "laws", "all", "--max-points", "0", "--count", "5")
+    assert code == 4
+    empty = [line.split(":")[0] for line in out.splitlines() if "nothing checked" in line]
+    assert empty == ["algebra-transfer", "p-product", "p-submonad", "v-portmanteau", "v-strength"]
+    assert all(
+        line.endswith(")") and ", ok (" in line
+        for line in out.splitlines()
+        if line.split(":")[0] not in empty
+    )
+    code, out, _ = run_cli(capsys, "laws", "p-product", "--max-points", "0", "--json")
+    assert code == 4
+    assert json.loads(out)[0]["instances"] == 0
+
+
 def test_laws_suite_json_report(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from topmonads import INF, ONE, ZERO, ExtRat, ext, monus, sgn
-from topmonads.lawcheck import signed_sum
+from topmonads import INF, ONE, ZERO, ExtRat, ext, monus, ratio, sgn
 from topmonads.errors import (
     InfinityIndeterminate,
     InvalidValue,
@@ -178,13 +177,33 @@ def test_sgn():
     assert sgn(INF) is True
 
 
-def test_signed_sum():
-    assert signed_sum([(1, ONE), (-1, ext("1/2")), (1, ext("1/4"))]) == ext("3/4")
-    assert signed_sum([]) == ZERO
-    with pytest.raises(InfinityIndeterminate):
-        signed_sum([(1, INF), (-1, INF)])
-    with pytest.raises(InfinityIndeterminate):
-        signed_sum([(1, ONE), (-1, ExtRat(2))])
+def test_ratio_is_the_fraction_route():
+    rng = random.Random(5)
+    pairs = [(0, 1), (0, 7), (6, 4), (7, 1), (-3, -6), (10**12, 10**12 - 1)]
+    pairs += [(rng.randint(0, 40), rng.randint(1, 40)) for _ in range(200)]
+    for p, q in pairs:
+        value = ratio(p, q)
+        assert value == ExtRat(Fraction(p, q))
+        assert (value.frac.numerator, value.frac.denominator) == (
+            Fraction(p, q).numerator, Fraction(p, q).denominator
+        )
+
+
+def test_ratio_raises_the_errors_of_the_fraction_route():
+    for p, q in ((-1, 2), (1, -2), (-4, 6)):
+        with pytest.raises(InvalidValue) as got:
+            ratio(p, q)
+        with pytest.raises(InvalidValue) as want:
+            ExtRat(Fraction(p, q))
+        assert str(got.value) == str(want.value)
+    for p in (0, 1, -1):
+        with pytest.raises(ZeroDenominator):
+            ratio(p, 0)
+        with pytest.raises(ZeroDivisionError):
+            ExtRat(Fraction(p, 0))
+    for p, q in ((Fraction(1, 2), 1), (1, 2.0), (True, 2)):
+        with pytest.raises(InvalidValueType):
+            ratio(p, q)
 
 
 def test_hash_consistency():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +11,8 @@ from topmonads import lawcheck as lc
 from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
-from topmonads.errors import NotAFailure, NotModular, UnknownSuite
-from topmonads.extrat import INF, ONE, ZERO, ext
+from topmonads.errors import InfinityIndeterminate, NotAFailure, NotModular, UnknownSuite
+from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
 
 
 def signature(space):
@@ -533,6 +534,69 @@ def test_rand_valuation_has_weights_and_bounded_denominators():
         va.validate_valuation(w, nu.table)
 
 
+def _rand_extrat_by_fraction(rng, cfg, allow_zero=True, allow_inf=None):
+    """A weight drawn as the generators drew it through Fraction."""
+    if allow_inf is None:
+        allow_inf = cfg.allow_infinity
+    if allow_inf and rng.random() < 0.1:
+        return INF
+    den = rng.randint(1, cfg.weight_denominator_bound)
+    num = rng.randint(0 if allow_zero else 1, 2 * den)
+    return ExtRat(Fraction(num, den))
+
+
+def _prob_weights_by_fraction(rng, cfg, n):
+    raw = [rng.randint(0, cfg.weight_denominator_bound) for _ in range(n)]
+    if sum(raw) == 0:
+        raw[rng.randrange(n)] = 1
+    return tuple(ExtRat(Fraction(w, sum(raw))) for w in raw)
+
+
+def _sso_by_fraction(rng, cfg, n, prob):
+    """The (coefficient, weights) pairs of a second-order draw."""
+    k = rng.randint(1, 3)
+    if prob:
+        raw = [rng.randint(1, 4) for _ in range(k)]
+        return [
+            (ExtRat(Fraction(c, sum(raw))), _prob_weights_by_fraction(rng, cfg, n))
+            for c in raw
+        ]
+    return [
+        (
+            _rand_extrat_by_fraction(rng, cfg, allow_zero=False),
+            tuple(_rand_extrat_by_fraction(rng, cfg) for _ in range(n)),
+        )
+        for _ in range(k)
+    ]
+
+
+def test_weight_draws_are_the_fraction_draws():
+    # weights built from their int pairs: the same draws, element by
+    # element, and the same calls on the generator
+    space = sp.discrete(3)  # no point's weight moves to another
+    for seed in range(20):
+        for allow_infinity in (False, True):
+            cfg = lc.GenConfig(seed=seed, allow_infinity=allow_infinity)
+            got, want = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                for kwargs in ({}, {"allow_zero": False}, {"allow_inf": False}):
+                    value = lc._rand_extrat(got, cfg, **kwargs)
+                    assert type(value) is ExtRat
+                    assert value == _rand_extrat_by_fraction(want, cfg, **kwargs)
+                assert lc.rand_valuation(got, cfg, space).weights == tuple(
+                    _rand_extrat_by_fraction(want, cfg) for _ in range(space.n)
+                )
+                assert lc.rand_prob(got, cfg, space).weights == _prob_weights_by_fraction(
+                    want, cfg, space.n
+                )
+                for prob in (False, True):
+                    xi = lc.rand_sso(got, cfg, space, prob=prob)
+                    assert [(c, nu.weights) for c, nu in xi.atoms] == _sso_by_fraction(
+                        want, cfg, space.n, prob
+                    )
+            assert got.getstate() == want.getstate()
+
+
 def test_rand_kernel_is_continuous_by_construction():
     import random
 
@@ -545,25 +609,106 @@ def test_rand_kernel_is_continuous_by_construction():
 # --- memoised oracles against their direct routes -------------------------------
 
 
-def test_open_iterated_integrals_are_the_direct_ones():
-    # every product of a topology on at most 2 points with one on at most 3,
-    # both ways round, with weights that include oo
-    rng = random.Random(17)
-    weights = (ZERO, ext("1/2"), ONE, ext(3), INF)
-    small = [t for n in range(3) for t in lc.all_topologies(n)]
-    larger = [t for n in range(4) for t in lc.all_topologies(n)]
-    with_inf = 0
-    for a, b in [*itertools.product(small, larger), *itertools.product(larger, small)]:
-        prod = sp.product(a, b)
+def _iterated_integrals_by_lsc(prod, nu, rho, f):
+    """The iterated integrals of f with a LowerSemiFn per integrand, each
+    section's and each outer one, integrated by layer_cake_integral."""
+    left, right = prod.left, prod.right
+
+    def lsc(space, values):
+        return va.LowerSemiFn(space, tuple(values))
+
+    inner_x = [
+        lc.layer_cake_integral(rho, lsc(right, (f(prod.pair(x, y)) for y in range(right.n))))
+        for x in range(left.n)
+    ]
+    inner_y = [
+        lc.layer_cake_integral(nu, lsc(left, (f(prod.pair(x, y)) for x in range(left.n))))
+        for y in range(right.n)
+    ]
+    return (
+        lc.layer_cake_integral(nu, lsc(left, inner_x)),
+        lc.layer_cake_integral(rho, lsc(right, inner_y)),
+    )
+
+
+def _open_iterated_integrals_by_lsc(prod, nu, rho):
+    """_iterated_integrals_by_lsc of each open's indicator, in the order of
+    the opens, with each distinct section's indicator and each distinct
+    outer integrand (a tuple of section integrals) made a LowerSemiFn and
+    integrated by layer_cake_integral once."""
+    left, right = prod.left, prod.right
+    inner: dict = {}
+    outer: dict = {}
+
+    def section_integral(side, valuation, space, mask):
+        if (side, mask) not in inner:
+            inner[side, mask] = lc.layer_cake_integral(valuation, va.indicator(space, mask))
+        return inner[side, mask]
+
+    def outer_integral(side, valuation, space, values):
+        if (side, values) not in outer:
+            outer[side, values] = lc.layer_cake_integral(
+                valuation, va.LowerSemiFn(space, values)
+            )
+        return outer[side, values]
+
+    out = []
+    for w in prod.space.opens:
+        rows = [w >> x * right.n & right.full for x in range(left.n)]
+        columns = [
+            sum((r >> y & 1) << x for x, r in enumerate(rows)) for y in range(right.n)
+        ]
+        inner_x = tuple(section_integral("right", rho, right, r) for r in rows)
+        inner_y = tuple(section_integral("left", nu, left, c) for c in columns)
+        out.append(
+            (
+                outer_integral("left", nu, left, inner_x),
+                outer_integral("right", rho, right, inner_y),
+            )
+        )
+    return out
+
+
+def _topology_pairs_with_valuations(rng, allow_infinity):
+    """Every ordered pair of the 35 topologies on at most 3 points, with a
+    valuation on each factor drawn from weights with oo or without."""
+    weights = (ZERO, ext("1/3"), ONE, ext("5/2"), *((INF,) if allow_infinity else ()))
+    spaces = [t for n in range(4) for t in lc.all_topologies(n)]
+    assert len(spaces) == 35
+    for a, b in itertools.product(spaces, repeat=2):
         nu = va.valuation_from_weights(a, [rng.choice(weights) for _ in range(a.n)])
         rho = va.valuation_from_weights(b, [rng.choice(weights) for _ in range(b.n)])
-        with_inf += INF in nu.weights + rho.weights
-        direct = [
-            lc.iterated_integrals(prod, nu, rho, va.indicator(prod.space, w))
-            for w in prod.space.opens
-        ]
-        assert list(lc.open_iterated_integrals(prod, nu, rho)) == direct
-    assert with_inf > 100
+        yield sp.product(a, b), nu, rho
+
+
+def test_open_iterated_integrals_are_the_direct_ones():
+    # every ordered pair of topologies on at most 3 points, with oo and
+    # without: the iterated integrals of each open's indicator, from the
+    # tuples of values, against a LowerSemiFn per section
+    for allow_infinity in (False, True):
+        rng = random.Random(17 + allow_infinity)
+        with_inf = 0
+        for prod, nu, rho in _topology_pairs_with_valuations(rng, allow_infinity):
+            with_inf += INF in nu.weights + rho.weights
+            reference = _open_iterated_integrals_by_lsc(prod, nu, rho)
+            assert list(lc.open_iterated_integrals(prod, nu, rho)) == reference
+        assert (with_inf > 100) == allow_infinity
+
+
+@pytest.mark.parametrize("allow_infinity", [False, True])
+def test_iterated_integrals_are_the_lower_semicontinuous_forms(allow_infinity):
+    # a random lower semicontinuous function on each product of the pairs
+    rng = random.Random(19 + allow_infinity)
+    cfg = lc.GenConfig(seed=19, allow_infinity=allow_infinity)
+    with_inf = 0
+    for prod, nu, rho in _topology_pairs_with_valuations(rng, allow_infinity):
+        f = lc.rand_lsc(rng, cfg, prod.space)
+        with_inf += INF in f.values
+        got = lc.iterated_integrals(prod, nu, rho, f)
+        assert got == _iterated_integrals_by_lsc(prod, nu, rho, f)
+        whole = va.integrate(va.product_valuation(nu, rho, prod), f)
+        assert got == (whole, whole)
+    assert (with_inf > 100) == allow_infinity
 
 
 def _outcome(law):
@@ -604,6 +749,52 @@ def test_associativity_with_one_memo_per_space_gives_the_fresh_verdicts(monkeypa
     assert any(v is not True for v in verdicts)
 
 
+def signed_sum(terms) -> ExtRat:
+    """Sum of (sign, ExtRat) terms: the terms of each sign are summed in
+    [0, oo], and the negative sum is then subtracted from the positive one.
+
+    Raises InfinityIndeterminate if both +oo and -oo terms occur, or if the
+    result would be negative or -oo.
+    """
+    positive = negative = ZERO
+    for sign, value in terms:
+        if sign > 0:
+            positive = positive + value
+        else:
+            negative = negative + value
+    if positive.is_infinite and negative.is_infinite:
+        raise InfinityIndeterminate("both +oo and -oo terms in signed sum")
+    if positive.is_infinite:
+        return INF
+    if negative.is_infinite:
+        raise InfinityIndeterminate("signed sum is -oo but must lie in [0, oo]")
+    if positive < negative:
+        raise InfinityIndeterminate(
+            f"signed sum {positive.frac - negative.frac} is negative"
+        )
+    return positive - negative
+
+
+def test_signed_sum():
+    assert signed_sum([(1, ONE), (-1, ext("1/2")), (1, ext("1/4"))]) == ext("3/4")
+    assert signed_sum([]) == ZERO
+    with pytest.raises(InfinityIndeterminate):
+        signed_sum([(1, INF), (-1, INF)])
+    with pytest.raises(InfinityIndeterminate):
+        signed_sum([(1, ONE), (-1, ExtRat(2))])
+
+
+def _minimal_rectangles(prod, w):
+    """The distinct least-neighbourhood rectangles (U, V) of the points of
+    the open w, sorted."""
+    return sorted(
+        {
+            (prod.left.min_nbhd[i], prod.right.min_nbhd[j])
+            for i, j in map(prod.split, sp.bits(w))
+        }
+    )
+
+
 def _inclusion_exclusion_by_subfamilies(prod, nu, rho):
     """The 2^k form of the product oracle: one signed term nu(U) * rho(V)
     per nonempty subfamily of the k minimal-neighbourhood rectangles of an
@@ -612,12 +803,7 @@ def _inclusion_exclusion_by_subfamilies(prod, nu, rho):
     rho_of = dict(zip(prod.right.opens, rho.table))
     table = []
     for w in prod.space.opens:
-        rects = sorted(
-            {
-                (prod.left.min_nbhd[i], prod.right.min_nbhd[j])
-                for i, j in map(prod.split, sp.bits(w))
-            }
-        )
+        rects = _minimal_rectangles(prod, w)
         if any((nu_of[u] * rho_of[v]).is_infinite for u, v in rects):
             table.append(INF)
             continue
@@ -629,26 +815,54 @@ def _inclusion_exclusion_by_subfamilies(prod, nu, rho):
                 cap_v &= rects[i][1]
             sign = 1 if sp.popcount(subset) % 2 else -1
             terms.append((sign, nu_of[cap_u] * rho_of[cap_v]))
-        table.append(lc.signed_sum(terms))
+        table.append(signed_sum(terms))
+    return tuple(table)
+
+
+def _inclusion_exclusion_merged(prod, nu, rho):
+    """The merged form of the product oracle, per open: its rectangles are
+    added one at a time to a map from each distinct intersection U x V to
+    an integer coefficient (adding R puts +1 on R and -c on (U x V) & R for
+    each held (U x V, c)), and the value is the sum of c * nu(U) * rho(V)."""
+    nu_of = dict(zip(prod.left.opens, nu.table))
+    rho_of = dict(zip(prod.right.opens, rho.table))
+    table = []
+    for w in prod.space.opens:
+        rects = _minimal_rectangles(prod, w)
+        if any((nu_of[u] * rho_of[v]).is_infinite for u, v in rects):
+            table.append(INF)
+            continue
+        coefficients: dict = {}
+        for ru, rv in rects:
+            added = {(ru, rv): 1}
+            for (u, v), c in coefficients.items():
+                key = (u & ru, v & rv)
+                added[key] = added.get(key, 0) - c
+            for key, c in added.items():
+                coefficients[key] = coefficients.get(key, 0) + c
+        table.append(
+            signed_sum(
+                (c, ExtRat(abs(c)) * nu_of[u] * rho_of[v])
+                for (u, v), c in coefficients.items()
+                if c
+            )
+        )
     return tuple(table)
 
 
 @pytest.mark.parametrize("allow_infinity", [False, True])
 def test_merged_inclusion_exclusion_is_the_subfamily_form(allow_infinity):
-    # every ordered pair of the 35 topologies on at most 3 points
+    # every ordered pair of the 35 topologies on at most 3 points: the
+    # table by modularity along the opens is the merged and the 2^k form
     rng = random.Random(29 + allow_infinity)
-    weights = (ZERO, ext("1/3"), ONE, ext("5/2"), *((INF,) if allow_infinity else ()))
-    spaces = [t for n in range(4) for t in lc.all_topologies(n)]
-    assert len(spaces) == 35
     with_inf = 0
-    for a, b in itertools.product(spaces, repeat=2):
-        prod = sp.product(a, b)
-        nu = va.valuation_from_weights(a, [rng.choice(weights) for _ in range(a.n)])
-        rho = va.valuation_from_weights(b, [rng.choice(weights) for _ in range(b.n)])
-        merged = lc.inclusion_exclusion_product(prod, nu, rho)
-        with_inf += INF in merged
+    for prod, nu, rho in _topology_pairs_with_valuations(rng, allow_infinity):
+        table = lc.inclusion_exclusion_product(prod, nu, rho)
+        with_inf += INF in table
+        merged = _inclusion_exclusion_merged(prod, nu, rho)
         assert merged == _inclusion_exclusion_by_subfamilies(prod, nu, rho)
-        assert merged == va.product_valuation(nu, rho, prod).table
+        assert table == merged
+        assert table == va.product_valuation(nu, rho, prod).table
     assert (with_inf > 100) == allow_infinity
 
 
@@ -700,10 +914,7 @@ def test_open_iterated_integrals_share_repeated_section_values():
             nu = va.valuation_from_weights(a, [rng.choice((ZERO, ONE, INF)) for _ in range(a.n)])
             rho = va.valuation_from_weights(b, [rng.choice((ZERO, ONE, INF)) for _ in range(b.n)])
             with_inf += INF in nu.weights + rho.weights
-            direct = [
-                lc.iterated_integrals(prod, nu, rho, va.indicator(prod.space, w))
-                for w in prod.space.opens
-            ]
+            direct = _open_iterated_integrals_by_lsc(prod, nu, rho)
             assert len(set(direct)) < len(direct)
             assert list(lc.open_iterated_integrals(prod, nu, rho)) == direct
     assert with_inf > 50

@@ -167,6 +167,30 @@ def test_product_measure_marginals():
     assert weights == tuple(a * b for a in wp for b in wq)
 
 
+def test_product_and_mixture_measures_are_the_rebuilt_ones():
+    # the results take V's weights over as they are: the same weights as a
+    # ProbValuation rebuilt from them, on spaces where weights move to
+    # least points
+    rng = random.Random(7)
+    cfg = GenConfig(seed=7)
+    for space in (sp.sierpinski(), sp.indiscrete(2), sp.w_lattice(), sp.chain(3)):
+        p, q = rand_prob(rng, cfg, space), rand_prob(rng, cfg, space)
+        for result, v in (
+            (pb.product_measure(p, q), va.product_valuation(p, q)),
+            (
+                pb.mult_E_measure(va.SimpleSecondOrder(space, ((ext("1/3"), p), (ext("2/3"), q)))),
+                va.mult_E(va.SimpleSecondOrder(space, ((ext("1/3"), p), (ext("2/3"), q)))),
+            ),
+        ):
+            assert type(result) is pb.ProbValuation
+            rebuilt = pb.ProbValuation(v.space, v.weights)
+            assert result.weights == rebuilt.weights == v.weights
+            assert result.table == rebuilt.table and result == rebuilt
+            assert result.mass == ONE
+    with pytest.raises(NotNormalized, match="total mass is 3, not 1"):
+        pb.product_measure(va.valuation_from_weights(space, (ONE,) * 3), q)
+
+
 def test_a_topology_membership():
     # the subbasic opens of P are those of V, read on the valuation, and
     # agree with the mass of the measure, on the Kolmogorov quotient when
