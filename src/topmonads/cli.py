@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 malformed input, 2 axiom violation, 3 failed
 precondition, 4 law-suite failures or a suite that checked nothing, 5
 unknown suite.  Rationals cross the boundary as strings ("p/q", "p", or
 "inf"), never floats; open sets are referenced by index into the
-canonical sorted open list, and documents embed a checksum of that list
-to prevent index drift.
+canonical sorted open list, a table key being the index's canonical
+decimal, and documents embed a checksum of that list to prevent index
+drift.  A document file is read as UTF-8.
 
 A rational string is read by the grammar of `extrat`: after whitespace is
 stripped at both ends, it is `inf`, `p` or `p/q`, with p and q in ASCII
@@ -152,10 +153,11 @@ def parse_space(doc: dict) -> spaces.FiniteSpace:
 
 
 def _load_json(path: str) -> dict:
+    """The document in a file, read as UTF-8 (RFC 8259)."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedDocument(f"{path}: {exc}") from exc
 
 
@@ -204,15 +206,17 @@ def parse_valuation(doc: dict, base_dir: str = ".", space=None) -> Valuation:
     want = doc.get("opens_checksum")
     if want is not None and want != _opens_checksum(space):
         raise MalformedDocument("opens_checksum does not match the open list")
-    table = [ZERO] * len(space.opens)
+    count = len(space.opens)
+    table = [ZERO] * count
     for key, r in _object(doc["table"], "table").items():
-        try:
-            i = int(key)
-        except ValueError as exc:
-            raise MalformedDocument(f"table key {key!r} is not an index") from exc
-        if not 0 <= i < len(space.opens):
-            raise MalformedDocument(f"open index {i} out of range")
-        table[i] = _parse_rational(r)
+        # only the canonical decimal names an index: no sign, space,
+        # underscore, leading zero or non-ASCII digit
+        if not (key.isascii() and key.isdigit()) or key != "0" and key[0] == "0":
+            raise MalformedDocument(f"table key {key!r} is not an index")
+        # a key with more digits than count is past it, and is never read
+        if len(key) > len(str(count)) or int(key) >= count:
+            raise MalformedDocument(f"open index {key} out of range")
+        table[int(key)] = _parse_rational(r)
     return valuations.validate_valuation(space, tuple(table))
 
 
@@ -321,11 +325,10 @@ def _cmd_val(args) -> int:
             raise MalformedDocument("molecular document needs an atoms list")
         space = _resolve_space(doc.get("space"), base_dir)
         atoms = []
-        for entry in doc["atoms"]:
-            try:
-                weight, val_doc = entry
-            except (TypeError, ValueError) as exc:
-                raise MalformedDocument("atom must be a [weight, valuation] pair") from exc
+        for entry in _array(doc["atoms"], "atoms"):
+            if len(_array(entry, "atom")) != 2:
+                raise MalformedDocument("atom must be a [weight, valuation] pair")
+            weight, val_doc = entry
             # an atom without a space of its own lives on the molecule's
             own = isinstance(val_doc, dict) and "space" in val_doc
             c = _parse_rational(weight)

@@ -3,9 +3,9 @@
 A closed set is the bit-mask of its points, and every operation computes
 on masks with the kernels of `spaces`: the unit, push, multiplication,
 strength, costrength and product each form a mask (a point, an image, the
-OR of a family's members, a section's image, a rectangle) and close it
-once, in `closed_of_mask`.  A `HitFunctional` reads its closed set off its
-table, the complement of the opens valued False, and checks its table.
+OR of a family's members, a rectangle {x} x C, C x {y} or C x D) and close
+it once, in `closed_of_mask`.  A `HitFunctional` reads its closed set off
+its table, the complement of the opens valued False, and checks its table.
 
 Points of HX are the closed subsets of X (always including the empty set),
 ordered by inclusion; the lower Vietoris topology generated by the sets
@@ -255,13 +255,15 @@ def unit_closure_membership(space: FiniteSpace, c: ClosedSet) -> bool:
 def strength_H(prod: Product, x: int, c: ClosedSet) -> ClosedSet:
     """s(x, C): the push of C along y -> (x, y), the closure of {x} x C."""
     prod.right.require_here(c)
-    return closed_of_mask(prod.space, prod.at_left(x).image(c.members))
+    prod.left.require_point(x)
+    return closed_of_mask(prod.space, prod.rectangle(1 << x, c.members))
 
 
 def costrength_H(prod: Product, c: ClosedSet, y: int) -> ClosedSet:
     """t(C, y): the push of C along x -> (x, y), the closure of C x {y}."""
     prod.left.require_here(c)
-    return closed_of_mask(prod.space, prod.at_right(y).image(c.members))
+    prod.right.require_point(y)
+    return closed_of_mask(prod.space, prod.rectangle(c.members, 1 << y))
 
 
 def product_closed(prod: Product, c: ClosedSet, d: ClosedSet) -> ClosedSet:

@@ -462,6 +462,9 @@ def constant_map(source: FiniteSpace, target: FiniteSpace, y: int) -> Continuous
 
 @dataclass(frozen=True)
 class Product:
+    """The product space with its factors and projections; the pair
+    (x, y) is the point x * |Y| + y."""
+
     space: FiniteSpace
     left: FiniteSpace
     right: FiniteSpace
@@ -485,37 +488,6 @@ class Product:
             if mask & ~side.full:
                 raise ShapeMismatch(f"mask {mask} has bits outside the point set")
         return _rows(u, self.right.n) * v
-
-    @cached
-    def _left_sections(self) -> dict[int, ContinuousMap]:
-        return {}
-
-    @cached
-    def _right_sections(self) -> dict[int, ContinuousMap]:
-        return {}
-
-    def at_left(self, x: int) -> ContinuousMap:
-        """The section y -> (x, y) = x * |Y| + y of the right factor, built
-        and checked on first use, in one step per point and per order pair
-        of Y, and kept on the product."""
-        self.left.require_point(x)
-        sections = self._left_sections
-        if x not in sections:
-            m = self.right.n
-            sections[x] = ContinuousMap(self.right, self.space, tuple(range(x * m, x * m + m)))
-        return sections[x]
-
-    def at_right(self, y: int) -> ContinuousMap:
-        """The section x -> (x, y) = x * |Y| + y of the left factor, built
-        and checked on first use, in one step per point and per order pair
-        of X, and kept on the product."""
-        self.right.require_point(y)
-        sections = self._right_sections
-        if y not in sections:
-            sections[y] = ContinuousMap(
-                self.left, self.space, tuple(range(y, self.space.n, self.right.n))
-            )
-        return sections[y]
 
 
 def _rows(u: int, m: int) -> int:

@@ -337,12 +337,14 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
 def strength_V(prod: Product, x: int, nu: Valuation) -> Valuation:
     """s(x, nu): the pushforward of nu along y -> (x, y); W -> nu(W_x)."""
     prod.right.require_here(nu)
+    prod.left.require_point(x)
     return Valuation(prod.space, wt.strength(prod, x, nu.weights))
 
 
 def costrength_V(prod: Product, nu: Valuation, y: int) -> Valuation:
     """t(nu, y): the pushforward of nu along x -> (x, y)."""
     prod.left.require_here(nu)
+    prod.right.require_point(y)
     return Valuation(prod.space, wt.costrength(prod, nu.weights, y))
 
 

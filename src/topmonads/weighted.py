@@ -55,13 +55,16 @@ def mult(n: int, mixture: Iterable[tuple[object, Sequence]]) -> tuple:
 
 
 def strength(prod: Product, x: int, w: Sequence) -> tuple:
-    """s(x, w): the push along the section y -> (x, y)."""
-    return push(prod.at_left(x).assignment, prod.space.n, w)
+    """s(x, w): the push along the section y -> (x, y) = x * |Y| + y, the
+    row of x.  The point x is not checked."""
+    m = prod.right.n
+    return push(range(x * m, x * m + m), prod.space.n, w)
 
 
 def costrength(prod: Product, w: Sequence, y: int) -> tuple:
-    """t(w, y): the push along the section x -> (x, y)."""
-    return push(prod.at_right(y).assignment, prod.space.n, w)
+    """t(w, y): the push along the section x -> (x, y) = x * |Y| + y, every
+    |Y|-th point from y.  The point y is not checked."""
+    return push(range(y, prod.space.n, prod.right.n), prod.space.n, w)
 
 
 def product(w: Sequence, v: Sequence) -> tuple:

@@ -175,6 +175,54 @@ def test_val_E(capsys, tmp_path):
     assert result["weights"] == {"0": "1/2", "1": "1/2"}
 
 
+@pytest.mark.parametrize(
+    "atoms",
+    [None, 5, "ab", {"1/2": {"weights": {"0": "1"}}}, [5], ["ab"], [["1"]], [["1", {}, {}]]],
+    ids=[
+        "null", "number", "string", "object",
+        "atom-number", "atom-string", "one-entry", "three-entry",
+    ],
+)
+def test_val_E_malformed_atoms_exit_1(capsys, tmp_path, atoms):
+    doc = write_json(tmp_path, "xi.json", {"space": SIERPINSKI, "atoms": atoms})
+    code, out, err = run_cli(capsys, "val", "E", doc)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "malformed"
+
+
+def test_undecodable_document_exits_1(capsys, tmp_path):
+    # a UTF-16 byte order mark and "{}": not UTF-8, which RFC 8259 asks for
+    path = tmp_path / "bad.json"
+    path.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
+    for argv in (("space", "info", str(path)), ("val", "validate", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "malformed"
+
+
+@pytest.mark.parametrize(
+    "key", ["01", "00", "+1", " 1", "1 ", "1_0", "-1", "", "1.0", "1e0", "\u0661", "\uff11"]
+)
+def test_table_key_is_the_canonical_index(capsys, tmp_path, key):
+    # "01" would otherwise overwrite the value of "1" and fail as NotMonotone
+    table = {"0": "0", "1": "1", "2": "2", key: "5"}
+    val = write_json(tmp_path, "nu.json", {"space": SIERPINSKI, "table": table})
+    code, _, err = run_cli(capsys, "val", "validate", val)
+    assert code == 1
+    error = json.loads(err)
+    assert error["error"] == "malformed"
+    assert error["detail"] == f"table key {key!r} is not an index"
+
+
+@pytest.mark.parametrize("key", ["3", "10", "1" + "0" * 5000], ids=["3", "10", "5001-digits"])
+def test_table_key_past_the_last_open_is_out_of_range(capsys, tmp_path, key):
+    table = {"0": "0", "1": "1", "2": "2", key: "5"}
+    val = write_json(tmp_path, "nu.json", {"space": SIERPINSKI, "table": table})
+    code, _, err = run_cli(capsys, "val", "validate", val)
+    assert code == 1
+    assert json.loads(err)["detail"] == f"open index {key} out of range"
+
+
 def test_valuation_table_document_with_checksum(capsys, tmp_path):
     space = cli.parse_space(SIERPINSKI)
     checksum = cli._opens_checksum(space)

@@ -86,11 +86,11 @@ def mult(n, mixture):
 
 
 def strength(prod, x, w):
-    return push(prod.at_left(x).assignment, prod.space.n, w)
+    return push([prod.pair(x, y) for y in range(prod.right.n)], prod.space.n, w)
 
 
 def costrength(prod, w, y):
-    return push(prod.at_right(y).assignment, prod.space.n, w)
+    return push([prod.pair(x, y) for x in range(prod.left.n)], prod.space.n, w)
 
 
 def product(w, v):

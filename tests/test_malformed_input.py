@@ -96,10 +96,6 @@ CALLS = {
     "Product.rectangle out": lambda: P.rectangle(1 << OUT, 1),
     "Product.rectangle negative": lambda: P.rectangle(1, NEG),
     "Product.rectangle empty negative": lambda: P.rectangle(0, NEG),
-    "Product.at_left out": lambda: P.at_left(OUT),
-    "Product.at_left negative": lambda: P.at_left(NEG),
-    "Product.at_right out": lambda: P.at_right(OUT),
-    "Product.at_right negative": lambda: P.at_right(NEG),
     "le_2cell object": lambda: sp.le_2cell(f, f_d),
     "way_below out": lambda: sp.way_below(S, 1 << OUT, 3),
     "way_below negative": lambda: sp.way_below(S, 2, NEG),

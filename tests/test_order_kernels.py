@@ -225,13 +225,3 @@ def test_products_and_rectangles_match_the_pairwise_forms():
             assert prod.rectangle(u, v) == sum(
                 1 << prod.pair(i, j) for i in sp.bits(u) for j in sp.bits(v)
             )
-
-
-def test_sections_are_built_once_per_product():
-    prod = sp.product(sp.w_lattice(), sp.sierpinski())
-    for x in range(prod.left.n):
-        assert prod.at_left(x) is prod.at_left(x)
-    for y in range(prod.right.n):
-        assert prod.at_right(y) is prod.at_right(y)
-    assert prod.at_left(1).assignment == (2, 3)
-    assert prod.at_right(1).assignment == (1, 3, 5, 7)

@@ -186,13 +186,6 @@ def test_product_is_componentwise_order():
     assert prod.split(p) == (0, 1)
     assert prod.space.leq(prod.pair(0, 0), prod.pair(1, 1))
     assert not prod.space.leq(prod.pair(1, 0), prod.pair(0, 1))
-    # the sections y -> (x, y) and x -> (x, y)
-    assert prod.at_left(1).assignment == (prod.pair(1, 0), prod.pair(1, 1))
-    assert prod.at_right(0).assignment == (prod.pair(0, 0), prod.pair(1, 0))
-    with pytest.raises(ShapeMismatch):
-        prod.at_left(2)
-    with pytest.raises(ShapeMismatch):
-        prod.at_right(-1)
     for i, j in ((0, 2), (0, -1), (2, 0), (-1, 0)):
         with pytest.raises(ShapeMismatch):
             prod.pair(i, j)
