@@ -6,7 +6,9 @@ unknown suite.  Rationals cross the boundary as strings ("p/q", "p", or
 "inf"), never floats; open sets are referenced by index into the
 canonical sorted open list, a table key being the index's canonical
 decimal, and documents embed a checksum of that list to prevent index
-drift.  A document file is read as UTF-8.
+drift.  A document file is read as UTF-8.  A document of any kind may
+give a "schema", which must be SCHEMA_VERSION.  A point name is read with
+str() wherever it appears, and a name that is no point is malformed.
 
 A rational string is read by the grammar of `extrat`: after whitespace is
 stripped at both ends, it is `inf`, `p` or `p/q`, with p and q in ASCII
@@ -84,17 +86,14 @@ def _opens_checksum(space: spaces.FiniteSpace) -> str:
     return _checksum(_open_names(space))
 
 
-def space_document(space: spaces.FiniteSpace, name: str | None = None) -> dict:
+def space_document(space: spaces.FiniteSpace) -> dict:
     opens = _open_names(space)
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "points": list(space.points),
         "opens": opens,
         "opens_checksum": _checksum(opens),
     }
-    if name is not None:
-        doc["name"] = name
-    return doc
 
 
 def _array(value, what: str) -> list:
@@ -109,11 +108,15 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _check_schema(doc: dict) -> None:
+    if doc.get("schema") not in (None, SCHEMA_VERSION):
+        raise MalformedDocument(f"unsupported schema {doc.get('schema')!r}")
+
+
 def parse_space(doc: dict) -> spaces.FiniteSpace:
     if not isinstance(doc, dict):
         raise MalformedDocument("space document must be an object")
-    if doc.get("schema") not in (None, SCHEMA_VERSION):
-        raise MalformedDocument(f"unsupported schema {doc.get('schema')!r}")
+    _check_schema(doc)
     if "points" not in doc:
         raise MalformedDocument("space document needs a points list")
     points = [str(p) for p in _array(doc["points"], "points")]
@@ -123,18 +126,21 @@ def parse_space(doc: dict) -> spaces.FiniteSpace:
         raise MalformedDocument(
             "space document needs exactly one of opens or preorder"
         )
+    bit = {p: 1 << i for i, p in enumerate(points)}
     if has_opens:
-        bit = {p: 1 << i for i, p in enumerate(points)}
         masks = []
         for u in _array(doc["opens"], "opens"):
             if not isinstance(u, list):
                 _array(u, "open")
             mask = 0
-            try:
+            try:  # a name given as a string needs no str()
                 for p in u:
                     mask |= bit[p]
-            except (KeyError, TypeError) as exc:  # TypeError: unhashable
-                raise MalformedDocument(f"open mentions unknown point {p!r}") from exc
+            except (KeyError, TypeError):  # TypeError: unhashable
+                for p in u:
+                    if str(p) not in bit:
+                        raise MalformedDocument(f"open mentions unknown point {p!r}") from None
+                    mask |= bit[str(p)]
             masks.append(mask)
         space = spaces.from_opens(points, masks)
     else:
@@ -144,7 +150,10 @@ def parse_space(doc: dict) -> spaces.FiniteSpace:
                 raise MalformedDocument(
                     f"preorder pair {pair!r} needs exactly two entries"
                 )
-            relation.append((str(pair[0]), str(pair[1])))
+            a, b = str(pair[0]), str(pair[1])
+            if a not in bit or b not in bit:
+                raise MalformedDocument(f"preorder pair {pair!r} mentions an unknown point")
+            relation.append((a, b))
         space = spaces.from_preorder(points, relation)
     want = doc.get("opens_checksum")
     if want is not None and want != _opens_checksum(space):
@@ -167,24 +176,20 @@ def _resolve_space(ref, base_dir: str) -> spaces.FiniteSpace:
     return parse_space(ref)
 
 
-def valuation_document(nu: Valuation, name: str | None = None) -> dict:
-    doc = {
+def valuation_document(nu: Valuation) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "space": space_document(nu.space),
         "weights": {
             nu.space.points[x]: str(nu.weights[x]) for x in range(nu.space.n)
         },
     }
-    if name is not None:
-        doc["name"] = name
-    return doc
 
 
 def parse_valuation(doc: dict, base_dir: str = ".", space=None) -> Valuation:
     if not isinstance(doc, dict):
         raise MalformedDocument("valuation document must be an object")
-    if doc.get("schema") not in (None, SCHEMA_VERSION):
-        raise MalformedDocument(f"unsupported schema {doc.get('schema')!r}")
+    _check_schema(doc)
     if space is None:
         if "space" not in doc:
             raise MalformedDocument("valuation document needs a space reference")
@@ -232,6 +237,7 @@ def _parse_rational(text):
 def parse_lsc(doc: dict, space=None, base_dir: str = ".") -> valuations.LowerSemiFn:
     if not isinstance(doc, dict) or "values" not in doc:
         raise MalformedDocument("function document needs a values map")
+    _check_schema(doc)
     if space is None:
         if "space" not in doc:
             raise MalformedDocument("function document needs a space reference")
@@ -248,18 +254,18 @@ def parse_lsc(doc: dict, space=None, base_dir: str = ".") -> valuations.LowerSem
 def parse_map(doc: dict, base_dir: str = ".") -> spaces.ContinuousMap:
     if not isinstance(doc, dict) or "assignment" not in doc:
         raise MalformedDocument("map document needs an assignment")
+    _check_schema(doc)
     source = _resolve_space(doc.get("source"), base_dir)
     target = _resolve_space(doc.get("target"), base_dir)
     src_index = {p: i for i, p in enumerate(source.points)}
     tgt_index = {p: i for i, p in enumerate(target.points)}
-    assignment = [0] * source.n
-    seen = set()
+    assignment = [None] * source.n
     for a, b in _object(doc["assignment"], "assignment").items():
-        if a not in src_index or not isinstance(b, str) or b not in tgt_index:
+        name = b if isinstance(b, str) else str(b)  # a JSON key is a string
+        if a not in src_index or name not in tgt_index:
             raise MalformedDocument(f"assignment names unknown point {a!r}->{b!r}")
-        assignment[src_index[a]] = tgt_index[b]
-        seen.add(a)
-    if len(seen) != source.n:
+        assignment[src_index[a]] = tgt_index[name]
+    if None in assignment:
         raise MalformedDocument("assignment must cover every source point")
     return spaces.ContinuousMap(source, target, tuple(assignment))
 
@@ -323,6 +329,7 @@ def _cmd_val(args) -> int:
         doc = _load_json(args.file)
         if not isinstance(doc, dict) or "atoms" not in doc:
             raise MalformedDocument("molecular document needs an atoms list")
+        _check_schema(doc)
         space = _resolve_space(doc.get("space"), base_dir)
         atoms = []
         for entry in _array(doc["atoms"], "atoms"):

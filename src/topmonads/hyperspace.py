@@ -5,7 +5,8 @@ on masks with the kernels of `spaces`: the unit, push, multiplication,
 strength, costrength and product each form a mask (a point, an image, the
 OR of a family's members, a rectangle {x} x C, C x {y} or C x D) and close
 it once, in `closed_of_mask`.  A `HitFunctional` reads its closed set off
-its table, the complement of the opens valued False, and checks its table.
+its table, the complement of the opens valued False, checks its table, and
+keeps the closed set as `closed`.
 
 Points of HX are the closed subsets of X (always including the empty set),
 ordered by inclusion; the lower Vietoris topology generated by the sets
@@ -197,12 +198,6 @@ class HitFunctional:
 
 def functional_of_closed(c: ClosedSet) -> HitFunctional:
     return HitFunctional(c.space, [bool(c.members & u) for u in c.space.opens])
-
-
-def closed_of_functional(phi: HitFunctional) -> ClosedSet:
-    """The closed set read off its hit table: the complement of the opens
-    it misses."""
-    return phi.closed
 
 
 # --- monad structure ------------------------------------------------------

@@ -9,9 +9,10 @@ mass of every input checked and the result rebuilt as a `ProbValuation`.
 On a finite T0 space the point closures separate points, so the Borel
 sigma-algebra is the full power set, and a finite-mass valuation extends
 to the measure with the same weights: a `FiniteMeasure` is that valuation,
-read on every subset.  Non-T0 spaces route through the Kolmogorov quotient
-(valuations cannot see more), and the result carries the quotient map as
-an explicit marker.
+read on every subset, so it integrates by `valuations.integrate` and its
+support is `support.support`.  Non-T0 spaces route through the Kolmogorov
+quotient (valuations cannot see more), and the result carries the
+quotient map as an explicit marker.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ def extend_to_measure(nu: va.Valuation) -> FiniteMeasure:
         return FiniteMeasure(nu.space, nu.weights)
     quotient, qmap = kolmogorov_quotient(nu.space)
     return FiniteMeasure(quotient, va.pushforward(qmap, nu).weights, qmap)
-
-
-def integrate_measure(m: FiniteMeasure, g: va.LowerSemiFn) -> ExtRat:
-    """Integral against the measure: the integral against the valuation it is."""
-    return va.integrate(m, g)
 
 
 def mult_E_measure(xi: va.SimpleSecondOrder) -> ProbValuation:

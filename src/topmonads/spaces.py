@@ -632,8 +632,8 @@ def empty_space() -> FiniteSpace:
     return from_opens((), [0])
 
 
-def one_point(name: str = "*") -> FiniteSpace:
-    return from_opens((name,), [0, 1])
+def one_point() -> FiniteSpace:
+    return from_opens(("*",), [0, 1])
 
 
 def sierpinski() -> FiniteSpace:

@@ -5,27 +5,26 @@ A valuation is a [0, oo]-weight per point (`weighted`) and a closed set
 the mask of its points (`hyperspace`); the support is the change of
 scalars along the semiring homomorphism sgn, each weight sent to its sign,
 then the closure, taken once: the closed set hitting exactly the opens of
-positive mass.  A measure is a valuation, so its support is the same
-map.  A table a : HA -> A induces e = a after support on the
-valuations of A (`algebra_evaluate`).
+positive mass.  A measure is a valuation, so `support` is its support too,
+its least closed set of full measure.  A table a : HA -> A induces
+e = a after support on the valuations of A (`algebra_evaluate`).
 
 The laws about both live in `lawcheck`: the squares that make taking
 supports a morphism of monads V -> H, with the sign route through the
-duality and the scan for the least closed set of full measure as oracles,
-and the transfer laws, by which e is a V-algebra and a cone when a is an
-H-algebra.  `sgn`, `support` and `valuations.integrate` are looked up when
-a function here runs, so a mutation patched into one of them is seen.
+duality, the integral sign test sgn<nu, g> and the scan for the least
+closed set of full measure as oracles, and the transfer laws, by which e
+is a V-algebra and a cone when a is an H-algebra.  `sgn` and `support` are
+looked up when a function here runs, so a mutation patched into one of
+them is seen.
 """
 
 from __future__ import annotations
 
-from . import valuations as va
 from .errors import ShapeMismatch
 from .extrat import sgn
 from .hyperspace import ClosedSet, closed_of_mask
-from .probability import FiniteMeasure
 from .spaces import FiniteSpace
-from .valuations import LowerSemiFn, Valuation
+from .valuations import Valuation
 
 
 def support(nu: Valuation) -> ClosedSet:
@@ -37,18 +36,6 @@ def support(nu: Valuation) -> ClosedSet:
         if sgn(w):
             positive |= 1 << x
     return closed_of_mask(nu.space, positive)
-
-
-def support_test_lsc(nu: Valuation, g: LowerSemiFn) -> bool:
-    """sgn<nu, g>; equals whether the support hits {g > 0}."""
-    nu.space.require_here(g)
-    return sgn(va.integrate(nu, g))
-
-
-def support_of_measure(m: FiniteMeasure) -> ClosedSet:
-    """The least closed set of full measure: the support of the valuation
-    the measure is, the closure of the points of positive weight."""
-    return support(m)
 
 
 # --- the induced valuation algebra map ----------------------------------------

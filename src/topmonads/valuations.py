@@ -10,11 +10,12 @@ so a `Valuation` is a weight tuple of the weighted core (`weighted`):
 its value on a set is the sum of its weights there, and its table, the
 check of a table, the unit, pushforward, multiplication, Kleisli
 composition, strength, product, integral and canonical form are the
-core's.  The module also provides the
-weak topology subbasis, the Portmanteau certificates that place a
-valuation in a subbasic open, and order comparisons.  The second routes
-that confirm these operations, the soundness check of a certificate among
-them, are laws in `lawcheck`.
+core's.  The module also provides the weak topology subbasis, the
+Portmanteau certificates that place a valuation in a subbasic open, and
+order comparisons.  The second routes that confirm these operations are
+laws in `lawcheck`, among them the double-dual side of the
+multiplication, xi(nu -> <nu, g>), the monotone test functions and the
+soundness check of a certificate.
 """
 
 from __future__ import annotations
@@ -185,36 +186,16 @@ class LowerSemiFn:
         return sum(1 << x for x in range(self.space.n) if self.values[x] >= r)
 
 
-def indicator(space: FiniteSpace, u: int, coefficient=ONE) -> LowerSemiFn:
+def indicator(space: FiniteSpace, u: int) -> LowerSemiFn:
     space.require_open(u)
-    c = ext(coefficient)
     return LowerSemiFn(
-        space, tuple(c if u >> x & 1 else ZERO for x in range(space.n))
+        space, tuple(ONE if u >> x & 1 else ZERO for x in range(space.n))
     )
 
 
 def compose_lsc(g: LowerSemiFn, f: ContinuousMap) -> LowerSemiFn:
     f.target.require_here(g)
     return LowerSemiFn(f.source, tuple(g.values[f(x)] for x in range(f.source.n)))
-
-
-def canonical_lsc_family(space: FiniteSpace, max_value: int | None = None):
-    """All monotone functions into {0, 1, ..., max_value} (default |X|),
-    in lexicographic order of their values."""
-    if max_value is None:
-        max_value = space.n
-    values = [ExtRat(k) for k in range(max_value + 1)]
-    prefixes = [()]
-    for x in range(space.n):  # the prefixes monotone on the points before x
-        below = [y for y in range(x) if space.leq(y, x)]
-        above = [y for y in range(x) if space.leq(x, y)]
-        prefixes = [
-            p + (v,)
-            for p in prefixes
-            for v in values
-            if all(p[y] <= v for y in below) and all(v <= p[y] for y in above)
-        ]
-    return (LowerSemiFn(space, p) for p in prefixes)
 
 
 # --- integration -----------------------------------------------------------
@@ -259,11 +240,6 @@ def mult_E(xi: SimpleSecondOrder) -> Valuation:
     """The multiplication of V on molecular input: sum of c_j * nu_j."""
     mixture = [(c, nu.weights) for c, nu in xi.atoms]
     return Valuation(xi.space, wt.mult(xi.space.n, mixture))
-
-
-def pairing_with_evaluation(xi: SimpleSecondOrder, g: LowerSemiFn) -> ExtRat:
-    """<xi, nu -> <nu, g>>, the other side of the multiplication identity."""
-    return wt.pairing([c for c, _ in xi.atoms], [integrate(nu, g) for _, nu in xi.atoms])
 
 
 @dataclass(frozen=True)

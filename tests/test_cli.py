@@ -390,6 +390,7 @@ def _map(assignment):
         ("integrate", UNIT_MASS, ("--function", {"values": ["a"]})),
         ("push", UNIT_MASS, ("--map", _map([["a", "a"]]))),
         ("push", UNIT_MASS, ("--map", _map({"a": ["a"]}))),
+        ("push", UNIT_MASS, ("--map", _map({"a": 7}))),
     ],
     ids=[
         "weights-as-array",
@@ -398,6 +399,7 @@ def _map(assignment):
         "values-as-array",
         "assignment-as-array",
         "assignment-target-as-array",
+        "assignment-target-unknown-int",
     ],
 )
 def test_val_malformed_shapes_exit_1(capsys, tmp_path, subcommand, valuation, extra):
@@ -433,3 +435,85 @@ def test_open_names_sort_each_open_by_name():
     for space in checked:
         want = [sorted(space.mask_names(u)) for u in space.opens]
         assert cli._open_names(space) == want
+
+
+INT_NAMES_OPENS = {"points": [0, 1], "opens": [[], [1], [0, 1]]}
+INT_NAMES_PREORDER = {"points": [0, 1], "preorder": [[0, 0], [1, 1], [0, 1]]}
+
+
+def test_point_names_are_read_one_way_in_every_field(capsys, tmp_path):
+    # str() reads every name, as it reads the points: both forms give
+    # Sierpinski space, and a map may name its target points by integer
+    code, out, _ = run_cli(
+        capsys, "space", "info", write_json(tmp_path, "s.json", INT_NAMES_OPENS)
+    )
+    assert (code, json.loads(out)["points"]) == (0, ["0", "1"])
+    s = sp.sierpinski()
+    assert cli.parse_space(INT_NAMES_OPENS) == s
+    assert cli.parse_space(INT_NAMES_PREORDER) == s
+    mixed = {"points": ["0", 1], "opens": [[], ["1"], [0, "1"]]}
+    assert cli.parse_space(mixed) == s
+    f = cli.parse_map(
+        {"source": INT_NAMES_OPENS, "target": SIERPINSKI, "assignment": {"0": 1, "1": 1}}
+    )
+    assert f.assignment == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"points": [0, 1], "preorder": [[0, 0], [1, 1], [0, "zz"]]},
+            "preorder pair [0, 'zz'] mentions an unknown point",
+        ),
+        (
+            {"points": [0, 1], "preorder": [[0, 0], [1, 1], [2, 1]]},
+            "preorder pair [2, 1] mentions an unknown point",
+        ),
+        ({"points": [0, 1], "opens": [[], [2], [0, 1]]}, "open mentions unknown point 2"),
+    ],
+    ids=["preorder-name", "preorder-int", "open-int"],
+)
+def test_an_unknown_name_is_malformed_in_every_field(capsys, tmp_path, doc, message):
+    with pytest.raises(cli.MalformedDocument) as info:
+        cli.parse_space(doc)
+    assert str(info.value) == message
+    code, _, err = run_cli(capsys, "space", "info", write_json(tmp_path, "s.json", doc))
+    assert code == 1
+    assert json.loads(err)["error"] == "malformed"
+
+
+@pytest.mark.parametrize("schema", [2, 99, "1"])
+def test_every_document_kind_checks_its_schema(capsys, tmp_path, schema):
+    unsupported = f"unsupported schema {schema!r}"
+    with pytest.raises(cli.MalformedDocument, match=unsupported):
+        cli.parse_space({**SIERPINSKI, "schema": schema})
+    with pytest.raises(cli.MalformedDocument, match=unsupported):
+        cli.parse_valuation({**UNIT_MASS, "schema": schema})
+    with pytest.raises(cli.MalformedDocument, match=unsupported):
+        cli.parse_lsc({"schema": schema, "values": {"a": "1"}}, cli.parse_space(ONE_POINT))
+    with pytest.raises(cli.MalformedDocument, match=unsupported):
+        cli.parse_map({**_map({"a": "a"}), "schema": schema})
+    nu = write_json(tmp_path, "nu.json", UNIT_MASS)
+    g = write_json(tmp_path, "g.json", {"schema": schema, "values": {"a": "1"}})
+    f = write_json(tmp_path, "f.json", {**_map({"a": "a"}), "schema": schema})
+    xi = write_json(tmp_path, "xi.json", {
+        "schema": schema, "space": ONE_POINT, "atoms": [["1", {"weights": {"a": "1"}}]],
+    })
+    runs = [
+        ["val", "integrate", nu, "--function", g],
+        ["val", "push", nu, "--map", f],
+        ["val", "E", xi],
+    ]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "malformed", "type": "MalformedDocument", "detail": unsupported,
+        }
+
+
+def test_function_and_map_documents_parse_at_schema_1():
+    a = cli.parse_space(ONE_POINT)
+    assert cli.parse_lsc({"schema": 1, "values": {"a": "1"}}, a).values == (1,)
+    assert cli.parse_map({**_map({"a": "a"}), "schema": 1}).assignment == (0,)

@@ -206,7 +206,7 @@ def test_hit_tables_match_the_weight_route():
         for c in space.closed_sets():
             phi = hy.functional_of_closed(hy.ClosedSet(space, c))
             assert phi.table == table(space, weights_of(space, c))
-            assert hy.closed_of_functional(phi).members == c
+            assert phi.closed.members == c
             assert mask_of(space, validate(space, phi.table)) == c
 
 
@@ -247,7 +247,7 @@ def test_every_closed_set_is_read_back_off_its_hit_table():
                 if not t:
                     missed |= u
             assert space.full & ~missed == mask
-            assert hy.closed_of_functional(phi) == c
+            assert phi.closed == c
             count += 1
     assert count == 2483
 

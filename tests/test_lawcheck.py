@@ -155,7 +155,7 @@ def _fails_when_top_two_points_share_mass(space, valuations):
 
 def test_shrink_requires_a_failure():
     s = sp.sierpinski()
-    cex = lc.Counterexample(s, (), lambda space, vals: True, "passes")
+    cex = lc.Counterexample(s, (), lambda space, vals: True)
     with pytest.raises(NotAFailure):
         lc.shrink(cex)
 

@@ -160,7 +160,7 @@ CALLS = {
     "integrate object": lambda: va.integrate(nu, g_d),
     "pushforward object": lambda: va.pushforward(f, nu_d),
     "SimpleSecondOrder object": lambda: va.SimpleSecondOrder(S, ((ONE, nu_d),)),
-    "pairing_with_evaluation object": lambda: va.pairing_with_evaluation(xi, g_d),
+    "pairing_with_evaluation object": lambda: lc.pairing_with_evaluation(xi, g_d),
     "Kernel object": lambda: va.Kernel(S, S, (nu, nu_d)),
     "Kernel.__call__ out": lambda: k(OUT),
     "Kernel.__call__ negative": lambda: k(NEG),
@@ -186,11 +186,11 @@ CALLS = {
     "FiniteMeasure negative": lambda: pb.FiniteMeasure(S, (-1, 2)),
     "FiniteMeasure.measure_of out": lambda: m.measure_of(1 << OUT),
     "FiniteMeasure.measure_of negative": lambda: m.measure_of(NEG),
-    "integrate_measure object": lambda: pb.integrate_measure(m, g_d),
+    "integrate_measure object": lambda: va.integrate(m, g_d),
     "product_measure object": lambda: pb.product_measure(p, pb.ProbValuation(D, nu_d.weights), P),
     "product_measure mass 2": lambda: pb.product_measure(va.valuation_from_weights(S, (ONE, ONE)), p, P),
     # support
-    "support_test_lsc object": lambda: su.support_test_lsc(nu, g_d),
+    "support_test_lsc object": lambda: lc.support_test_lsc(nu, g_d),
     "algebra_evaluate object": lambda: su.algebra_evaluate(S, joins, nu_d),
     "algebra_evaluate short": lambda: su.algebra_evaluate(S, joins[:1], nu),
     "algebra_evaluate out": lambda: su.algebra_evaluate(S, (*joins[:2], OUT), nu),
