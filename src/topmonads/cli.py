@@ -7,8 +7,9 @@ unknown suite.  Rationals cross the boundary as strings ("p/q", "p", or
 canonical sorted open list, a table key being the index's canonical
 decimal, and documents embed a checksum of that list to prevent index
 drift.  A document file is read as UTF-8.  A document of any kind may
-give a "schema", which must be SCHEMA_VERSION.  A point name is read with
-str() wherever it appears, and a name that is no point is malformed.
+give a "schema", which must be the integer SCHEMA_VERSION (not true or
+1.0).  A point name is read with str() wherever it appears; a name that is
+no point, or two points with one name, is malformed.
 
 A rational string is read by the grammar of `extrat`: after whitespace is
 stripped at both ends, it is `inf`, `p` or `p/q`, with p and q in ASCII
@@ -109,8 +110,9 @@ def _object(value, what: str) -> dict:
 
 
 def _check_schema(doc: dict) -> None:
-    if doc.get("schema") not in (None, SCHEMA_VERSION):
-        raise MalformedDocument(f"unsupported schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if schema is not None and (type(schema), schema) != (int, SCHEMA_VERSION):
+        raise MalformedDocument(f"unsupported schema {schema!r}")
 
 
 def parse_space(doc: dict) -> spaces.FiniteSpace:
@@ -127,6 +129,8 @@ def parse_space(doc: dict) -> spaces.FiniteSpace:
             "space document needs exactly one of opens or preorder"
         )
     bit = {p: 1 << i for i, p in enumerate(points)}
+    if len(bit) != len(points):
+        raise MalformedDocument("duplicate point names")
     if has_opens:
         masks = []
         for u in _array(doc["opens"], "opens"):

@@ -74,9 +74,9 @@ class MalformedValue(TopmonadsError):
 
 
 class InvalidValue(MalformedValue, ValueError):
-    """A negative number, a string outside the grammar 'inf', 'p', 'p/q', or
-    a law-run setting out of range: a GenConfig.seed that is not an int, a
-    max_points that is not an int >= 0, an instance_count or
+    """A negative number or difference, a string outside the grammar 'inf',
+    'p', 'p/q', or a law-run setting out of range: a GenConfig.seed that is
+    not an int, a max_points that is not an int >= 0, an instance_count or
     weight_denominator_bound that is not an int >= 1, or an allow_infinity
     that is not a bool."""
 
@@ -86,7 +86,7 @@ class InvalidValueType(MalformedValue, TypeError):
 
 
 class ZeroDenominator(MalformedValue, ZeroDivisionError):
-    """A string 'p/q' with q = 0."""
+    """A string 'p/q' with q = 0, a ratio p/0, or a division by 0 or oo."""
 
 
 class InfinityIndeterminate(TopmonadsError):

@@ -15,9 +15,10 @@ stripped at both ends, a string is `inf`, `p` or `p/q`, where p and q are
 ASCII decimal digits and q is not 0.  Signs, decimal points, exponents,
 underscores and inner whitespace are rejected.  A malformed value raises a
 `MalformedValue`, which is also the builtin error for it: `InvalidValue`
-(a `ValueError`) for a negative number or a string outside the grammar,
-`ZeroDenominator` (a `ZeroDivisionError`) for `p/0`, and
-`InvalidValueType` (a `TypeError`) for a float or a non-rational.
+(a `ValueError`) for a negative number, difference or a string outside
+the grammar, `ZeroDenominator` (a `ZeroDivisionError`) for `p/0` or a
+division by 0 or oo, and `InvalidValueType` (a `TypeError`) for a float
+or a non-rational.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ class ExtRat:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, value=0, _inf=False):
-        if _inf:
-            self._num, self._den = None, 1
-            return
+    def __init__(self, value=0):
         if type(value) is int:
             num, den = value, 1
         elif type(value) is Fraction:
@@ -131,7 +129,7 @@ class ExtRat:
         if self.is_infinite:
             return INF
         if self < other:
-            raise ValueError(f"{self} - {other} would be negative")
+            raise InvalidValue(f"{self} - {other} would be negative")
         return _reduced(
             self._num * other._den - other._num * self._den, self._den * other._den
         )
@@ -139,7 +137,7 @@ class ExtRat:
     def __truediv__(self, other):
         other = ext(other)
         if other == ZERO or other.is_infinite:
-            raise ZeroDivisionError("division by zero or infinity")
+            raise ZeroDenominator("division by zero or infinity")
         if self.is_infinite:
             return INF
         return _reduced(self._num * other._den, self._den * other._num)
@@ -211,7 +209,8 @@ class ExtRat:
 
 def _finite(num: int, den: int) -> ExtRat:
     """The ExtRat num/den of a coprime pair with num >= 0 and den > 0, such
-    as a sum or product of two; it skips the checks of `ExtRat(...)`."""
+    as a sum or product of two, or oo for the pair (None, 1); it skips the
+    checks of `ExtRat(...)`."""
     value = object.__new__(ExtRat)
     value._num = num
     value._den = den
@@ -239,7 +238,7 @@ def ratio(num: int, den: int) -> ExtRat:
     return _reduced(num, den)
 
 
-INF = ExtRat(_inf=True)
+INF = _finite(None, 1)
 ZERO = ExtRat(0)
 ONE = ExtRat(1)
 

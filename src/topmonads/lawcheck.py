@@ -256,20 +256,20 @@ def _drop_stream() -> None:
 
 
 def all_topologies(n: int) -> list[sp.FiniteSpace]:
-    """All labeled topologies on n points (as preorders); 29 for n = 3."""
+    """All labeled topologies on n points; 29 for n = 3: each point's
+    up-mask holds it and any set of the others, the first point's varying
+    fastest, and `spaces._intransitive` passes the preorders among them."""
     names = tuple("abcdef"[i] for i in range(n))
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    choices = []
+    for i in range(n):
+        others = [1 << j for j in range(n) if j != i]
+        choices.append(
+            [1 << i | sum(b for k, b in enumerate(others) if s >> k & 1) for s in range(1 << n - 1)]
+        )
     out = []
-    for selector in range(1 << len(pairs)):
-        rel = {(i, i) for i in range(n)}
-        for k in sp.bits(selector):
-            rel.add(pairs[k])
-        if all(
-            (a, d) in rel for a, b in rel for c, d in rel if b == c
-        ):
-            out.append(
-                sp.from_preorder(names, [(names[a], names[b]) for a, b in rel])
-            )
+    for ups in itertools.product(*reversed(choices)):
+        if sp._intransitive(ups[::-1]) is None:
+            out.append(sp.FiniteSpace(names, ups[::-1]))
     return out
 
 
@@ -873,7 +873,7 @@ def h_algebra(space: sp.FiniteSpace, hx: hy.Hyperspace, table) -> bool:
     a = _algebra_table(space, hx, table)
     if any(a[hx.point_of(H.unit(space, x).members)] != x for x in range(space.n)):
         return False
-    for family in hy.inclusion_downsets(hx.members):
+    for family in hx.space.closed_sets():
         image = 0
         for i in sp.bits(family):
             image |= 1 << a[i]
@@ -883,11 +883,11 @@ def h_algebra(space: sp.FiniteSpace, hx: hy.Hyperspace, table) -> bool:
     return _is_continuous(hx.space, space, a)
 
 
-def join_continuity(space: sp.FiniteSpace, hx: hy.Hyperspace) -> tuple[bool, bool]:
+def join_continuity(space: sp.FiniteSpace, hx: hy.Hyperspace, joins) -> tuple[bool, bool]:
     """Whether the binary-join map A x A -> A and the closed-join map
     HA -> A are continuous, on a space A where every closed set, and so
-    every pair, has a join; hx is HA."""
-    joins = hy.join_algebra_map(space)
+    every pair, has a join; hx is HA, and joins is the closed-join table
+    `hy.join_algebra_map(space)` on its points."""
     pair_join = [
         joins[hx.point_of(space.closure(1 << x | 1 << y))]
         for x in range(space.n)
@@ -907,7 +907,7 @@ def join_characterization(space: sp.FiniteSpace, hx: hy.Hyperspace, table) -> bo
     if joins is None or tuple(joins) != a:
         return False
     sep = sp.check_separation(space)
-    return sep.is_T0 and sep.is_sober and all(join_continuity(space, hx))
+    return sep.is_T0 and sep.is_sober and all(join_continuity(space, hx, joins))
 
 
 SCALAR_GRID = (ZERO, ext("1/2"), ONE, ExtRat(2), ext("7/3"))
@@ -1229,24 +1229,6 @@ def pairing_with_evaluation(xi: va.SimpleSecondOrder, g: va.LowerSemiFn) -> ExtR
     return wt.pairing([c for c, _ in xi.atoms], [va.integrate(nu, g) for _, nu in xi.atoms])
 
 
-def layer_cake_integral(nu: va.Valuation, g: va.LowerSemiFn) -> ExtRat:
-    """<nu, g> from the table of nu, by layer-cake over g's values.
-
-    Sorting the distinct finite values 0 = v0 < v1 < ..., the integral is
-    sum_i (v_i - v_{i-1}) * nu({g >= v_i}) + oo * nu({g = oo}); each weak
-    level {g >= v_i} equals the open strict level {g > v_{i-1}}.
-    """
-    finite_values = sorted({v for v in g.values if v.is_finite})
-    total = ZERO
-    prev = ZERO
-    for v in finite_values:
-        if not v:
-            continue
-        total = total + (v - prev) * nu.value(g.weak_level(v))
-        prev = v
-    return total + INF * nu.value(g.weak_level(INF))
-
-
 def inclusion_exclusion_product(
     prod: sp.Product, nu: va.Valuation, rho: va.Valuation
 ) -> tuple[ExtRat, ...]:
@@ -1318,6 +1300,12 @@ def _ranked(values) -> tuple[tuple[int, ...], list[ExtRat]]:
     scale = sorted(set(values))
     rank = {v: i for i, v in enumerate(scale)}
     return tuple(rank[v] for v in values), scale
+
+
+def layer_cake_integral(nu: va.Valuation, g: va.LowerSemiFn) -> ExtRat:
+    """<nu, g> from the table of nu, by layer-cake over g's values: the
+    body of the Fubini oracles, `_layer_cake`, on g's values ranked."""
+    return _layer_cake(nu.value, *_ranked(g.values))
 
 
 def iterated_integrals(prod: sp.Product, nu, rho, f) -> tuple[ExtRat, ExtRat]:
@@ -1672,7 +1660,7 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
             )
         if not few:
             continue
-        hhx = hy.inclusion_downsets(hx.members)
+        hhx = hx.space.closed_sets()
         run.check(
             lambda h=hx, d=hhx: h_union_hits(h, d),
             "the union of a closed family hits U iff a member does",
@@ -1852,8 +1840,8 @@ def _suite_h_algebra(cfg: GenConfig, run: _Run):
                 "algebra diagrams match the join-semilattice characterization",
             )
             run.check(
-                lambda s=space, h=hx: not sp.check_separation(s).is_sober
-                or operator.eq(*join_continuity(s, h)),
+                lambda s=space, h=hx, t=joins: not sp.check_separation(s).is_sober
+                or operator.eq(*join_continuity(s, h, t)),
                 "binary-join and closed-join continuity agree on sober spaces",
             )
         if space.n:

@@ -188,12 +188,8 @@ class FiniteSpace:
         return bool(self.min_nbhd[x] >> y & 1)
 
     def specialization(self) -> set[tuple[str, str]]:
-        return {
-            (self.points[x], self.points[y])
-            for x in range(self.n)
-            for y in range(self.n)
-            if self.leq(x, y)
-        }
+        points = self.points
+        return {(points[x], points[y]) for x, up in enumerate(self.min_nbhd) for y in bits(up)}
 
     @cached
     def classes(self) -> tuple[int, ...]:
@@ -552,16 +548,15 @@ def kolmogorov_quotient(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]
     """Identify specialization-equivalent points; result is T0.  The
     classes keep the order of their least points, and each is named by
     its points' names joined with "|", made distinct by `distinct_names`
-    where two such names coincide."""
+    where two such names coincide.  A class lies below the classes that
+    meet the up-mask of its points."""
     classes = list(dict.fromkeys(space.classes))
     class_of = tuple(classes.index(c) for c in space.classes)
     names = distinct_names("|".join(space.mask_names(c)) for c in classes)
-    rel = {
-        (names[class_of[x]], names[class_of[y]])
-        for x in range(space.n)
-        for y in bits(space.min_nbhd[x])
-    }
-    quotient = from_preorder(names, rel)
+    ups = [space.min_nbhd[(c & -c).bit_length() - 1] for c in classes]
+    quotient = FiniteSpace(
+        names, tuple(sum(1 << k for k, c in enumerate(classes) if c & up) for up in ups)
+    )
     return quotient, ContinuousMap(space, quotient, class_of)
 
 
@@ -569,23 +564,20 @@ def le_2cell(f: ContinuousMap, g: ContinuousMap) -> bool:
     """2-cell order: f <= g pointwise in the target's specialization."""
     if f.source != g.source or f.target != g.target:
         raise ShapeMismatch("2-cell comparison needs shared source and target")
-    return all(
-        f.target.leq(f.assignment[x], g.assignment[x]) for x in range(f.source.n)
-    )
+    up = f.target.min_nbhd
+    return all(up[fx] >> gx & 1 for fx, gx in zip(f.assignment, g.assignment))
 
 
 def is_equivalence(f: ContinuousMap) -> tuple[bool, ContinuousMap | None]:
     """2-categorical equivalence test with an explicit quasi-inverse witness.
 
     f is an equivalence exactly when it preserves and reflects the
-    specialization preorder and every target point is equivalent to some
-    f(x).
+    specialization preorder, the preimage of the up-mask of each f(x) being
+    the up-mask of x, and every target point is equivalent to some f(x).
     """
     src, tgt = f.source, f.target
-    if not all(
-        src.leq(x, y) == tgt.leq(f.assignment[x], f.assignment[y])
-        for x in range(src.n)
-        for y in range(src.n)
+    if any(
+        f.preimage(tgt.min_nbhd[fx]) != up for fx, up in zip(f.assignment, src.min_nbhd)
     ):
         return False, None
     # quasi-inverse: send y to the first x with f(x) ~ y

@@ -483,7 +483,21 @@ def test_an_unknown_name_is_malformed_in_every_field(capsys, tmp_path, doc, mess
     assert json.loads(err)["error"] == "malformed"
 
 
-@pytest.mark.parametrize("schema", [2, 99, "1"])
+@pytest.mark.parametrize("points", [[1, "1"], ["a", "a"]])
+@pytest.mark.parametrize("form", ["opens", "preorder"])
+def test_duplicate_point_names_are_malformed(capsys, tmp_path, points, form):
+    name = str(points[0])
+    doc = {"points": points, form: [[], [name]] if form == "opens" else [[name, name]]}
+    with pytest.raises(cli.MalformedDocument, match="^duplicate point names$"):
+        cli.parse_space(doc)
+    code, out, err = run_cli(capsys, "space", "validate", write_json(tmp_path, "s.json", doc))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "malformed", "type": "MalformedDocument", "detail": "duplicate point names",
+    }
+
+
+@pytest.mark.parametrize("schema", [2, 99, "1", True, 1.0])
 def test_every_document_kind_checks_its_schema(capsys, tmp_path, schema):
     unsupported = f"unsupported schema {schema!r}"
     with pytest.raises(cli.MalformedDocument, match=unsupported):

@@ -271,7 +271,7 @@ def test_h_algebra_w_lattice():
     assert h_algebra(w, hw, joins)
     assert join_characterization(w, hw, joins)
     assert sp.check_separation(w).is_sober
-    assert join_continuity(w, hw) == (True, True)
+    assert join_continuity(w, hw, joins) == (True, True)
 
 
 def test_h_algebra_discrete_pair_has_none():

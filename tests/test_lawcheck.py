@@ -609,25 +609,51 @@ def test_rand_kernel_is_continuous_by_construction():
 # --- memoised oracles against their direct routes -------------------------------
 
 
+def layer_cake_by_levels(nu, g):
+    """<nu, g> by layer-cake over g's weak levels, the loop that
+    layer_cake_integral ran before it shared the Fubini oracles' body:
+    the sum of (v_i - v_{i-1}) * nu({g >= v_i}) over the distinct finite
+    values 0 = v0 < v1 < ..., plus oo * nu({g = oo})."""
+    total = prev = ZERO
+    for v in sorted({v for v in g.values if v.is_finite}):
+        if v:
+            total = total + (v - prev) * nu.value(g.weak_level(v))
+            prev = v
+    return total + INF * nu.value(g.weak_level(INF))
+
+
+@pytest.mark.parametrize("allow_infinity", [False, True])
+def test_layer_cake_integral_is_the_level_loop(allow_infinity):
+    rng = random.Random(13 + allow_infinity)
+    cfg = lc.GenConfig(seed=13, allow_infinity=allow_infinity)
+    with_inf = 0
+    for space in [t for n in range(5) for t in lc.all_topologies(n)]:
+        for _ in range(3):
+            nu, g = lc.rand_valuation(rng, cfg, space), lc.rand_lsc(rng, cfg, space)
+            with_inf += INF in nu.weights + g.values
+            assert lc.layer_cake_integral(nu, g) == layer_cake_by_levels(nu, g)
+    assert (with_inf > 100) == allow_infinity
+
+
 def _iterated_integrals_by_lsc(prod, nu, rho, f):
     """The iterated integrals of f with a LowerSemiFn per integrand, each
-    section's and each outer one, integrated by layer_cake_integral."""
+    section's and each outer one, integrated by layer_cake_by_levels."""
     left, right = prod.left, prod.right
 
     def lsc(space, values):
         return va.LowerSemiFn(space, tuple(values))
 
     inner_x = [
-        lc.layer_cake_integral(rho, lsc(right, (f(prod.pair(x, y)) for y in range(right.n))))
+        layer_cake_by_levels(rho, lsc(right, (f(prod.pair(x, y)) for y in range(right.n))))
         for x in range(left.n)
     ]
     inner_y = [
-        lc.layer_cake_integral(nu, lsc(left, (f(prod.pair(x, y)) for x in range(left.n))))
+        layer_cake_by_levels(nu, lsc(left, (f(prod.pair(x, y)) for x in range(left.n))))
         for y in range(right.n)
     ]
     return (
-        lc.layer_cake_integral(nu, lsc(left, inner_x)),
-        lc.layer_cake_integral(rho, lsc(right, inner_y)),
+        layer_cake_by_levels(nu, lsc(left, inner_x)),
+        layer_cake_by_levels(rho, lsc(right, inner_y)),
     )
 
 
@@ -635,19 +661,19 @@ def _open_iterated_integrals_by_lsc(prod, nu, rho):
     """_iterated_integrals_by_lsc of each open's indicator, in the order of
     the opens, with each distinct section's indicator and each distinct
     outer integrand (a tuple of section integrals) made a LowerSemiFn and
-    integrated by layer_cake_integral once."""
+    integrated by layer_cake_by_levels once."""
     left, right = prod.left, prod.right
     inner: dict = {}
     outer: dict = {}
 
     def section_integral(side, valuation, space, mask):
         if (side, mask) not in inner:
-            inner[side, mask] = lc.layer_cake_integral(valuation, va.indicator(space, mask))
+            inner[side, mask] = layer_cake_by_levels(valuation, va.indicator(space, mask))
         return inner[side, mask]
 
     def outer_integral(side, valuation, space, values):
         if (side, values) not in outer:
-            outer[side, values] = lc.layer_cake_integral(
+            outer[side, values] = layer_cake_by_levels(
                 valuation, va.LowerSemiFn(space, values)
             )
         return outer[side, values]

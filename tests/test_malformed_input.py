@@ -12,7 +12,8 @@ must be an element of [0, oo]: a negative number, a string outside the
 rational grammar, or None raises a MalformedValue.  So does a law-run
 setting out of range: GenConfig's seed not an int, its max_points below 0,
 its instance_count or weight_denominator_bound below 1 or not an int, or an
-allow_infinity that is not a bool.  P's operations take valuations of mass
+allow_infinity that is not a bool.  So does a difference that would be
+negative, and a division by 0 or oo raises a ZeroDenominator.  P's operations take valuations of mass
 one and raise NotNormalized on any other.  The opens form of a space document names the
 malformed part in a fixed message: an opens value or an open that is not a
 list, and a name that is not a point, unhashable ones included.
@@ -34,8 +35,10 @@ from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
 from topmonads.cli import MalformedDocument
-from topmonads.errors import NotNormalized, ShapeMismatch, TopmonadsError
-from topmonads.extrat import ONE, ZERO, ext
+from topmonads.errors import (
+    InvalidValue, NotNormalized, ShapeMismatch, TopmonadsError, ZeroDenominator
+)
+from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
 
 S = sp.sierpinski()
 D = sp.discrete(2)  # the other space: two points, like S
@@ -229,6 +232,10 @@ CALLS = {
     "GenConfig weight_denominator_bound float": lambda: lc.GenConfig(weight_denominator_bound=2.5),
     "GenConfig weight_denominator_bound string": lambda: lc.GenConfig(weight_denominator_bound="8"),
     "GenConfig allow_infinity string": lambda: lc.GenConfig(allow_infinity="no"),
+    # extrat arithmetic
+    "ExtRat.__sub__ negative": lambda: ExtRat(1) - ExtRat(2),
+    "ExtRat.__truediv__ zero": lambda: ONE / ZERO,
+    "ExtRat.__truediv__ infinity": lambda: ONE / INF,
     # cli
     "parse_space opens not a list": lambda: cli.parse_space(space_doc("0")),
     "parse_space open not a list": lambda: cli.parse_space(space_doc([[], "1"])),
@@ -267,6 +274,14 @@ def test_parse_space_names_the_malformed_open(call):
     with pytest.raises(MalformedDocument) as info:
         CALLS[call]()
     assert str(info.value) == PARSE_SPACE_MESSAGES[call]
+
+
+def test_extrat_arithmetic_keeps_its_messages():
+    with pytest.raises(InvalidValue, match="^1 - 2 would be negative$"):
+        CALLS["ExtRat.__sub__ negative"]()
+    for call in ("ExtRat.__truediv__ zero", "ExtRat.__truediv__ infinity"):
+        with pytest.raises(ZeroDenominator, match="^division by zero or infinity$"):
+            CALLS[call]()
 
 
 def test_parse_space_reads_a_name_listed_twice_once():

@@ -8,6 +8,13 @@ run on every topology with at most 4 points and on random preorders of up
 to 8 points, with passing and failing maps, functions and kernels; masks,
 verdicts, exception types, messages and the causes of NotAKernel must
 agree.
+
+The forms that read the specialization order through `leq` or through
+name pairs and `from_preorder` are kept here too, for the functions that
+now read the up-masks: `specialization`, `le_2cell`, `is_equivalence`,
+`kolmogorov_quotient` and `all_topologies`.  They are run on every
+topology with at most 4 points, its identity map, its Kolmogorov quotient
+map and a few random continuous maps.
 """
 
 import itertools
@@ -84,6 +91,62 @@ def kernel_per_open(source, target, rows):
             error.__cause__ = NotLowerSemicontinuous("")
             return error
     return None
+
+
+def specialization_by_leq(space):
+    return {
+        (space.points[x], space.points[y])
+        for x in range(space.n)
+        for y in range(space.n)
+        if space.leq(x, y)
+    }
+
+
+def le_2cell_by_leq(f, g):
+    return all(f.target.leq(f.assignment[x], g.assignment[x]) for x in range(f.source.n))
+
+
+def is_equivalence_by_leq(f):
+    src, tgt = f.source, f.target
+    if not all(
+        src.leq(x, y) == tgt.leq(f.assignment[x], f.assignment[y])
+        for x in range(src.n)
+        for y in range(src.n)
+    ):
+        return False, None
+    found = [
+        [x for x, fx in enumerate(f.assignment) if tgt.classes[y] >> fx & 1]
+        for y in range(tgt.n)
+    ]
+    if not all(found):
+        return False, None
+    return True, sp.ContinuousMap(tgt, src, tuple(xs[0] for xs in found))
+
+
+def kolmogorov_quotient_by_preorder(space):
+    classes = list(dict.fromkeys(space.classes))
+    class_of = tuple(classes.index(c) for c in space.classes)
+    names = sp.distinct_names("|".join(space.mask_names(c)) for c in classes)
+    rel = {
+        (names[class_of[x]], names[class_of[y]])
+        for x in range(space.n)
+        for y in sp.bits(space.min_nbhd[x])
+    }
+    quotient = sp.from_preorder(names, rel)
+    return quotient, sp.ContinuousMap(space, quotient, class_of)
+
+
+def all_topologies_by_pairs(n):
+    names = tuple("abcdef"[i] for i in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for selector in range(1 << len(pairs)):
+        rel = {(i, i) for i in range(n)}
+        for k in sp.bits(selector):
+            rel.add(pairs[k])
+        if all((a, d) in rel for a, b in rel for c, d in rel if b == c):
+            out.append(sp.from_preorder(names, [(names[a], names[b]) for a, b in rel]))
+    return out
 
 
 def outcome(build):
@@ -225,3 +288,44 @@ def test_products_and_rectangles_match_the_pairwise_forms():
             assert prod.rectangle(u, v) == sum(
                 1 << prod.pair(i, j) for i in sp.bits(u) for j in sp.bits(v)
             )
+
+
+def _continuous_maps(rng, source, target):
+    """Up to six continuous maps from source to target, drawn by _maps."""
+    maps = []
+    for a in _maps(rng, source, target):
+        try:
+            maps.append(sp.ContinuousMap(source, target, a))
+        except NotATopology:
+            continue
+    return rng.sample(maps, min(6, len(maps)))
+
+
+def test_all_topologies_match_the_pair_set_form():
+    for n in range(5):
+        assert all_topologies(n) == all_topologies_by_pairs(n)
+
+
+def test_order_readers_match_their_leq_forms():
+    rng = random.Random(8)
+    verdicts, orders = set(), set()
+    for space in SMALL:
+        assert space.specialization() == specialization_by_leq(space)
+        quotient, qmap = sp.kolmogorov_quotient(space)
+        assert (quotient, qmap) == kolmogorov_quotient_by_preorder(space)
+        target = rng.choice(SMALL)
+        families = [
+            [sp.identity_map(space), *_continuous_maps(rng, space, space)],
+            [qmap, *_continuous_maps(rng, space, quotient)],
+            _continuous_maps(rng, space, target),
+        ]
+        for maps in families:
+            for f in maps:
+                got = sp.is_equivalence(f)
+                assert got == is_equivalence_by_leq(f)
+                verdicts.add(got[0])
+            for f, g in itertools.product(maps, repeat=2):
+                got = sp.le_2cell(f, g)
+                assert got == le_2cell_by_leq(f, g)
+                orders.add(got)
+    assert verdicts == orders == {True, False}
