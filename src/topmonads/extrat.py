@@ -5,6 +5,7 @@ positive denominator, and the distinguished infinity as the numerator None.
 Sums, products and comparisons compute on the pair with `math.gcd`, the
 way `fractions.Fraction` does, and skip the gcd when both denominators are
 1; `frac` gives the equal `Fraction`, and `hash` is that Fraction's hash.
+A value equals the int or `Fraction` of its value, never a string.
 The conventions are oo + x = oo, oo * x = oo for x > 0, and oo * 0 = 0 (the
 one needed for positive linear combinations with coefficients in (0, oo]).
 Besides the partial subtraction there is the total, truncated one, `monus`.
@@ -144,6 +145,8 @@ class ExtRat:
 
     def __eq__(self, other):
         if type(other) is not ExtRat:
+            if isinstance(other, str):  # "1" hashes apart from ONE, so is not equal to it
+                return NotImplemented
             try:
                 other = ext(other)
             except (TypeError, ValueError):

@@ -28,6 +28,13 @@ and support-null-union in supp-unit, on Sierpinski space; the others in
 v-monad, v-duality and p-extension.  So what a detection costs does not
 depend on the seed.
 
+A check is a closure over the names of its suite, called at once by
+_Run.check, and it passes only when it returns True: a verdict of None (a
+law that forgot its return), 0 or [] fails, as a raise does.  A failing
+Counterexample is shrunk by one rule: the first instance one step simpler
+(a point dropped, else a weight made simpler) that is smaller by size()
+and fails the same way replaces it, until none does.
+
 The library computes each operation by one route.  Second routes, such as
 hit identities, integral forms, the layer-cake integral, the double-dual
 side of V's multiplication, the product table by modularity over the
@@ -415,10 +422,10 @@ class Counterexample:
 
 
 def _failure(cex: Counterexample):
-    """How cex fails its law: None if the law holds, False for a False
-    verdict, or the type of the exception the law raises."""
+    """How cex fails its law: None if the law returns True, False for any
+    other verdict, or the type of the exception the law raises."""
     try:
-        return None if cex.law(cex.space, cex.valuations()) else False
+        return None if cex.law(cex.space, cex.valuations()) is True else False
     except Exception as exc:
         return type(exc)
 
@@ -449,44 +456,44 @@ def _simpler_weights(w: ExtRat):
             yield cand
 
 
+def _one_step_simpler(cex: Counterexample):
+    """The instances one step simpler than cex: each point dropped, then
+    each weight made simpler."""
+    for x in range(cex.space.n):
+        try:
+            cand = _drop_point(cex, x)
+        except (ShapeMismatch, NotATopology):  # what sp.subspace raises
+            continue
+        yield cand
+    for i, wl in enumerate(cex.weight_lists):
+        for j, w in enumerate(wl):
+            for value in _simpler_weights(w):
+                yield _set_weight(cex, i, j, value)
+
+
 def shrink(cex: Counterexample) -> Counterexample:
     """Greedy minimization of a failing instance; idempotent.
 
-    A smaller instance is kept only if it fails the way cex does: by a
-    False verdict, or by an exception of the same type.  So a shrink never
-    walks from one failure to another.
+    One rule: the first instance one step simpler that is smaller by size()
+    and fails the way cex does, by a verdict other than True or by an
+    exception of the same type, replaces it, until none does.  Dropping a
+    point lowers the first entry of size(), so a failing drop always
+    qualifies, and drops are listed first.  A shrink never walks from one
+    failure to another.
     """
     failure = _failure(cex)
     if failure is None:
         raise NotAFailure("input does not fail the law")
     current = cex
-    improved = True
-    while improved:
-        improved = False
-        for x in range(current.space.n):
-            try:
-                cand = _drop_point(current, x)
-            except (ShapeMismatch, NotATopology):  # what sp.subspace raises
-                continue
-            if _failure(cand) is failure:
-                current = cand
-                improved = True
-                break
-        if improved:
-            continue
-        for i, wl in enumerate(current.weight_lists):
-            for j, w in enumerate(wl):
-                for value in _simpler_weights(w):
-                    cand = _set_weight(current, i, j, value)
-                    if _failure(cand) is failure and cand.size() < current.size():
-                        current = cand
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-    return current
+    while True:
+        size = current.size()
+        smaller = (
+            c for c in _one_step_simpler(current) if c.size() < size and _failure(c) is failure
+        )
+        step = next(smaller, None)
+        if step is None:
+            return current
+        current = step
 
 
 # --- suite machinery ----------------------------------------------------------
@@ -526,7 +533,7 @@ class _Run:
         except Exception as exc:
             self.fail(index, f"{message}: {type(exc).__name__}: {exc}", cex)
             return
-        if ok is False:
+        if ok is not True:
             self.fail(index, message, cex)
 
     def within(self, budget: str, cost: int) -> bool:
@@ -1523,80 +1530,66 @@ def _suite_topology_core(cfg: GenConfig, run: _Run):
     for space, flags in known:
         if space.n <= cfg.max_points:
             run.check(
-                lambda s=space, f=flags: (
-                    lambda r: (r.is_T0, r.is_T1, r.is_sober) == f
-                )(sp.check_separation(s)),
+                lambda: sp.check_separation(space) == sp.SeparationReport(*flags),
                 f"separation flags of {space.points}",
             )
     for space in _spaces(cfg):
         run.check(
-            lambda s=space: sp.from_opens(s.points, s.opens) == s,
-            "open-family round trip",
+            lambda: sp.from_opens(space.points, space.opens) == space, "open-family round trip"
         )
         run.check(
-            lambda s=space: list(s.opens) == upsets_by_filter(s),
+            lambda: list(space.opens) == upsets_by_filter(space),
             "the opens are the up-sets of specialization, filtered from all subsets",
         )
         run.check(
-            lambda s=space: family_is_topology(s.n, s.opens),
+            lambda: family_is_topology(space.n, space.opens),
             "the opens are closed under union and intersection",
         )
         run.check(
-            lambda s=space: [m for m in range(s.full + 1) if s.is_open(m)]
-            == list(s.opens),
+            lambda: [m for m in range(space.full + 1) if space.is_open(m)] == list(space.opens),
             "is_open holds exactly on the opens",
         )
         run.check(
-            lambda s=space: irreducibles_are_point_closures(s),
+            lambda: irreducibles_are_point_closures(space),
             "every irreducible closed set is a point closure",
         )
         run.check(
-            lambda s=space: sp.from_preorder(
-                s.points, [(a, b) for a, b in s.specialization()]
-            )
-            == s,
+            lambda: sp.from_preorder(space.points, [(a, b) for a, b in space.specialization()])
+            == space,
             "preorder round trip",
         )
         run.check(
-            lambda s=space: sp.from_preorder(
-                s.points, s.specialization()
-            ).specialization()
-            == s.specialization(),
+            lambda: sp.from_preorder(space.points, space.specialization()).specialization()
+            == space.specialization(),
             "specialization reproduces the input preorder",
         )
         run.check(
-            lambda s=space: (
-                lambda q, m: sp.check_separation(q).is_T0
-                and equivalence_with_witness(m)
-            )(*sp.kolmogorov_quotient(s)),
+            lambda: (
+                lambda q, m: sp.check_separation(q).is_T0 and equivalence_with_witness(m)
+            )(*sp.kolmogorov_quotient(space)),
             "Kolmogorov quotient is a T0 equivalence",
         )
         mask = rng.randrange(space.full + 1)
         run.check(
-            lambda s=space, m=mask: sp.subspace(s, m)[1].source.n
-            == sp.popcount(m),
+            lambda: sp.subspace(space, mask)[1].source.n == sp.popcount(mask),
             "subspace construction",
         )
         if run.within("families of opens", 1 << len(space.opens)):
             u = rng.choice(space.opens)
             v = rng.choice(space.opens)
             run.check(
-                lambda s=space, a=u, b=v: sp.way_below(s, a, b)
-                == way_below_by_covers(s, a, b),
+                lambda: sp.way_below(space, u, v) == way_below_by_covers(space, u, v),
                 "way-below agrees with the literal cover quantifier",
             )
     for a, b in _space_pairs(cfg):
         prod = stream.product(a, b)
         if run.opens_within("opens of a product", prod.space):
             run.check(
-                lambda p=prod: set(p.space.opens) == rectangle_topology(p),
+                lambda: set(prod.space.opens) == rectangle_topology(prod),
                 "product topology equals the rectangle-generated topology",
             )
         if run.within("assignments", b.n**a.n):
-            run.check(
-                lambda x=a, y=b: continuity_is_monotonicity(x, y),
-                "continuity is monotonicity",
-            )
+            run.check(lambda: continuity_is_monotonicity(a, b), "continuity is monotonicity")
 
 
 def _suite_h_monad(cfg: GenConfig, run: _Run):
@@ -1626,43 +1619,30 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
         few = run.opens_within("opens of a hyperspace", hx.space)
         if few:
             run.check(
-                lambda h=hx: vietoris_topology(h) == set(h.space.opens),
+                lambda: vietoris_topology(hx) == set(hx.space.opens),
                 "lower Vietoris topology equals the inclusion up-sets",
             )
-        run.check(
-            lambda h=hx: h_specialization_is_inclusion(h),
-            "HX specialization is inclusion",
-        )
+        run.check(lambda: h_specialization_is_inclusion(hx), "HX specialization is inclusion")
         for i in range(len(hx.members)):
-            run.check(
-                lambda h=hx, k=i: left_unit(H, h, h.closed_of(k)), "left unit law"
-            )
-            run.check(
-                lambda h=hx, k=i: right_unit(H, h, h.closed_of(k)), "right unit law"
-            )
+            run.check(lambda: left_unit(H, hx, hx.closed_of(i)), "left unit law")
+            run.check(lambda: right_unit(H, hx, hx.closed_of(i)), "right unit law")
         for u in space.opens:
             run.check(
-                lambda s=space, w=u: sum(
-                    1 << x
-                    for x in range(s.n)
-                    if hy.hit(hy.unit_sigma(s, x), w)
-                )
-                == w,
+                lambda: sum(1 << x for x in range(space.n) if hy.hit(hy.unit_sigma(space, x), u))
+                == u,
                 "sigma preimage of Hit(U) is U",
             )
         for c in space.closed_sets():
             run.check(
-                lambda s=space, m=c: hy.unit_closure_membership(
-                    s, hy.ClosedSet(s, m)
-                )
-                == any(m & ~s.closure(1 << x) == 0 for x in range(s.n)),
+                lambda: hy.unit_closure_membership(space, hy.ClosedSet(space, c))
+                == any(c & ~space.closure(1 << x) == 0 for x in range(space.n)),
                 "closure-membership criteria agree",
             )
         if not few:
             continue
         hhx = hx.space.closed_sets()
         run.check(
-            lambda h=hx, d=hhx: h_union_hits(h, d),
+            lambda: h_union_hits(hx, hhx),
             "the union of a closed family hits U iff a member does",
         )
         if len(hhx) <= 8:
@@ -1673,10 +1653,7 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
         memo: dict = {}
         for xi in xi_masks:
             run.check(
-                lambda h=hx, d=hhx, m=xi, c=memo: associativity(
-                    H, h, *h_tower(h, d, m), c
-                ),
-                "associativity law",
+                lambda: associativity(H, hx, *h_tower(hx, hhx, xi), memo), "associativity law"
             )
     for a, b in _space_pairs(cfg):
         f = rand_map(rng, a, b)
@@ -1684,24 +1661,22 @@ def _suite_h_monad(cfg: GenConfig, run: _Run):
             continue
         hxa, hxb = stream.hyperspace(a), stream.hyperspace(b)
         for x in range(a.n):
-            run.check(lambda g=f, p=x: unit_naturality(H, g, p), "unit naturality")
+            run.check(lambda: unit_naturality(H, f, x), "unit naturality")
         fam = _rand_downset(rng, hxa.space.min_nbhd)
         run.check(
-            lambda g=f, h=hxa, ht=hxb, m=fam: mult_naturality(
-                H, g, h, ht, family_mixture(h, m)
-            ),
+            lambda: mult_naturality(H, f, hxa, hxb, family_mixture(hxa, fam)),
             "multiplication naturality",
         )
         g2 = rand_map(rng, b, b)
         if g2 is not None and a.n:
             c = rand_closed(rng, a)
             run.check(
-                lambda g=g2, h=f, cc=c: hy.push_closed(sp.compose(g, h), cc)
-                == hy.push_closed(g, hy.push_closed(h, cc)),
+                lambda: hy.push_closed(sp.compose(g2, f), c)
+                == hy.push_closed(g2, hy.push_closed(f, c)),
                 "functoriality of the push",
             )
             run.check(
-                lambda h=f, cc=c: h_push_hits(h, cc),
+                lambda: h_push_hits(f, c),
                 "the push hits U iff the closed set hits the preimage",
             )
 
@@ -1719,22 +1694,17 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
             x = rng.randrange(a.n)
             c = rand_closed(rng, b)
             run.check(
-                lambda p=prod, px=x, cc=c: h_rectangle_hits(
-                    p, hy.strength_H(p, px, cc), hy.unit_sigma(p.left, px), cc
+                lambda: h_rectangle_hits(
+                    prod, hy.strength_H(prod, x, c), hy.unit_sigma(prod.left, x), c
                 ),
                 "strength rectangle law",
             )
             if b.n:
                 y = rng.randrange(b.n)
-                run.check(
-                    lambda p=prod, px=x, py=y: strength_unit(H, p, px, py),
-                    "strength unit diagram",
-                )
+                run.check(lambda: strength_unit(H, prod, x, y), "strength unit diagram")
             fam = _rand_downset(rng, hxb.space.min_nbhd)
             run.check(
-                lambda p=prod, px=x, h=hxb, m=fam: strength_mult(
-                    H, p, px, h, family_mixture(h, m)
-                ),
+                lambda: strength_mult(H, prod, x, hxb, family_mixture(hxb, fam)),
                 "strength multiplication diagram",
             )
         # unitor: X x H1 -> H(X x 1) -> HX
@@ -1743,9 +1713,7 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
             x = rng.randrange(a.n)
             for c_members in (0, 1):
                 run.check(
-                    lambda p=prod1, px=x, m=c_members: strength_unitor(
-                        H, p, px, hy.ClosedSet(one, m)
-                    ),
+                    lambda: strength_unitor(H, prod1, x, hy.ClosedSet(one, c_members)),
                     "strength unitor diagram",
                 )
         # costrength is the swap of strength
@@ -1754,14 +1722,12 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
             x = rng.randrange(a.n)
             d = rand_closed(rng, b)
             run.check(
-                lambda p=prod, q=prod_ba, px=x, cc=d: costrength_symmetry(
-                    H, p, q, px, cc
-                ),
+                lambda: costrength_symmetry(H, prod, prod_ba, x, d),
                 "costrength is strength through the symmetry",
             )
             run.check(
-                lambda q=prod_ba, px=x, cc=d: h_rectangle_hits(
-                    q, hy.costrength_H(q, cc, px), cc, hy.unit_sigma(q.right, px)
+                lambda: h_rectangle_hits(
+                    prod_ba, hy.costrength_H(prod_ba, d, x), d, hy.unit_sigma(prod_ba.right, x)
                 ),
                 "costrength rectangle law",
             )
@@ -1769,27 +1735,16 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
         c = rand_closed(rng, a)
         d = rand_closed(rng, b)
         run.check(
-            lambda p=prod, cc=c, dd=d: commutativity(
-                H, p, cc, dd, hy.product_closed(p, cc, dd)
-            ),
+            lambda: commutativity(H, prod, c, d, hy.product_closed(prod, c, d)),
             "commutativity square for closed products",
         )
         run.check(
-            lambda p=prod, cc=c, dd=d: h_rectangle_hits(
-                p, hy.product_closed(p, cc, dd), cc, dd
-            ),
+            lambda: h_rectangle_hits(prod, hy.product_closed(prod, c, d), c, d),
             "product rectangle law",
         )
         run.check(
-            lambda p=prod, cc=c, dd=d: hy.marginals(p, hy.product_closed(p, cc, dd))
-            == (
-                (cc, dd)
-                if cc.members and dd.members
-                else (
-                    hy.ClosedSet(a, 0),
-                    hy.ClosedSet(b, 0),
-                )
-            ),
+            lambda: hy.marginals(prod, hy.product_closed(prod, c, d))
+            == ((c, d) if c.members and d.members else (hy.ClosedSet(a, 0), hy.ClosedSet(b, 0))),
             "marginals of a rectangle recover nonempty factors",
         )
     # associator diagram on a small fixed triple
@@ -1801,7 +1756,7 @@ def _suite_h_strength(cfg: GenConfig, run: _Run):
             x = rng.randrange(pxy.left.n)
             y = rng.randrange(pxy.right.n)
             run.check(
-                lambda cc=c, px=x, py=y: strength_associator(H, associator, px, py, cc),
+                lambda: strength_associator(H, associator, x, y, c),
                 "strength associator diagram",
             )
 
@@ -1826,8 +1781,8 @@ def _suite_h_algebra(cfg: GenConfig, run: _Run):
         hd = hy.build_hyperspace(d2)
         for table in itertools.product(range(d2.n), repeat=len(hd.members)):
             run.check(
-                lambda t=table: not h_algebra(d2, hd, t)
-                and not join_characterization(d2, hd, t),
+                lambda: not h_algebra(d2, hd, table)
+                and not join_characterization(d2, hd, table),
                 "no table makes a discrete pair an algebra",
             )
     for space in _spaces(cfg):
@@ -1835,22 +1790,18 @@ def _suite_h_algebra(cfg: GenConfig, run: _Run):
         joins = hy.join_algebra_map(space)
         if joins is not None:
             run.check(
-                lambda s=space, h=hx, t=joins: h_algebra(s, h, t)
-                == join_characterization(s, h, t),
+                lambda: h_algebra(space, hx, joins) == join_characterization(space, hx, joins),
                 "algebra diagrams match the join-semilattice characterization",
             )
             run.check(
-                lambda s=space, h=hx, t=joins: not sp.check_separation(s).is_sober
-                or operator.eq(*join_continuity(s, h, t)),
+                lambda: not sp.check_separation(space).is_sober
+                or operator.eq(*join_continuity(space, hx, joins)),
                 "binary-join and closed-join continuity agree on sober spaces",
             )
         if space.n:
-            table = tuple(
-                rng.randrange(space.n) for _ in range(len(hx.members))
-            )
+            table = tuple(rng.randrange(space.n) for _ in range(len(hx.members)))
             run.check(
-                lambda s=space, h=hx, t=table: h_algebra(s, h, t)
-                == join_characterization(s, h, t),
+                lambda: h_algebra(space, hx, table) == join_characterization(space, hx, table),
                 "equivalence holds on random tables",
             )
 
@@ -1870,50 +1821,46 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
         )
     for space in _spaces(cfg):
         nu = rand_valuation(rng, cfg, space)
-        run.check(lambda s=space, v=nu: left_unit(V, s, v), "left unit law")
-        run.check(lambda s=space, v=nu: right_unit(V, s, v), "right unit law")
+        run.check(lambda: left_unit(V, space, nu), "left unit law")
+        run.check(lambda: right_unit(V, space, nu), "right unit law")
         for u in space.opens:
             run.check(
-                lambda s=space, v=nu, w=u: va.integrate(v, va.indicator(s, w))
-                == v.value(w),
+                lambda: va.integrate(nu, va.indicator(space, u)) == nu.value(u),
                 "integral of an indicator is the open's mass",
             )
         # associativity tower: a mixture of mixtures
         inner = [rand_sso(rng, cfg, space) for _ in range(rng.randint(1, 2))]
-        outer_weights = [
-            _rand_extrat(rng, cfg, allow_zero=False, allow_inf=False)
-            for _ in inner
+        tower = [
+            (_rand_extrat(rng, cfg, allow_zero=False, allow_inf=False), j)
+            for j in range(len(inner))
         ]
         run.check(
-            lambda s=space, xs=inner, ws=outer_weights: associativity(
-                V, s, lambda j: xs[j].atoms, [(w, j) for j, w in enumerate(ws)], {}
-            ),
+            lambda: associativity(V, space, lambda j: inner[j].atoms, tower, {}),
             "associativity on molecular towers",
         )
         xi = rand_sso(rng, cfg, space)
         g = rand_lsc(rng, cfg, space)
         run.check(
-            lambda x=xi, f=g: va.integrate(va.mult_E(x), f)
-            == pairing_with_evaluation(x, f),
+            lambda: va.integrate(va.mult_E(xi), g) == pairing_with_evaluation(xi, g),
             "multiplication pairing identity",
         )
         run.check(
-            lambda v=nu, f=g: va.integrate(v, f) == layer_cake_integral(v, f),
+            lambda: va.integrate(nu, g) == layer_cake_integral(nu, g),
             "weighted sum equals layer cake",
         )
         run.check(
-            lambda s=space, f=g: lsc_criteria_agree(s, f.values)
-            and lsc_criteria_agree(s, f.values[::-1]),
+            lambda: lsc_criteria_agree(space, g.values)
+            and lsc_criteria_agree(space, g.values[::-1]),
             "lower semicontinuity: monotone iff the level sets are open",
         )
         r = _rand_extrat(rng, cfg, allow_inf=False)
         run.check(
-            lambda s=space, f=g, rr=r: sum(
+            lambda: sum(
                 1 << x
-                for x in range(s.n)
-                if va.big_theta_membership(va.unit_delta(s, x), f, rr)
+                for x in range(space.n)
+                if va.big_theta_membership(va.unit_delta(space, x), g, r)
             )
-            == f.upper_level(rr),
+            == g.upper_level(r),
             "Dirac preimage of a subbasic open is a level set",
         )
     # maps and kernels from streams of their own, so no other draw moves
@@ -1924,16 +1871,10 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
             continue
         nu = rand_valuation(rng, cfg, a)
         x = rng.randrange(a.n)
-        run.check(lambda g=f, p=x: unit_naturality(V, g, p), "unit naturality")
-        run.check(
-            lambda g=f, v=nu: pushforward_integral_identity(g, v),
-            "pushforward integral identity",
-        )
+        run.check(lambda: unit_naturality(V, f, x), "unit naturality")
+        run.check(lambda: pushforward_integral_identity(f, nu), "pushforward integral identity")
         xi = rand_sso(rng, cfg, a)
-        run.check(
-            lambda g=f, x2=xi, s=a, t=b: mult_naturality(V, g, s, t, x2.atoms),
-            "multiplication naturality",
-        )
+        run.check(lambda: mult_naturality(V, f, a, b, xi.atoms), "multiplication naturality")
     # Kleisli composition: units, associativity, and the molecular route
     kernel_rng = random.Random(cfg.seed + 7)
     triples = _space_pairs(cfg, min_points=1)
@@ -1942,30 +1883,25 @@ def _suite_v_monad(cfg: GenConfig, run: _Run):
         k = rand_kernel(kernel_rng, cfg, b, a)
         m = rand_kernel(kernel_rng, cfg, a, a)
         run.check(
-            lambda hh=h, s=b: va.kleisli_compose(va.delta_kernel(s), hh).table
-            == hh.table,
+            lambda: va.kleisli_compose(va.delta_kernel(b), h).table == h.table,
             "delta is a left Kleisli unit",
         )
         run.check(
-            lambda hh=h, s=a: va.kleisli_compose(hh, va.delta_kernel(s)).table
-            == hh.table,
+            lambda: va.kleisli_compose(h, va.delta_kernel(a)).table == h.table,
             "delta is a right Kleisli unit",
         )
         run.check(
-            lambda f=h, g=k, e=m: va.kleisli_compose(
-                va.kleisli_compose(e, g), f
-            ).table
-            == va.kleisli_compose(e, va.kleisli_compose(g, f)).table,
+            lambda: va.kleisli_compose(va.kleisli_compose(m, k), h).table
+            == va.kleisli_compose(m, va.kleisli_compose(k, h)).table,
             "Kleisli associativity",
         )
         run.check(
-            lambda f=h, g=k: all(
-                va.kleisli_compose(g, f).table[x]
+            lambda: all(
+                va.kleisli_compose(k, h).table[x]
                 == V.mult(
-                    g.target,
-                    [(w, g.table[y]) for y, w in enumerate(f.table[x].weights) if w],
+                    k.target, [(w, k.table[y]) for y, w in enumerate(h.table[x].weights) if w]
                 )
-                for x in range(f.source.n)
+                for x in range(h.source.n)
             ),
             "Kleisli route agrees with the molecular multiplication route",
         )
@@ -1980,35 +1916,27 @@ def _suite_v_strength(cfg: GenConfig, run: _Run):
         x = rng.randrange(a.n)
         y = rng.randrange(b.n)
         nu = rand_valuation(rng, cfg, b)
-        run.check(
-            lambda p=prod, px=x, py=y: strength_unit(V, p, px, py),
-            "strength unit diagram",
-        )
+        run.check(lambda: strength_unit(V, prod, x, y), "strength unit diagram")
         xi = rand_sso(rng, cfg, b)
         run.check(
-            lambda p=prod, px=x, s=b, x2=xi: strength_mult(V, p, px, s, x2.atoms),
-            "strength multiplication diagram",
+            lambda: strength_mult(V, prod, x, b, xi.atoms), "strength multiplication diagram"
         )
         prod1 = sp.product(a, one)
         mass = _rand_extrat(rng, cfg)
         run.check(
-            lambda p=prod1, px=x, m=mass: strength_unitor(
-                V, p, px, va.valuation_from_weights(one, (m,))
-            ),
+            lambda: strength_unitor(V, prod1, x, va.valuation_from_weights(one, (mass,))),
             "strength unitor diagram",
         )
         prod_ba = stream.product(b, a)
         run.check(
-            lambda p=prod, q=prod_ba, px=x, v=nu: costrength_symmetry(V, p, q, px, v),
+            lambda: costrength_symmetry(V, prod, prod_ba, x, nu),
             "costrength is strength through the symmetry",
         )
         for u in a.opens:
             for v_open in b.opens:
                 run.check(
-                    lambda p=prod, px=x, v=nu, uu=u, vv=v_open: va.strength_V(
-                        p, px, v
-                    ).value(p.rectangle(uu, vv))
-                    == (v.value(vv) if uu >> px & 1 else ZERO),
+                    lambda: va.strength_V(prod, x, nu).value(prod.rectangle(u, v_open))
+                    == (nu.value(v_open) if u >> x & 1 else ZERO),
                     "rectangle evaluation of the strength",
                 )
     # associator diagram on a small fixed triple
@@ -2020,7 +1948,7 @@ def _suite_v_strength(cfg: GenConfig, run: _Run):
             x = rng.randrange(pxy.left.n)
             y = rng.randrange(pxy.right.n)
             run.check(
-                lambda v=nu, px=x, py=y: strength_associator(V, associator, px, py, v),
+                lambda: strength_associator(V, associator, x, y, nu),
                 "strength associator diagram",
             )
 
@@ -2046,29 +1974,25 @@ def _suite_v_fubini(cfg: GenConfig, run: _Run):
         g = rand_lsc(rng, cfg, prod.space)
         if run.opens_within("opens of a product", prod.space):
             run.check(
-                lambda p=prod, v=nu, r=rho: fubini_square(p, v, r),
+                lambda: fubini_square(prod, nu, rho),
                 "Fubini square: both composites equal the product valuation",
             )
             run.check(
-                lambda p=prod, v=nu, r=rho, f=g: (
-                    lambda whole: iterated_integrals(p, v, r, f) == (whole, whole)
-                )(va.integrate(va.product_valuation(v, r, p), f)),
+                lambda: (lambda whole: iterated_integrals(prod, nu, rho, g) == (whole, whole))(
+                    va.integrate(va.product_valuation(nu, rho, prod), g)
+                ),
                 "iterated integrals agree with the product integral",
             )
         if a.n and b.n:
             x = rng.randrange(a.n)
             y = rng.randrange(b.n)
             run.check(
-                lambda p=prod, s=a, t=b, px=x, py=y: va.product_valuation(
-                    va.unit_delta(s, px), va.unit_delta(t, py), p
-                )
-                == va.unit_delta(p.space, p.pair(px, py)),
+                lambda: va.product_valuation(va.unit_delta(a, x), va.unit_delta(b, y), prod)
+                == va.unit_delta(prod.space, prod.pair(x, y)),
                 "product of Diracs is the Dirac of the pair",
             )
         run.check(
-            lambda p=prod, v=nu, s=b: va.product_valuation(
-                v, va.zero_valuation(s), p
-            ).is_zero(),
+            lambda: va.product_valuation(nu, va.zero_valuation(b), prod).is_zero(),
             "zero valuation is absorbing",
         )
 
@@ -2087,20 +2011,19 @@ def _suite_v_duality(cfg: GenConfig, run: _Run):
         closed = space.closed_sets()
         for c in closed:
             run.check(
-                lambda s=space, m=c: (
-                    lambda phi: phi.closed.members == m
+                lambda: (
+                    lambda phi: phi.closed.members == c
                     and hy.functional_of_closed(phi.closed) == phi
-                )(hy.functional_of_closed(hy.ClosedSet(s, m))),
+                )(hy.functional_of_closed(hy.ClosedSet(space, c))),
                 "duality round trip, both ways",
             )
         run.check(
-            lambda s=space, cl=closed: duality_is_order_isomorphism(s, cl),
+            lambda: duality_is_order_isomorphism(space, closed),
             "duality is an order isomorphism",
         )
         if run.within("tables", 1 << (len(space.opens) - 1)):
             run.check(
-                lambda s=space, cl=closed: count_valid_functional_tables(s)
-                == len(cl),
+                lambda: count_valid_functional_tables(space) == len(closed),
                 "brute-force surjectivity over all boolean tables",
             )
         nu = rand_valuation(rng, cfg, space)
@@ -2108,12 +2031,9 @@ def _suite_v_duality(cfg: GenConfig, run: _Run):
         i = rng.randrange(len(perturbed))
         perturbed[i] = ZERO if perturbed[i].is_infinite else perturbed[i] + ONE
         run.check(
-            lambda s=space, v=nu, t=tuple(perturbed): va.validate_valuation(
-                s, v.table
-            )
-            == v
-            and validation_agrees_with_scan(s, v.table)
-            and validation_agrees_with_scan(s, t),
+            lambda: va.validate_valuation(space, nu.table) == nu
+            and validation_agrees_with_scan(space, nu.table)
+            and validation_agrees_with_scan(space, tuple(perturbed)),
             "validate_valuation round-trips a table and agrees with the scan",
         )
         # subspace inclusions: the pushforward embeds valuations
@@ -2123,16 +2043,13 @@ def _suite_v_duality(cfg: GenConfig, run: _Run):
             nu = rand_valuation(rng, cfg, sub)
             rho = rand_valuation(rng, cfg, sub)
             run.check(
-                lambda i=incl, v=nu, r=rho: (
-                    va.pushforward(i, v) == va.pushforward(i, r)
-                )
-                == (v == r),
+                lambda: (va.pushforward(incl, nu) == va.pushforward(incl, rho)) == (nu == rho),
                 "subspace pushforward is injective",
             )
             run.check(
-                lambda s=space, i=incl, v=nu: all(
-                    va.pushforward(i, v).value(u) == v.value(i.preimage(u))
-                    for u in s.opens
+                lambda: all(
+                    va.pushforward(incl, nu).value(u) == nu.value(incl.preimage(u))
+                    for u in space.opens
                 ),
                 "subspace pushforward reflects the subbasic opens",
             )
@@ -2140,9 +2057,9 @@ def _suite_v_duality(cfg: GenConfig, run: _Run):
                 sub, tuple(x + y for x, y in zip(nu.weights, rho.weights))
             )
             run.check(
-                lambda pairs=((nu, rho), (nu, above), (above, nu)): all(
+                lambda: all(
                     va.order_checks(v, r).opens_le == integral_order_le(v, r)
-                    for v, r in pairs
+                    for v, r in ((nu, rho), (nu, above), (above, nu))
                 ),
                 "opens order equals the integral order",
             )
@@ -2153,37 +2070,29 @@ def _suite_v_portmanteau(cfg: GenConfig, run: _Run):
     for space in _spaces(cfg, min_points=1):
         nu = rand_valuation(rng, cfg, space)
         r = _rand_extrat(rng, cfg, allow_inf=False)
-        run.check(
-            lambda v=nu, rr=r: not va.theta_membership(v, 0, rr),
-            "theta of the empty set is empty",
-        )
+        run.check(lambda: not va.theta_membership(nu, 0, r), "theta of the empty set is empty")
         for u in space.opens:
             run.check(
-                lambda s=space, v=nu, w=u, rr=r: va.theta_membership(v, w, rr)
-                == va.big_theta_membership(v, va.indicator(s, w), rr),
+                lambda: va.theta_membership(nu, u, r)
+                == va.big_theta_membership(nu, va.indicator(space, u), r),
                 "theta agrees with Theta on indicators",
             )
         g = rand_lsc(rng, cfg, space)
         x = rng.randrange(space.n)
         run.check(
-            lambda s=space, f=g, p=x, rr=r: va.big_theta_membership(
-                va.unit_delta(s, p), f, rr
-            )
-            == (f(p) > rr),
+            lambda: va.big_theta_membership(va.unit_delta(space, x), g, r) == (g(x) > r),
             "Dirac membership is a pointwise comparison",
         )
         if va.big_theta_membership(nu, g, r):
             run.check(
-                lambda v=nu, f=g, rr=r: certificate_is_sound(
-                    f, rr, va.portmanteau_witness(v, f, rr), v
-                ),
+                lambda: certificate_is_sound(g, r, va.portmanteau_witness(nu, g, r), nu),
                 "certificate passes the independent checker",
             )
             cert = va.portmanteau_witness(nu, g, r)
             other = rand_valuation(rng, cfg, space)
             if all(va.theta_membership(other, u, ri) for _, u, ri in cert):
                 run.check(
-                    lambda v=other, f=g, rr=r: va.big_theta_membership(v, f, rr),
+                    lambda: va.big_theta_membership(other, g, r),
                     "certificate is sound for other valuations",
                 )
 
@@ -2193,40 +2102,35 @@ def _suite_p_submonad(cfg: GenConfig, run: _Run):
     for space in _spaces(cfg, min_points=1):
         xi = rand_sso(rng, cfg, space, prob=True)
         run.check(
-            lambda x=xi: pb.mult_E_measure(x) == va.mult_E(x),
+            lambda: pb.mult_E_measure(xi) == va.mult_E(xi),
             "measure-level multiplication includes into the valuation level",
         )
         run.check(
-            lambda x=xi: mixture_of_measures_agrees(x),
+            lambda: mixture_of_measures_agrees(xi),
             "measure-level mixture equals the multiplication on every subset",
         )
         p = rand_prob(rng, cfg, space)
         u = rng.choice(space.opens)
         r = ratio(rng.randint(0, 4), 5)
         run.check(
-            lambda q=p, w=u, rr=r: p_subbasis_restricts(q, w, rr),
+            lambda: p_subbasis_restricts(p, u, r),
             "probability subbasic opens restrict the valuation subbasis",
         )
-        q_space = space
-        f = rand_map(rng, q_space, q_space)
+        f = rand_map(rng, space, space)
         if f is not None:
             run.check(
-                lambda g=f, q=p: va.pushforward(g, q).mass == ONE,
-                "pushforward preserves normalization",
+                lambda: va.pushforward(f, p).mass == ONE, "pushforward preserves normalization"
             )
     for a, b in _space_pairs(cfg, min_points=1):
         prod = _stream(cfg).product(a, b)
         p = rand_prob(rng, cfg, a)
         q = rand_prob(rng, cfg, b)
         run.check(
-            lambda pp=p, qq=q, pr=prod: pb.product_measure(pp, qq, pr).mass
-            == ONE,
-            "product preserves normalization",
+            lambda: pb.product_measure(p, q, prod).mass == ONE, "product preserves normalization"
         )
         x = rng.randrange(a.n)
         run.check(
-            lambda pr=prod, px=x, qq=q: va.strength_V(pr, px, qq).mass == ONE,
-            "strength preserves normalization",
+            lambda: va.strength_V(prod, x, q).mass == ONE, "strength preserves normalization"
         )
 
 
@@ -2254,24 +2158,20 @@ def _suite_p_extension(cfg: GenConfig, run: _Run):
         m = pb.extend_to_measure(nu)
         if m.quotient_map is None:
             run.check(
-                lambda s=space, v=nu, mm=m: all(
-                    mm.measure_of(u) == v.value(u) for u in s.opens
-                ),
+                lambda: all(m.measure_of(u) == nu.value(u) for u in space.opens),
                 "extension round trip on every open",
             )
             g = rand_lsc(rng, cfg, space, pool=[ZERO, ONE, ExtRat(2)])
             run.check(
-                lambda v=nu, mm=m, f=g: va.integrate(mm, f)
-                == va.integrate(v, f),
+                lambda: va.integrate(m, g) == va.integrate(nu, g),
                 "measure and valuation integrals agree",
             )
         else:
             run.check(
-                lambda s=space, v=nu, mm=m: not sp.check_separation(s).is_T0
+                lambda: not sp.check_separation(space).is_T0
                 and all(
-                    mm.measure_of(u)
-                    == v.value(mm.quotient_map.preimage(u))
-                    for u in mm.space.opens
+                    m.measure_of(u) == nu.value(m.quotient_map.preimage(u))
+                    for u in m.space.opens
                 ),
                 "non-T0 input routes through the quotient with a marker",
             )
@@ -2285,17 +2185,16 @@ def _suite_p_product(cfg: GenConfig, run: _Run):
         q = rand_prob(rng, cfg, b)
         pq = pb.product_measure(p, q, prod)
         run.check(
-            lambda pp=p, qq=q, pr=prod, m=pq: va.pushforward(pr.proj1, m) == pp
-            and va.pushforward(pr.proj2, m) == qq,
+            lambda: va.pushforward(prod.proj1, pq) == p and va.pushforward(prod.proj2, pq) == q,
             "marginals of the product measure are the factors",
         )
         if a.is_T0 and b.is_T0:
             run.check(
-                lambda pp=p, qq=q, m=pq: pb.extend_to_measure(m).point_weights
+                lambda: pb.extend_to_measure(pq).point_weights
                 == tuple(
                     wx * wy
-                    for wx in pb.extend_to_measure(pp).point_weights
-                    for wy in pb.extend_to_measure(qq).point_weights
+                    for wx in pb.extend_to_measure(p).point_weights
+                    for wy in pb.extend_to_measure(q).point_weights
                 ),
                 "extended product weights are pointwise products",
             )
@@ -2325,12 +2224,12 @@ def _suite_supp_unit(cfg: GenConfig, run: _Run):
         _check_supp_unit(run, space)
         nu = rand_valuation(rng, cfg, space)
         run.check(
-            lambda v=nu: supp_hits_positive_mass(v),
+            lambda: supp_hits_positive_mass(nu),
             "support hits exactly the opens of positive mass",
         )
         run.check(
-            lambda v=nu: su.support(v)
-            == hy.HitFunctional(v.space, tuple(sgn(x) for x in v.table)).closed,
+            lambda: su.support(nu)
+            == hy.HitFunctional(nu.space, tuple(sgn(x) for x in nu.table)).closed,
             "support agrees with the sign route through the duality",
         )
 
@@ -2362,8 +2261,8 @@ def _suite_supp_mult(cfg: GenConfig, run: _Run):
     for space in _spaces(cfg):
         xis = [rand_sso(rng, cfg, space) for _ in range(3)] if space.n else []
         run.check(
-            lambda s=space, x=xis: all(supp_unit(s, p) for p in range(s.n))
-            and all(supp_mult(s, stream.hyperspace(s), xi.atoms) for xi in x),
+            lambda: all(supp_unit(space, p) for p in range(space.n))
+            and all(supp_mult(space, stream.hyperspace(space), xi.atoms) for xi in xis),
             "unit and multiplication squares of the monad morphism",
         )
         if space.n:
@@ -2374,10 +2273,7 @@ def _suite_supp_mult(cfg: GenConfig, run: _Run):
     pair_rng = random.Random(cfg.seed + 22)
     sample = [ZERO, INF] + [_rand_extrat(pair_rng, cfg) for _ in range(6)]
     for a, b in itertools.product(sample, repeat=2):
-        run.check(
-            lambda a=a, b=b: sgn_is_a_semiring_homomorphism(a, b),
-            "sgn is a semiring homomorphism",
-        )
+        run.check(lambda: sgn_is_a_semiring_homomorphism(a, b), "sgn is a semiring homomorphism")
 
 
 def _suite_supp_natural(cfg: GenConfig, run: _Run):
@@ -2388,14 +2284,9 @@ def _suite_supp_natural(cfg: GenConfig, run: _Run):
             continue
         for _ in range(3):
             nu = rand_valuation(rng, cfg, a)
-            run.check(
-                lambda g=f, v=nu: supp_naturality(g, v),
-                "support naturality square",
-            )
+            run.check(lambda: supp_naturality(f, nu), "support naturality square")
         run.check(
-            lambda s=a: supp_naturality(
-                sp.identity_map(s), rand_valuation(rng, cfg, s)
-            ),
+            lambda: supp_naturality(sp.identity_map(a), rand_valuation(rng, cfg, a)),
             "naturality along the identity",
         )
 
@@ -2405,35 +2296,31 @@ def _suite_supp_monoidal(cfg: GenConfig, run: _Run):
     for space in _spaces(cfg):
         vals = [rand_valuation(rng, cfg, space) for _ in range(4)]
         run.check(
-            lambda vs=vals: all(supp_hits_positive_mass(v) for v in vs),
+            lambda: all(supp_hits_positive_mass(v) for v in vals),
             "support preimages of Hit opens are subbasic",
         )
         if space.n:
             g = rand_lsc(rng, cfg, space)
             run.check(
-                lambda v=vals[0], f=g: support_test_lsc(v, f)
-                == hy.hit(su.support(v), f.upper_level(ZERO)),
+                lambda: support_test_lsc(vals[0], g)
+                == hy.hit(su.support(vals[0]), g.upper_level(ZERO)),
                 "integral sign test against the support",
             )
         nu, rho = vals[0], vals[1]
         le = all(x <= y for x, y in zip(nu.table, rho.table))
         if le:
             run.check(
-                lambda v=nu, r=rho: su.support(v).members
-                & ~su.support(r).members
-                == 0,
+                lambda: su.support(nu).members & ~su.support(rho).members == 0,
                 "support is monotone in the valuation order",
             )
         if not nu.mass.is_infinite:
             m = pb.extend_to_measure(nu)
             run.check(
-                lambda mm=m: mm.measure_of(su.support(mm).members)
-                == mm.mass,
+                lambda: m.measure_of(su.support(m).members) == m.mass,
                 "the support has full measure",
             )
             run.check(
-                lambda mm=m: su.support(mm).members
-                == least_closed_of_full_measure(mm),
+                lambda: su.support(m).members == least_closed_of_full_measure(m),
                 "the measure's support is the support of its restriction",
             )
     for a, b in _space_pairs(cfg):
@@ -2441,7 +2328,7 @@ def _suite_supp_monoidal(cfg: GenConfig, run: _Run):
         nu = rand_valuation(rng, cfg, a)
         rho = rand_valuation(rng, cfg, b)
         run.check(
-            lambda p=prod, v=nu, r=rho: all(supp_product_squares(p, v, r)),
+            lambda: all(supp_product_squares(prod, nu, rho)),
             "strength, monoidal, and marginal squares of the support",
         )
 
@@ -2467,12 +2354,12 @@ def _suite_algebra_transfer(cfg: GenConfig, run: _Run):
         if joins is None:
             continue
         run.check(
-            lambda s=space, t=joins: h_algebra(s, stream.hyperspace(s), t),
+            lambda: h_algebra(space, stream.hyperspace(space), joins),
             "the join map of a space with all joins is an H-algebra",
         )
         xis = [rand_sso(rng, cfg, space) for _ in range(3)] if space.n else []
         run.check(
-            lambda s=space, t=joins, x=xis: transfer_laws(s, t, x),
+            lambda: transfer_laws(space, joins, xis),
             "induced valuation algebra satisfies the cone axioms",
         )
 
@@ -2485,12 +2372,12 @@ def _suite_appendixA_2cells(cfg: GenConfig, run: _Run):
         if f is None or g is None:
             continue
         run.check(
-            lambda ff=f, gg=g: sp.le_2cell(ff, gg)
-            == all(ff.preimage(u) & ~gg.preimage(u) == 0 for u in ff.target.opens),
+            lambda: sp.le_2cell(f, g)
+            == all(f.preimage(u) & ~g.preimage(u) == 0 for u in f.target.opens),
             "2-cell criteria agree",
         )
         run.check(
-            lambda ff=f, gg=g: equivalence_criteria_agree(ff, gg),
+            lambda: equivalence_criteria_agree(f, g),
             "is_equivalence agrees with bijective preimage lattices plus"
             " essential surjectivity",
         )
@@ -2498,33 +2385,29 @@ def _suite_appendixA_2cells(cfg: GenConfig, run: _Run):
         if le and a.n:
             c = rand_closed(rng, a)
             run.check(
-                lambda ff=f, gg=g, cc=c: hy.push_closed(ff, cc).members
-                & ~hy.push_closed(gg, cc).members
-                == 0,
+                lambda: hy.push_closed(f, c).members & ~hy.push_closed(g, c).members == 0,
                 "push respects 2-cells",
             )
             nu = rand_valuation(rng, cfg, a)
             run.check(
-                lambda ff=f, gg=g, v=nu: all(
+                lambda: all(
                     x <= y
-                    for x, y in zip(
-                        va.pushforward(ff, v).table, va.pushforward(gg, v).table
-                    )
+                    for x, y in zip(va.pushforward(f, nu).table, va.pushforward(g, nu).table)
                 ),
                 "pushforward respects 2-cells",
             )
     for space in _spaces(cfg):
         run.check(
-            lambda s=space: equivalence_with_witness(sp.identity_map(s)),
+            lambda: equivalence_with_witness(sp.identity_map(space)),
             "identities are equivalences",
         )
         run.check(
-            lambda s=space: equivalence_with_witness(sp.kolmogorov_quotient(s)[1]),
+            lambda: equivalence_with_witness(sp.kolmogorov_quotient(space)[1]),
             "the Kolmogorov quotient map is an equivalence",
         )
         run.check(
-            lambda s=space: equivalence_criteria_agree(
-                sp.identity_map(s), sp.kolmogorov_quotient(s)[1]
+            lambda: equivalence_criteria_agree(
+                sp.identity_map(space), sp.kolmogorov_quotient(space)[1]
             ),
             "is_equivalence agrees with bijective preimage lattices plus"
             " essential surjectivity",
@@ -2538,7 +2421,7 @@ def _suite_appendixC(cfg: GenConfig, run: _Run):
         nu = rand_valuation(rng, cfg, a)
         rho = rand_valuation(rng, cfg, b)
         run.check(
-            lambda p=prod, v=nu, r=rho: operator.eq(*supp_product_squares(p, v, r)),
+            lambda: operator.eq(*supp_product_squares(prod, nu, rho)),
             "strength square holds iff the monoidal squares hold",
         )
 

@@ -354,8 +354,9 @@ def from_preorder(
 ) -> FiniteSpace:
     """Build the Alexandrov space whose opens are the up-sets of a preorder.
 
-    The relation is validated; missing reflexive or transitive pairs are
-    rejected with a witness, never silently closed over.
+    The relation is validated; an entry that is not a pair, and missing
+    reflexive or transitive pairs, are rejected with a witness, never
+    silently closed over.
     """
     points = tuple(points)
     n = len(points)
@@ -363,7 +364,11 @@ def from_preorder(
     if len(idx) != n:
         raise NotAPreorder("duplicate point names", None)
     up_masks = [0] * n
-    for a, b in relation:
+    for entry in relation:
+        try:
+            a, b = entry
+        except (TypeError, ValueError):
+            raise NotAPreorder("entry is not a pair", entry) from None
         if a not in idx or b not in idx:
             raise NotAPreorder("pair mentions unknown point", (a, b))
         up_masks[idx[a]] |= 1 << idx[b]

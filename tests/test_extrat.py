@@ -211,6 +211,16 @@ def test_hash_consistency():
     assert len({ZERO, ext("0"), ONE, ext("1")}) == 2
 
 
+def test_equality_agrees_with_the_hash():
+    # a string names a value but hashes apart from it, so is never equal
+    for value, text in ((ONE, "1"), (INF, "inf"), (ext("1/2"), "1/2")):
+        assert value != text and not value == text
+        assert text not in {value}
+    # ints and Fractions hash like their values, so stay equal
+    assert ONE == 1 and ext("1/2") == Fraction(1, 2)
+    assert 1 in {ONE} and Fraction(1, 2) in {ext("1/2")}
+
+
 def _model_operand(rng):
     """A Fraction, or None for oo: 0, 1, oo, small integers, and ratios with
     numerator and denominator up to 10**12."""

@@ -221,6 +221,19 @@ def test_a_run_shrinks_a_raising_law_by_its_exception_type():
     assert failure.counterexample.space.n == 3
 
 
+@pytest.mark.parametrize("verdict", [None, 0, [], 1, "yes"], ids=repr)
+def test_a_check_passes_only_on_true(verdict):
+    # a law that forgets its return gives None, which must not read as a pass
+    run = lc._Run("supp-unit", lc.GenConfig())
+    run.check(lambda: verdict, "not a bool")
+    run.check(lambda: True, "a pass")
+    assert run.instances == 2
+    assert [(f.index, f.message) for f in run.failures] == [(0, "not a bool")]
+    cex = lc.Counterexample(sp.discrete(2), (), lambda space, valuations: verdict)
+    assert not cex.holds()
+    assert lc.shrink(cex).space.n == 0
+
+
 # --- mutation harness ----------------------------------------------------------
 
 

@@ -16,7 +16,8 @@ allow_infinity that is not a bool.  So does a difference that would be
 negative, and a division by 0 or oo raises a ZeroDenominator.  P's operations take valuations of mass
 one and raise NotNormalized on any other.  The opens form of a space document names the
 malformed part in a fixed message: an opens value or an open that is not a
-list, and a name that is not a point, unhashable ones included.
+list, and a name that is not a point, unhashable ones included.  A
+preorder entry that is not a pair raises a NotAPreorder.
 
 Left out, because their inputs are bare bit-masks that no space checks:
 spaces.bits, popcount and upsets_of_up_masks, and hyperspace's
@@ -86,6 +87,9 @@ CALLS = {
     "from_opens out": lambda: sp.from_opens(S.points, [0, 1 << OUT, 3]),
     "from_opens negative": lambda: sp.from_opens(S.points, [0, NEG, 3]),
     "from_preorder name": lambda: sp.from_preorder(S.points, [(NAME, "0")]),
+    "from_preorder one-entry pair": lambda: sp.from_preorder(("a",), [("a",)]),
+    "from_preorder three-entry pair": lambda: sp.from_preorder(("a",), [("a", "a", "a")]),
+    "from_preorder pair not a sequence": lambda: sp.from_preorder(("a",), [5]),
     "ContinuousMap out": lambda: sp.ContinuousMap(S, S, (OUT, 1)),
     "ContinuousMap negative": lambda: sp.ContinuousMap(S, S, (0, NEG)),
     "ContinuousMap name": lambda: sp.ContinuousMap(S, S, (NAME, 1)),
