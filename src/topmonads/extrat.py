@@ -5,7 +5,9 @@ positive denominator, and the distinguished infinity as the numerator None.
 Sums, products and comparisons compute on the pair with `math.gcd`, the
 way `fractions.Fraction` does, and skip the gcd when both denominators are
 1; `frac` gives the equal `Fraction`, and `hash` is that Fraction's hash.
-A value equals the int or `Fraction` of its value, never a string.
+A value equals, and is ordered against, the int or `Fraction` of its
+value, never a string: `<`, `<=`, `>` and `>=` raise `InvalidValueType`
+for a string operand.
 The conventions are oo + x = oo, oo * x = oo for x > 0, and oo * 0 = 0 (the
 one needed for positive linear combinations with coefficients in (0, oo]).
 Besides the partial subtraction there is the total, truncated one, `monus`.
@@ -156,7 +158,7 @@ class ExtRat:
 
     def __lt__(self, other):
         if type(other) is not ExtRat:
-            other = ext(other)
+            other = _comparable(other)
         a, c = self._num, other._num
         if a is None:
             return False
@@ -166,7 +168,7 @@ class ExtRat:
 
     def __le__(self, other):
         if type(other) is not ExtRat:
-            other = ext(other)
+            other = _comparable(other)
         a, c = self._num, other._num
         if c is None:
             return True
@@ -176,12 +178,12 @@ class ExtRat:
 
     def __gt__(self, other):
         if type(other) is not ExtRat:
-            other = ext(other)
+            other = _comparable(other)
         return other < self
 
     def __ge__(self, other):
         if type(other) is not ExtRat:
-            other = ext(other)
+            other = _comparable(other)
         return other <= self
 
     def __hash__(self):
@@ -208,6 +210,14 @@ class ExtRat:
         if self._den == 1:
             return str(self._num)
         return f"{self._num}/{self._den}"
+
+
+def _comparable(value) -> ExtRat:
+    """The operand of an order comparison as an ExtRat: an int or a
+    `Fraction`, never a string, which equality does not accept either."""
+    if isinstance(value, str):
+        raise InvalidValueType(f"an ExtRat is not ordered against the string {value!r}")
+    return ext(value)
 
 
 def _finite(num: int, den: int) -> ExtRat:

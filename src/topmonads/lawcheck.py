@@ -90,6 +90,7 @@ are:
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import operator
 import random
@@ -280,14 +281,35 @@ def all_topologies(n: int) -> list[sp.FiniteSpace]:
     return out
 
 
+# the largest weight_denominator_bound whose draws come from `_rationals`
+_TABLE_BOUND = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _rationals(bound: int, lo: int) -> tuple[tuple[ExtRat, ...], ...]:
+    """Per denominator den from 1 to bound, the row num/den for num from lo
+    to 2 * den: at most 4,224 values at bound 64."""
+    return tuple(
+        tuple(ratio(num, den) for num in range(lo, 2 * den + 1))
+        for den in range(1, bound + 1)
+    )
+
+
 def _rand_extrat(rng, cfg, allow_zero=True, allow_inf=None):
+    """oo with probability 0.1 when allowed, else num/den for den drawn
+    from 1 to the bound and num from 0 (or 1) to 2 * den.  Up to bound 64
+    the two draws are choices from `_rationals`: `choice(seq)` consumes
+    the stream as `randint(lo, lo + len(seq) - 1)` does, so the values
+    are the same."""
     if allow_inf is None:
         allow_inf = cfg.allow_infinity
     if allow_inf and rng.random() < 0.1:
         return INF
-    den = rng.randint(1, cfg.weight_denominator_bound)
-    num = rng.randint(0 if allow_zero else 1, 2 * den)
-    return ratio(num, den)
+    bound, lo = cfg.weight_denominator_bound, 0 if allow_zero else 1
+    if bound <= _TABLE_BOUND:
+        return rng.choice(rng.choice(_rationals(bound, lo)))
+    den = rng.randint(1, bound)
+    return ratio(rng.randint(lo, 2 * den), den)
 
 
 def rand_valuation(rng, cfg, space) -> va.Valuation:

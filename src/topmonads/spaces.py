@@ -137,7 +137,8 @@ class FiniteSpace:
         """The objects, after checking that each lives on this space: raise
         ShapeMismatch naming the first that does not."""
         for obj in objects:
-            if getattr(obj, "space", None) != self:
+            space = getattr(obj, "space", None)
+            if space is not self and space != self:
                 raise ShapeMismatch(
                     f"{type(obj).__name__} does not live on the space {self.points}"
                 )
@@ -290,6 +291,16 @@ def _intransitive(up_masks: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
+def _unhashable(names: Iterable) -> object:
+    """The first name that no dict can hold as a key."""
+    for name in names:
+        try:
+            hash(name)
+        except TypeError:
+            return name
+    return None
+
+
 def from_opens(points: Sequence[str], opens: Iterable[int]) -> FiniteSpace:
     """Build a space from an explicit open family, validating the axioms.
 
@@ -306,30 +317,41 @@ def from_opens(points: Sequence[str], opens: Iterable[int]) -> FiniteSpace:
     Only a family that fails reads the preorder off the intersections:
     every member holds the intersection for each of its points, so the
     family lies strictly inside the up-sets of that preorder, and the least
-    up-set missing from the family is the witness.
+    up-set missing from the family is the witness.  A point name that is
+    not hashable, and an open that is not an int, are named in a
+    NotATopology.
     """
     points = tuple(points)
-    if len(set(points)) != len(points):
+    try:
+        distinct = len(set(points)) == len(points)
+    except TypeError:
+        raise NotATopology(f"point name {_unhashable(points)!r} is not hashable") from None
+    if not distinct:
         raise NotATopology("duplicate point names")
     n = len(points)
     full = (1 << n) - 1
-    family = set(opens)
-    members = sorted(family)
-    if members and (members[0] < 0 or members[-1] > full):
-        u = next(u for u in members if u & ~full)
-        raise NotATopology(f"open {u:b} has bits outside the point set")
-    least = [full] * n
-    uncovered = full
-    for u in members:
-        fresh = u & uncovered
-        if fresh:
-            uncovered ^= fresh
-            while fresh:
-                low = fresh & -fresh
-                least[low.bit_length() - 1] = u
-                fresh ^= low
-            if not uncovered:
-                break
+    try:
+        family = set(opens)
+        members = sorted(family)
+        if members and (members[0] < 0 or members[-1] > full):
+            u = next(u for u in members if u & ~full)
+            raise NotATopology(f"open {u:b} has bits outside the point set")
+        least = [full] * n
+        uncovered = full
+        for u in members:
+            fresh = u & uncovered
+            if fresh:
+                uncovered ^= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    least[low.bit_length() - 1] = u
+                    fresh ^= low
+                if not uncovered:
+                    break
+    except TypeError:  # only a member that is not an int raises it here
+        # a one-pass family no longer holds the member that raised
+        named = [f"open {u!r}" for u in opens if not isinstance(u, int)] or ["an open"]
+        raise NotATopology(f"{named[0]} is not a mask of points") from None
     # the up-set search assumes a preorder; the guess is reflexive
     if _intransitive(least) is None:
         upsets = upsets_of_up_masks(n, least, limit=len(family))
@@ -354,13 +376,17 @@ def from_preorder(
 ) -> FiniteSpace:
     """Build the Alexandrov space whose opens are the up-sets of a preorder.
 
-    The relation is validated; an entry that is not a pair, and missing
-    reflexive or transitive pairs, are rejected with a witness, never
-    silently closed over.
+    The relation is validated; a point name that is not hashable, an
+    entry that is not a pair or names no point, and missing reflexive or
+    transitive pairs, are rejected with a witness, never silently closed
+    over.
     """
     points = tuple(points)
     n = len(points)
-    idx = {p: i for i, p in enumerate(points)}
+    try:
+        idx = {p: i for i, p in enumerate(points)}
+    except TypeError:
+        raise NotAPreorder("point name is not hashable", _unhashable(points)) from None
     if len(idx) != n:
         raise NotAPreorder("duplicate point names", None)
     up_masks = [0] * n
@@ -369,9 +395,10 @@ def from_preorder(
             a, b = entry
         except (TypeError, ValueError):
             raise NotAPreorder("entry is not a pair", entry) from None
-        if a not in idx or b not in idx:
-            raise NotAPreorder("pair mentions unknown point", (a, b))
-        up_masks[idx[a]] |= 1 << idx[b]
+        try:
+            up_masks[idx[a]] |= 1 << idx[b]
+        except (KeyError, TypeError):  # a name that is no point, or unhashable
+            raise NotAPreorder("pair mentions unknown point", (a, b)) from None
     for i in range(n):
         if not up_masks[i] >> i & 1:
             raise NotAPreorder("not reflexive", (points[i], points[i]))

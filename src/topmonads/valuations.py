@@ -16,6 +16,14 @@ order comparisons.  The second routes that confirm these operations are
 laws in `lawcheck`, among them the double-dual side of the
 multiplication, xi(nu -> <nu, g>), the monotone test functions and the
 soundness check of a certificate.
+
+Every stored weight tuple is in normal form: one `ExtRat` per point, each
+specialization class's weight on its least point and zero on the class's
+other points.  The core's operations keep that form, so each valuation
+they return is built once, by `_of_weights`, as the core computed it.
+Only the public constructor `Valuation(space, weights)` normalises weights
+from outside: it coerces them and pushes each to the least point of its
+class, a push it skips on a T0 space, where every point is least.
 """
 
 from __future__ import annotations
@@ -55,12 +63,15 @@ class Valuation:
     weights: tuple[ExtRat, ...]
 
     def __post_init__(self):
+        space = self.space
         weights = [w if type(w) is ExtRat else ext(w) for w in self.weights]
-        if len(weights) != self.space.n:
+        if len(weights) != space.n:
             raise ShapeMismatch("one weight per point required")
         # push each weight to the least point of its class
         object.__setattr__(
-            self, "weights", wt.push(self.space.least, self.space.n, weights)
+            self,
+            "weights",
+            tuple(weights) if space.is_T0 else wt.push(space.least, space.n, weights),
         )
 
     @cached
@@ -94,6 +105,16 @@ class Valuation:
         return not any(self.weights)
 
 
+def _of_weights(space: FiniteSpace, weights: tuple[ExtRat, ...]) -> Valuation:
+    """The valuation with weights already in normal form, as the core's
+    operations return them: no coercion and no push."""
+    nu = object.__new__(Valuation)
+    fields = nu.__dict__
+    fields["space"] = space
+    fields["weights"] = weights
+    return nu
+
+
 def valuation_from_weights(space: FiniteSpace, weights) -> Valuation:
     """The valuation U -> sum of weights over the points of U; `weights` is
     a sequence per point or a dict from point names."""
@@ -122,7 +143,7 @@ def validate_valuation(space: FiniteSpace, table) -> Valuation:
         raise NotStrict(f"value on the empty set is {table[0]}")
     weights = wt.validate(space, table)
     if weights is not None:
-        return Valuation(space, weights)
+        return _of_weights(space, weights)
     value = dict(zip(space.opens, table))
     for u in space.opens:
         for v in space.opens:
@@ -136,13 +157,14 @@ def validate_valuation(space: FiniteSpace, table) -> Valuation:
 
 
 def zero_valuation(space: FiniteSpace) -> Valuation:
-    return Valuation(space, (ZERO,) * space.n)
+    return _of_weights(space, (ZERO,) * space.n)
 
 
 def unit_delta(space: FiniteSpace, x: int) -> Valuation:
-    """The Dirac valuation: mass 1 on every open containing x."""
+    """The Dirac valuation: mass 1 on every open containing x, kept on the
+    least point of its class."""
     space.require_point(x)
-    return Valuation(space, wt.unit(space.n, x))
+    return _of_weights(space, wt.unit(space.n, space.least[x]))
 
 
 # --- lower semicontinuous functions ---------------------------------------
@@ -159,7 +181,9 @@ class LowerSemiFn:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "values", tuple(ext(v) for v in self.values)
+            self,
+            "values",
+            tuple([v if type(v) is ExtRat else ext(v) for v in self.values]),
         )
         if len(self.values) != self.space.n:
             raise ShapeMismatch("one value per point required")
@@ -211,9 +235,13 @@ def integrate(nu: Valuation, g: LowerSemiFn) -> ExtRat:
 
 
 def pushforward(f: ContinuousMap, nu: Valuation) -> Valuation:
-    """f_* nu, the valuation U -> nu(f^{-1} U): each weight moves to f(x)."""
+    """f_* nu, the valuation U -> nu(f^{-1} U): each weight moves to f(x),
+    and on to the least point of its class."""
     f.source.require_here(nu)
-    return Valuation(f.target, wt.push(f.assignment, f.target.n, nu.weights))
+    target = f.target
+    least = target.least
+    assignment = [least[y] for y in f.assignment]
+    return _of_weights(target, wt.push(assignment, target.n, nu.weights))
 
 
 @dataclass(frozen=True)
@@ -228,18 +256,21 @@ class SimpleSecondOrder:
         object.__setattr__(
             self,
             "atoms",
-            tuple((ext(c), nu) for c, nu in self.atoms),
+            tuple([(c if type(c) is ExtRat else ext(c), nu) for c, nu in self.atoms]),
         )
         for c, nu in self.atoms:
             if not sgn(c):
                 raise PreconditionFailed("atom weights must be positive")
-        self.space.require_here(*(nu for _, nu in self.atoms))
+        space = self.space
+        for _, nu in self.atoms:
+            if getattr(nu, "space", None) is not space:
+                space.require_here(nu)
 
 
 def mult_E(xi: SimpleSecondOrder) -> Valuation:
     """The multiplication of V on molecular input: sum of c_j * nu_j."""
     mixture = [(c, nu.weights) for c, nu in xi.atoms]
-    return Valuation(xi.space, wt.mult(xi.space.n, mixture))
+    return _of_weights(xi.space, wt.mult(xi.space.n, mixture))
 
 
 @dataclass(frozen=True)
@@ -301,7 +332,7 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
         raise ShapeMismatch("kernels are not composable")
     rows = [ky.weights for ky in k.table]
     table = tuple(
-        Valuation(k.target, wt.mult(k.target.n, zip(hx.weights, rows)))
+        _of_weights(k.target, wt.mult(k.target.n, zip(hx.weights, rows)))
         for hx in h.table
     )
     return Kernel(h.source, k.target, table)
@@ -311,27 +342,31 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
 
 
 def strength_V(prod: Product, x: int, nu: Valuation) -> Valuation:
-    """s(x, nu): the pushforward of nu along y -> (x, y); W -> nu(W_x)."""
+    """s(x, nu): the pushforward of nu along y -> (x, y); W -> nu(W_x).
+    The weights of nu sit on least points, so they move to the row of the
+    least point of x's class, where each lands on its least pair."""
     prod.right.require_here(nu)
     prod.left.require_point(x)
-    return Valuation(prod.space, wt.strength(prod, x, nu.weights))
+    return _of_weights(prod.space, wt.strength(prod, prod.left.least[x], nu.weights))
 
 
 def costrength_V(prod: Product, nu: Valuation, y: int) -> Valuation:
-    """t(nu, y): the pushforward of nu along x -> (x, y)."""
+    """t(nu, y): the pushforward of nu along x -> (x, y), into the column
+    of the least point of y's class, as in `strength_V`."""
     prod.left.require_here(nu)
     prod.right.require_point(y)
-    return Valuation(prod.space, wt.costrength(prod, nu.weights, y))
+    return _of_weights(prod.space, wt.costrength(prod, nu.weights, prod.right.least[y]))
 
 
 def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None) -> Valuation:
     """The product valuation, determined by (U x V) -> nu(U) * rho(V): the
-    weight of the pair (x, y) is w_x * w_y."""
+    weight of the pair (x, y) is w_x * w_y, nonzero only where x and y are
+    least points, so only on the least pair (x, y) of a product class."""
     if prod is None:
         prod = product(nu.space, rho.space)
     prod.left.require_here(nu)
     prod.right.require_here(rho)
-    return Valuation(prod.space, wt.product(nu.weights, rho.weights))
+    return _of_weights(prod.space, wt.product(nu.weights, rho.weights))
 
 
 # --- the weak topology and Portmanteau certificates -------------------------

@@ -10,6 +10,14 @@ checked as a monad morphism in `lawcheck`.  Each operation is written here
 on weight tuples, with the weights' own `+` and `*`; a sum starts from its
 first nonzero term.
 
+A valuation's weights are kept in normal form: each specialization
+class's weight on its least point, zero on its other points.  Given
+weights in that form, `mult` and `product` return weights in it, and
+`push`, `unit`, `strength` and `costrength` do when their target points
+are least points; `valuations` passes them such points, so the tuples
+computed here are stored as they are.  Only the public `Valuation`
+constructor normalises weights from outside.
+
 Weights fix a valuation up to the weights under a top weight, which no
 open sees; `canonical` fills them in, with `FiniteSpace.closure` of the
 top weights.

@@ -221,6 +221,17 @@ def test_equality_agrees_with_the_hash():
     assert 1 in {ONE} and Fraction(1, 2) in {ext("1/2")}
 
 
+@pytest.mark.parametrize("compare", [
+    lambda: ONE < "2", lambda: ONE <= "1", lambda: ONE >= "1", lambda: ONE > "0",
+    lambda: "2" > ONE, lambda: "1" >= INF, lambda: ext("1/2") < "inf",
+], ids=["lt", "le", "ge", "gt", "reflected-gt", "reflected-ge-inf", "lt-inf"])
+def test_order_rejects_a_string_as_equality_does(compare):
+    # order and equality agree: a string is not a value to compare against
+    with pytest.raises(InvalidValueType, match="not ordered against the string"):
+        compare()
+    assert ONE < 2 and ONE <= 1 and ONE >= Fraction(1) and ONE > Fraction(1, 2)
+
+
 def _model_operand(rng):
     """A Fraction, or None for oo: 0, 1, oo, small integers, and ratios with
     numerator and denominator up to 10**12."""

@@ -1172,3 +1172,32 @@ def test_p_sees_a_mutation_patched_into_v():
     cfg = lc.GenConfig(seed=42, max_points=3)
     [report] = lc.run_with_mutation("mult-E-ignores-weights", cfg, suites=("p-submonad",))
     assert any("NotNormalized" in f.message for f in report.failures)
+
+
+def _same_draws(cfg, allow_zero, count):
+    """`_rand_extrat`, which chooses from its table, against the two
+    randint calls of `_rand_extrat_by_fraction`."""
+    table, reference = random.Random(cfg.seed), random.Random(cfg.seed)
+    for _ in range(count):
+        drawn = lc._rand_extrat(table, cfg, allow_zero)
+        assert drawn == _rand_extrat_by_fraction(reference, cfg, allow_zero)
+        assert drawn or allow_zero
+    assert table.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("allow_zero", [False, True])
+@pytest.mark.parametrize("allow_infinity", [False, True])
+@pytest.mark.parametrize("seed", [42, 7, 10011])
+def test_weight_draws_are_the_randint_draws(seed, allow_infinity, allow_zero):
+    """10,000 draws give the same values, and leave the stream in the same
+    state, as the randint form."""
+    cfg = lc.GenConfig(seed=seed, allow_infinity=allow_infinity)
+    _same_draws(cfg, allow_zero, 10_000)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 64, 65, 1000])
+def test_weight_draws_at_other_bounds_are_the_randint_draws(bound):
+    """Both sides of the largest tabled bound, 64, and its ends."""
+    cfg = lc.GenConfig(seed=bound, weight_denominator_bound=bound)
+    for allow_zero in (False, True):
+        _same_draws(cfg, allow_zero, 2_000)

@@ -17,7 +17,10 @@ negative, and a division by 0 or oo raises a ZeroDenominator.  P's operations ta
 one and raise NotNormalized on any other.  The opens form of a space document names the
 malformed part in a fixed message: an opens value or an open that is not a
 list, and a name that is not a point, unhashable ones included.  A
-preorder entry that is not a pair raises a NotAPreorder.
+preorder entry that is not a pair raises a NotAPreorder.  A point name
+that is not hashable, in the points or in a pair, raises the NotAPreorder
+or NotATopology of its constructor with the name or pair as its witness,
+and so does an open that is not an int mask.
 
 Left out, because their inputs are bare bit-masks that no space checks:
 spaces.bits, popcount and upsets_of_up_masks, and hyperspace's
@@ -37,7 +40,13 @@ from topmonads import support as su
 from topmonads import valuations as va
 from topmonads.cli import MalformedDocument
 from topmonads.errors import (
-    InvalidValue, NotNormalized, ShapeMismatch, TopmonadsError, ZeroDenominator
+    InvalidValue,
+    NotAPreorder,
+    NotATopology,
+    NotNormalized,
+    ShapeMismatch,
+    TopmonadsError,
+    ZeroDenominator,
 )
 from topmonads.extrat import INF, ONE, ZERO, ExtRat, ext
 
@@ -90,6 +99,11 @@ CALLS = {
     "from_preorder one-entry pair": lambda: sp.from_preorder(("a",), [("a",)]),
     "from_preorder three-entry pair": lambda: sp.from_preorder(("a",), [("a", "a", "a")]),
     "from_preorder pair not a sequence": lambda: sp.from_preorder(("a",), [5]),
+    "from_preorder unhashable name": lambda: sp.from_preorder(("a",), [(["a"], "a")]),
+    "from_preorder unhashable point": lambda: sp.from_preorder((["a"],), []),
+    "from_opens unhashable open": lambda: sp.from_opens(("a",), [[], [["a"]]]),
+    "from_opens unhashable point": lambda: sp.from_opens((["a"],), [0, 1]),
+    "from_opens open not an int": lambda: sp.from_opens(("a",), [0, "1"]),
     "ContinuousMap out": lambda: sp.ContinuousMap(S, S, (OUT, 1)),
     "ContinuousMap negative": lambda: sp.ContinuousMap(S, S, (0, NEG)),
     "ContinuousMap name": lambda: sp.ContinuousMap(S, S, (NAME, 1)),
@@ -278,6 +292,23 @@ def test_parse_space_names_the_malformed_open(call):
     with pytest.raises(MalformedDocument) as info:
         CALLS[call]()
     assert str(info.value) == PARSE_SPACE_MESSAGES[call]
+
+
+WRONG_TYPE_MESSAGES = {
+    "from_preorder unhashable name": (NotAPreorder, "pair mentions unknown point: witness (['a'], 'a')"),
+    "from_preorder unhashable point": (NotAPreorder, "point name is not hashable: witness ['a']"),
+    "from_opens unhashable open": (NotATopology, "open [] is not a mask of points"),
+    "from_opens unhashable point": (NotATopology, "point name ['a'] is not hashable"),
+    "from_opens open not an int": (NotATopology, "open '1' is not a mask of points"),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_TYPE_MESSAGES))
+def test_space_constructors_name_a_name_or_open_of_the_wrong_type(call):
+    error, message = WRONG_TYPE_MESSAGES[call]
+    with pytest.raises(error) as info:
+        CALLS[call]()
+    assert str(info.value) == message
 
 
 def test_extrat_arithmetic_keeps_its_messages():
