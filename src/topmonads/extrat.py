@@ -5,9 +5,9 @@ positive denominator, and the distinguished infinity as the numerator None.
 Sums, products and comparisons compute on the pair with `math.gcd`, the
 way `fractions.Fraction` does, and skip the gcd when both denominators are
 1; `frac` gives the equal `Fraction`, and `hash` is that Fraction's hash.
-A value equals, and is ordered against, the int or `Fraction` of its
-value, never a string: `<`, `<=`, `>` and `>=` raise `InvalidValueType`
-for a string operand.
+A value equals, is ordered against and computes with the int or `Fraction`
+of its value, never a string: `<`, `<=`, `>`, `>=`, `+`, `*`, `-` and `/`,
+reflected forms included, raise `InvalidValueType` for a string operand.
 The conventions are oo + x = oo, oo * x = oo for x > 0, and oo * 0 = 0 (the
 one needed for positive linear combinations with coefficients in (0, oo]).
 Besides the partial subtraction there is the total, truncated one, `monus`.
@@ -82,7 +82,7 @@ class ExtRat:
 
     def __add__(self, other):
         if type(other) is not ExtRat:
-            other = ext(other)
+            other = _comparable(other)
         a, c = self._num, other._num
         if a is None or c is None:
             return INF
@@ -104,7 +104,7 @@ class ExtRat:
 
     def __mul__(self, other):
         if type(other) is not ExtRat:
-            other = ext(other)
+            other = _comparable(other)
         a, c = self._num, other._num
         if a is None or c is None:
             # oo * 0 = 0; a None operand never equals 0
@@ -126,7 +126,8 @@ class ExtRat:
 
     def __sub__(self, other):
         """Partial subtraction: defined when the result stays in [0, oo]."""
-        other = ext(other)
+        if type(other) is not ExtRat:
+            other = _comparable(other)
         if other.is_infinite:
             raise InfinityIndeterminate("cannot subtract infinity")
         if self.is_infinite:
@@ -138,7 +139,8 @@ class ExtRat:
         )
 
     def __truediv__(self, other):
-        other = ext(other)
+        if type(other) is not ExtRat:
+            other = _comparable(other)
         if other == ZERO or other.is_infinite:
             raise ZeroDenominator("division by zero or infinity")
         if self.is_infinite:
@@ -213,10 +215,14 @@ class ExtRat:
 
 
 def _comparable(value) -> ExtRat:
-    """The operand of an order comparison as an ExtRat: an int or a
-    `Fraction`, never a string, which equality does not accept either."""
+    """The operand of an order comparison or of arithmetic as an ExtRat:
+    an int or a `Fraction`, never a string, which equality does not accept
+    either; `ext` is the string parser."""
     if isinstance(value, str):
-        raise InvalidValueType(f"an ExtRat is not ordered against the string {value!r}")
+        raise InvalidValueType(
+            f"an ExtRat is not ordered against the string {value!r}"
+            " or combined with it; parse it with ext()"
+        )
     return ext(value)
 
 

@@ -9,8 +9,9 @@ mass of every input checked and the result rebuilt as a `ProbValuation`.
 On a finite T0 space the point closures separate points, so the Borel
 sigma-algebra is the full power set, and a finite-mass valuation extends
 to the measure with the same weights: a `FiniteMeasure` is that valuation,
-read on every subset, so it integrates by `valuations.integrate` and its
-support is `support.support`.  Non-T0 spaces route through the Kolmogorov
+read on every subset by the sum over a set it inherits from `Valuation`,
+so it integrates by `valuations.integrate` and its support is
+`support.support`.  Non-T0 spaces route through the Kolmogorov
 quotient (valuations cannot see more), and the result carries the
 quotient map as an explicit marker.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import valuations as va
-from . import weighted as wt
 from .errors import InfiniteMass, NotNormalized, PreconditionFailed, ShapeMismatch
 from .extrat import INF, ExtRat, ONE, ZERO
 from .spaces import ContinuousMap, Product, kolmogorov_quotient
@@ -75,10 +75,11 @@ class FiniteMeasure(va.Valuation):
         return self.weights
 
     def measure_of(self, subset: int) -> ExtRat:
-        """The measure of any subset: the pairing of the weights with its indicator."""
+        """The measure of any subset: the pairing of the weights with its
+        indicator, the valuation's sum of the weights over the subset."""
         if subset & ~self.space.full:
             raise ShapeMismatch("subset has bits outside the point set")
-        return wt.value(self.weights, subset)
+        return self._total(subset)
 
 
 def extend_to_measure(nu: va.Valuation) -> FiniteMeasure:

@@ -1,7 +1,7 @@
 """The support map from valuations to closed sets, and the valuation
 algebra map it induces.
 
-A valuation is a [0, oo]-weight per point (`weighted`) and a closed set
+A valuation is a [0, oo]-weight per point (`valuations`) and a closed set
 the mask of its points (`hyperspace`); the support is the change of
 scalars along the semiring homomorphism sgn, each weight sent to its sign,
 then the closure, taken once: the closed set hitting exactly the opens of

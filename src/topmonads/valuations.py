@@ -6,31 +6,33 @@ monotonely, and modularly; on a finite open lattice every directed family
 contains its supremum, so these three conditions already give Scott
 continuity (a theorem, not a runtime check).  On a finite space every such
 valuation is a finite sum of weighted Diracs (Jones 1990; Heckmann 1996),
-so a `Valuation` is a weight tuple of the weighted core (`weighted`):
-its value on a set is the sum of its weights there, and its table, the
-check of a table, the unit, pushforward, multiplication, Kleisli
-composition, strength, product, integral and canonical form are the
-core's.  The module also provides the weak topology subbasis, the
-Portmanteau certificates that place a valuation in a subbasic open, and
-order comparisons.  The second routes that confirm these operations are
-laws in `lawcheck`, among them the double-dual side of the
-multiplication, xi(nu -> <nu, g>), the monotone test functions and the
-soundness check of a certificate.
+so a `Valuation` is one [0, oo] weight per point, and V is the monad of
+[0, oo]-valued multisets (Coumans and Jacobs, "Scalars, monads, and
+categories", 2013; Kock, TAC 2012), H being the {0, 1} instance on masks
+(`hyperspace`).  Each operation of V is written once, here, on weight
+tuples with the weights' own `+` and `*`; the loops several operations
+share are `_push`, `_mix`, `_pairing` and `Valuation._total`, and a sum
+starts from its first nonzero term.  The module also provides the weak
+topology subbasis, the Portmanteau certificates that place a valuation in
+a subbasic open, and order comparisons.  The second routes that confirm
+these operations are laws in `lawcheck`, among them the double-dual side
+of the multiplication, xi(nu -> <nu, g>), the monotone test functions and
+the soundness check of a certificate.
 
 Every stored weight tuple is in normal form: one `ExtRat` per point, each
 specialization class's weight on its least point and zero on the class's
-other points.  The core's operations keep that form, so each valuation
-they return is built once, by `_of_weights`, as the core computed it.
-Only the public constructor `Valuation(space, weights)` normalises weights
-from outside: it coerces them and pushes each to the least point of its
-class, a push it skips on a T0 space, where every point is least.
+other points.  The operations build their results in that form, so each
+valuation they return is built once, by `_of_weights`, as computed.  Only
+the public constructor `Valuation(space, weights)` normalises weights from
+outside: it coerces them and pushes each to the least point of its class,
+a push it skips on a T0 space, where every point is least.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     LawViolation,
@@ -44,9 +46,38 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from . import weighted as wt
-from .extrat import ExtRat, ONE, ZERO, ext, sgn
+from .extrat import INF, ExtRat, ONE, ZERO, ext, monus, sgn
 from .spaces import ContinuousMap, FiniteSpace, Product, cached, from_preorder, product
+
+
+def _push(assignment: Sequence[int], n: int, w: Sequence) -> tuple:
+    """Each weight w_x moves to assignment[x], one of n target points."""
+    out = [ZERO] * n
+    for x, a in enumerate(w):
+        y = assignment[x]
+        out[y] = a if out[y] is ZERO else out[y] + a
+    return tuple(out)
+
+
+def _mix(n: int, mixture: Iterable[tuple[ExtRat, Sequence]]) -> tuple:
+    """The sum of c * w over the (c, w) pairs of a finite mixture, on n
+    points."""
+    out = [ZERO] * n
+    for c, w in mixture:
+        for x, a in enumerate(w):
+            if a:
+                ca = c * a
+                out[x] = ca if out[x] is ZERO else out[x] + ca
+    return tuple(out)
+
+
+def _pairing(w: Sequence, g: Sequence) -> ExtRat:
+    """<w, g>, the sum of w_x * g(x)."""
+    acc = ZERO
+    for a, b in zip(w, g):
+        if a:
+            acc = a * b if acc is ZERO else acc + a * b
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +86,8 @@ class Valuation:
 
     Each specialization class keeps its total weight on its least point.
     Two valuations are equal when they agree on every open, which is when
-    their weights agree in the core's canonical form, which fills in the
-    weights an oo hides.
+    their weights agree in canonical form, which fills in the weights an
+    oo hides.
     """
 
     space: FiniteSpace
@@ -71,12 +102,19 @@ class Valuation:
         object.__setattr__(
             self,
             "weights",
-            tuple(weights) if space.is_T0 else wt.push(space.least, space.n, weights),
+            tuple(weights) if space.is_T0 else _push(space.least, space.n, weights),
         )
 
     @cached
     def _canonical(self) -> tuple[ExtRat, ...]:
-        return wt.canonical(self.space, self.weights)
+        """The weights with oo on every point below an oo weight, which
+        fixes every other weight by the values on the opens."""
+        w = self.weights
+        tops = sum([1 << x for x, a in enumerate(w) if a == INF])
+        if not tops:
+            return w
+        below = self.space.closure(tops)
+        return tuple([INF if below >> x & 1 else a for x, a in enumerate(w)])
 
     def __eq__(self, other):
         if not isinstance(other, Valuation):
@@ -86,16 +124,28 @@ class Valuation:
     def __hash__(self):
         return hash((self.space, self._canonical))
 
+    def _total(self, subset: int) -> ExtRat:
+        """The sum of the weights over any subset of the points."""
+        w = self.weights
+        acc = ZERO
+        while subset:  # step by the lowest set bit
+            a = w[(subset & -subset).bit_length() - 1]
+            if a:
+                acc = a if acc is ZERO else acc + a
+            subset &= subset - 1
+        return acc
+
     @cached
     def table(self) -> tuple[ExtRat, ...]:
         """The values on `space.opens`, in order."""
-        return wt.table(self.space, self.weights)
+        total = self._total
+        return tuple([total(u) for u in self.space.opens])
 
     def value(self, u: int) -> ExtRat:
         """nu(U), the sum of the weights over U: an open holds whole
         specialization classes, so it holds each class's weight whole."""
         self.space.require_open(u)
-        return wt.value(self.weights, u)
+        return self._total(u)
 
     @cached
     def mass(self) -> ExtRat:
@@ -106,8 +156,8 @@ class Valuation:
 
 
 def _of_weights(space: FiniteSpace, weights: tuple[ExtRat, ...]) -> Valuation:
-    """The valuation with weights already in normal form, as the core's
-    operations return them: no coercion and no push."""
+    """The valuation with weights already in normal form, as the
+    operations build them: no coercion and no push."""
     nu = object.__new__(Valuation)
     fields = nu.__dict__
     fields["space"] = space
@@ -128,9 +178,11 @@ def valuation_from_weights(space: FiniteSpace, weights) -> Valuation:
 
 def validate_valuation(space: FiniteSpace, table) -> Valuation:
     """The valuation with the given values on `space.opens`, after checking
-    strictness, monotonicity, and modularity: the core reads the weights
-    back off the table (`weighted.validate`), and only a table they do not
+    strictness, monotonicity, and modularity: the weights
+    w_x = v(up x) - v(up x minus [x]), truncated, are read back off the
+    table onto the least point of each class, and only a table they do not
     give back is scanned pairwise for a NotMonotone or NotModular witness.
+    `monus` is looked up in this module when it runs.
     """
     if isinstance(table, dict):
         if set(table) != set(space.opens):
@@ -141,10 +193,13 @@ def validate_valuation(space: FiniteSpace, table) -> Valuation:
         raise ShapeMismatch("table size differs from number of opens")
     if table[0] != ZERO:
         raise NotStrict(f"value on the empty set is {table[0]}")
-    weights = wt.validate(space, table)
-    if weights is not None:
-        return _of_weights(space, weights)
     value = dict(zip(space.opens, table))
+    nu = _of_weights(space, tuple([
+        monus(value[up], value[up & ~c]) if c & -c == 1 << x else ZERO
+        for x, (up, c) in enumerate(zip(space.min_nbhd, space.classes))
+    ]))
+    if nu.table == table:
+        return nu
     for u in space.opens:
         for v in space.opens:
             if u & ~v == 0 and value[u] > value[v]:
@@ -164,7 +219,9 @@ def unit_delta(space: FiniteSpace, x: int) -> Valuation:
     """The Dirac valuation: mass 1 on every open containing x, kept on the
     least point of its class."""
     space.require_point(x)
-    return _of_weights(space, wt.unit(space.n, space.least[x]))
+    weights = [ZERO] * space.n
+    weights[space.least[x]] = ONE
+    return _of_weights(space, tuple(weights))
 
 
 # --- lower semicontinuous functions ---------------------------------------
@@ -228,7 +285,7 @@ def compose_lsc(g: LowerSemiFn, f: ContinuousMap) -> LowerSemiFn:
 def integrate(nu: Valuation, g: LowerSemiFn) -> ExtRat:
     """The pairing <nu, g> = sum of w_x * g(x), with oo * 0 = 0."""
     nu.space.require_here(g)
-    return wt.pairing(nu.weights, g.values)
+    return _pairing(nu.weights, g.values)
 
 
 # --- functor and monad ------------------------------------------------------
@@ -241,7 +298,7 @@ def pushforward(f: ContinuousMap, nu: Valuation) -> Valuation:
     target = f.target
     least = target.least
     assignment = [least[y] for y in f.assignment]
-    return _of_weights(target, wt.push(assignment, target.n, nu.weights))
+    return _of_weights(target, _push(assignment, target.n, nu.weights))
 
 
 @dataclass(frozen=True)
@@ -270,7 +327,7 @@ class SimpleSecondOrder:
 def mult_E(xi: SimpleSecondOrder) -> Valuation:
     """The multiplication of V on molecular input: sum of c_j * nu_j."""
     mixture = [(c, nu.weights) for c, nu in xi.atoms]
-    return _of_weights(xi.space, wt.mult(xi.space.n, mixture))
+    return _of_weights(xi.space, _mix(xi.space.n, mixture))
 
 
 @dataclass(frozen=True)
@@ -332,7 +389,7 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
         raise ShapeMismatch("kernels are not composable")
     rows = [ky.weights for ky in k.table]
     table = tuple(
-        _of_weights(k.target, wt.mult(k.target.n, zip(hx.weights, rows)))
+        _of_weights(k.target, _mix(k.target.n, zip(hx.weights, rows)))
         for hx in h.table
     )
     return Kernel(h.source, k.target, table)
@@ -344,18 +401,24 @@ def kleisli_compose(k: Kernel, h: Kernel) -> Kernel:
 def strength_V(prod: Product, x: int, nu: Valuation) -> Valuation:
     """s(x, nu): the pushforward of nu along y -> (x, y); W -> nu(W_x).
     The weights of nu sit on least points, so they move to the row of the
-    least point of x's class, where each lands on its least pair."""
+    least point of x's class, the points x * |Y| + y, where each lands on
+    its least pair."""
     prod.right.require_here(nu)
     prod.left.require_point(x)
-    return _of_weights(prod.space, wt.strength(prod, prod.left.least[x], nu.weights))
+    m = prod.right.n
+    row = prod.left.least[x] * m
+    return _of_weights(prod.space, _push(range(row, row + m), prod.space.n, nu.weights))
 
 
 def costrength_V(prod: Product, nu: Valuation, y: int) -> Valuation:
     """t(nu, y): the pushforward of nu along x -> (x, y), into the column
-    of the least point of y's class, as in `strength_V`."""
+    of the least point of y's class, every |Y|-th point from it, as in
+    `strength_V`."""
     prod.left.require_here(nu)
     prod.right.require_point(y)
-    return _of_weights(prod.space, wt.costrength(prod, nu.weights, prod.right.least[y]))
+    n = prod.space.n
+    column = range(prod.right.least[y], n, prod.right.n)
+    return _of_weights(prod.space, _push(column, n, nu.weights))
 
 
 def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None) -> Valuation:
@@ -366,7 +429,7 @@ def product_valuation(nu: Valuation, rho: Valuation, prod: Product | None = None
         prod = product(nu.space, rho.space)
     prod.left.require_here(nu)
     prod.right.require_here(rho)
-    return _of_weights(prod.space, wt.product(nu.weights, rho.weights))
+    return _of_weights(prod.space, tuple([a * b for a in nu.weights for b in rho.weights]))
 
 
 # --- the weak topology and Portmanteau certificates -------------------------
@@ -417,7 +480,7 @@ def portmanteau_witness(
                 ri = (r + ONE) / c
             return [(c, u, ri)]
     coeffs = [c for c, _ in layers]
-    slack = wt.pairing(coeffs, [nu.value(u) for _, u in layers]) - r
+    slack = _pairing(coeffs, [nu.value(u) for _, u in layers]) - r
     coeff_sum = sum(coeffs, ZERO)
     eps = slack / (ExtRat(2) * coeff_sum)
     cert = []

@@ -232,6 +232,23 @@ def test_order_rejects_a_string_as_equality_does(compare):
     assert ONE < 2 and ONE <= 1 and ONE >= Fraction(1) and ONE > Fraction(1, 2)
 
 
+@pytest.mark.parametrize("combine", [
+    lambda: ONE + "1", lambda: "1" + ONE, lambda: INF + "1", lambda: "inf" + ONE,
+    lambda: ONE * "2", lambda: "2" * INF, lambda: INF * "0",
+    lambda: ONE - "0", lambda: INF - "1", lambda: ONE / "2", lambda: INF / "2",
+], ids=[
+    "add", "radd", "add-inf", "radd-inf", "mul", "rmul-inf", "mul-inf-zero",
+    "sub", "sub-inf", "truediv", "truediv-inf",
+])
+def test_arithmetic_rejects_a_string_as_order_does(combine):
+    # arithmetic and order agree: a string is parsed by ext(), not taken as
+    # an operand
+    with pytest.raises(InvalidValueType, match="combined with it"):
+        combine()
+    assert ONE + 1 == 1 + ONE == ext("2") and INF * 0 == 0 * INF == ZERO
+    assert INF - Fraction(1) == INF and ONE / 2 == ext("1/2") == ONE * ext("1/2")
+
+
 def _model_operand(rng):
     """A Fraction, or None for oo: 0, 1, oo, small integers, and ratios with
     numerator and denominator up to 10**12."""

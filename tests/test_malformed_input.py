@@ -14,7 +14,8 @@ setting out of range: GenConfig's seed not an int, its max_points below 0,
 its instance_count or weight_denominator_bound below 1 or not an int, or an
 allow_infinity that is not a bool.  So does a difference that would be
 negative, and a division by 0 or oo raises a ZeroDenominator.  P's operations take valuations of mass
-one and raise NotNormalized on any other.  The opens form of a space document names the
+one and raise NotNormalized on any other, and a probability valuation drawn
+on the empty space, which has none, raises PreconditionFailed.  The opens form of a space document names the
 malformed part in a fixed message: an opens value or an open that is not a
 list, and a name that is not a point, unhashable ones included.  A
 preorder entry that is not a pair raises a NotAPreorder.  A point name
@@ -28,6 +29,8 @@ inclusion_up_masks and inclusion_downsets.  The predicates is_open and
 is_closed answer False for a mask with bits outside the points, which is
 the right answer, and require_open raises.
 """
+
+import random
 
 import pytest
 
@@ -250,6 +253,7 @@ CALLS = {
     "GenConfig weight_denominator_bound float": lambda: lc.GenConfig(weight_denominator_bound=2.5),
     "GenConfig weight_denominator_bound string": lambda: lc.GenConfig(weight_denominator_bound="8"),
     "GenConfig allow_infinity string": lambda: lc.GenConfig(allow_infinity="no"),
+    "rand_prob empty space": lambda: lc.rand_prob(random.Random(0), lc.GenConfig(), sp.empty_space()),
     # extrat arithmetic
     "ExtRat.__sub__ negative": lambda: ExtRat(1) - ExtRat(2),
     "ExtRat.__truediv__ zero": lambda: ONE / ZERO,

@@ -1,4 +1,4 @@
-"""The weighted core, checked on every topology of at most four points
+"""V's point weights, checked on every topology of at most four points
 (390 labelled spaces): the support is the closure of the points of
 positive weight, for 20 seeded valuations per space with weights in
 {0, 1/2, 1, oo}.  The closed sets of H are masks, checked against the
@@ -24,7 +24,6 @@ from topmonads import hyperspace as hy
 from topmonads import spaces as sp
 from topmonads import support as su
 from topmonads import valuations as va
-from topmonads import weighted as wt
 from topmonads.errors import NotAValidFunctional, NotModular, NotMonotone, NotStrict
 from topmonads.extrat import INF, ONE, ZERO, ext
 from topmonads.lawcheck import all_topologies, count_valid_functional_tables, table_is_valuation
@@ -65,10 +64,13 @@ def test_sgn_is_a_semiring_homomorphism_on_the_grid():
 def test_canonical_form_fills_the_weights_below_a_top_weight():
     space = all_topologies(2)[1]  # a two-point space with one point below the other
     low, high = (0, 1) if space.leq(0, 1) else (1, 0)
-    weights = [ZERO, ZERO]
-    weights[high] = INF
-    filled = wt.canonical(space, weights)
-    assert filled[low] == INF and filled[high] == INF
+    on_high, on_low = [ZERO, ZERO], [ZERO, ZERO]
+    on_high[high] = on_low[low] = INF
+    # every open that holds the low point holds the high one, so an oo on
+    # the high point hides the weight below it
+    assert va.Valuation(space, on_high) == va.Valuation(space, [INF, INF])
+    assert hash(va.Valuation(space, on_high)) == hash(va.Valuation(space, [INF, INF]))
+    assert va.Valuation(space, on_low) != va.Valuation(space, [INF, INF])
 
 
 def _first_pair(space, fails):
